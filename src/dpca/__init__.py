@@ -25,6 +25,7 @@ from .eigencore import (
 from .errors import (
     DimensionError,
     DpcaError,
+    FloorAppliedWarning,
     InvalidInputError,
     NonConvergenceError,
     NumericalError,
@@ -38,7 +39,6 @@ from .methods import (
     cpca_fit,
     cpca_select_alphas,
     dpca_fit,
-    dpca_fit_whitened,
     pca_fit,
     pencil_residual,
     transform,
@@ -67,6 +67,7 @@ __all__ = [
     "EigenDecomposition",
     "EmbeddingResult",
     "FactorModelSpec",
+    "FloorAppliedWarning",
     "GeneralizedEigenPairs",
     "InvalidInputError",
     "LabeledDataset",
@@ -81,7 +82,6 @@ __all__ = [
     "cpca_select_alphas",
     "default_subgroup_spec",
     "dpca_fit",
-    "dpca_fit_whitened",
     "gen_background",
     "gen_pair",
     "gen_target",

@@ -4,12 +4,20 @@ Everything downstream (the PCA variants, the synthetic-recovery experiments)
 is built on four operations:
 
 * :func:`sym_eigendecompose` wraps LAPACK's symmetric eigensolver with a
-  descending order and a deterministic sign convention.
+  descending order and a deterministic sign convention; given ``d`` it
+  returns the top ``d`` pairs, and from order ``TOP_D_MIN_DIM`` (256) up it
+  computes only those.
 * :func:`whitening_factor` builds the symmetric inverse square root of a PSD
   matrix, with a relative eigenvalue floor so rank-deficient inputs remain
   usable.
-* :func:`generalized_eig` solves the symmetric-definite pencil ``A u = lam B u``
-  by whitening with ``B`` and eigendecomposing the whitened matrix.
+* :func:`generalized_eig` computes the top ``d`` pairs of the symmetric-definite
+  pencil ``A u = lam B u``. From order ``TOP_D_MIN_DIM`` up, when ``B`` is
+  comfortably positive definite (its Cholesky factorization succeeds and its
+  estimated reciprocal condition number exceeds ``1e3 * floor_rel``), it
+  solves the pencil directly through the Cholesky factor, computing only the
+  top ``d`` pairs. Otherwise it whitens with the floored
+  ``whitening_factor(B)`` and takes the top ``d`` pairs of the whitened
+  matrix; only this route can apply the floor.
 * :func:`power_topd` computes leading eigenpairs by deflated power iteration,
   the cheap route for when a dense solve is overkill.
 
@@ -22,6 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from . import _accel
 from .errors import (
@@ -34,6 +44,16 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-12
 DEFAULT_FLOOR_REL = 1e-10
+# The Cholesky route needs rcond(B) above this multiple of floor_rel. The
+# LAPACK condition estimate can undershoot ||B^{-1}||_1; the margin covers
+# that, so the floor can never apply on the Cholesky route.
+CHOLESKY_RCOND_MARGIN = 1e3
+# Smallest matrix order that takes the top-d LAPACK routes (scipy). The usual
+# numpy and scipy wheels each bundle their own OpenBLAS, and the first
+# threaded scipy call after numpy BLAS work (such as forming a covariance) can
+# wait for numpy's idle pool to stop spinning: up to 0.1 s on a 2-core
+# machine. Below this order the full numpy eigensolves cost less than that.
+TOP_D_MIN_DIM = 256
 
 # Count of pencil solves performed, for runtime instrumentation. Reset with
 # reset_pencil_solve_count() before a measured section.
@@ -51,11 +71,12 @@ def reset_pencil_solve_count() -> None:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+    """Leading eigenpairs of a symmetric matrix, all of them or the top ``d``.
 
     ``eigenvalues`` are sorted descending; ``eigenvectors`` holds the matching
     unit-norm eigenvectors as columns, sign-fixed so the largest-magnitude
-    entry of each column is positive.
+    entry of each column is positive. ``dim`` is the order of the matrix,
+    also when only the top ``d`` pairs were computed.
     """
 
     eigenvalues: np.ndarray
@@ -63,7 +84,7 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,10 +113,13 @@ class GeneralizedEigenPairs:
     ``eigenvalues`` are descending and nonnegative; ``eigenvectors`` columns
     have unit Euclidean norm and satisfy ``A u ~= lam B u``. Columns follow
     the same sign convention as :class:`EigenDecomposition`.
+    ``floor_applied`` is True when the whitening floor raised eigenvalues of
+    ``B``, in which case the floor, not ``B``, determines the result.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    floor_applied: bool = False
 
     @property
     def dim(self) -> int:
@@ -145,13 +169,17 @@ def apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def sym_eigendecompose(mat: np.ndarray) -> EigenDecomposition:
+def sym_eigendecompose(mat: np.ndarray, d: int | None = None) -> EigenDecomposition:
     """Eigendecompose a symmetric matrix with deterministic ordering.
 
     Parameters
     ----------
     mat : (D, D) array_like
         Symmetric, finite matrix.
+    d : int, optional
+        Number of leading pairs (by algebraic eigenvalue), ``1 <= d <= D``;
+        the default is all ``D``. With ``d < D`` and ``D >= TOP_D_MIN_DIM``
+        only the top ``d`` pairs are computed (LAPACK ``syevr``).
 
     Returns
     -------
@@ -165,9 +193,20 @@ def sym_eigendecompose(mat: np.ndarray) -> EigenDecomposition:
         If ``mat`` deviates from symmetry beyond tolerance.
     InvalidInputError
         If ``mat`` contains NaN or Inf.
+    DimensionError
+        If ``d`` is out of range.
     """
     arr = check_symmetric(mat, "matrix")
-    vals, vecs = np.linalg.eigh(arr)
+    dim = arr.shape[0]
+    count = dim if d is None else d
+    if not 1 <= count <= dim:
+        raise DimensionError(f"requested {d} pairs from a dimension-{dim} matrix")
+    if count < dim and dim >= TOP_D_MIN_DIM:
+        vals, vecs = scipy.linalg.eigh(arr, subset_by_index=[dim - count, dim - 1],
+                                       check_finite=False)
+    else:
+        vals, vecs = np.linalg.eigh(arr)
+        vals, vecs = vals[dim - count:], vecs[:, dim - count:]
     order = np.arange(vals.shape[0])[::-1]  # eigh is ascending; reverse it
     vals = np.ascontiguousarray(vals[order])
     vecs = apply_sign_convention(vecs[:, order])
@@ -216,11 +255,18 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
                     floor_rel: float = DEFAULT_FLOOR_REL) -> GeneralizedEigenPairs:
     """Top-``d`` eigenpairs of the symmetric-definite pencil ``(A, B)``.
 
-    Whitens with ``W = whitening_factor(B)``, eigendecomposes the symmetric
-    matrix ``W^T A W``, and maps each leading eigenvector ``v`` back as
-    ``u = W v`` normalized to unit Euclidean norm. The reported eigenvalues
-    are those of the whitened matrix; for nonsingular ``B`` they equal the
-    Rayleigh ratios ``u^T A u / u^T B u``.
+    When ``D >= TOP_D_MIN_DIM``, ``B`` has a Cholesky factor ``B = U^T U``
+    and its estimated reciprocal condition number (LAPACK ``pocon``, 1-norm)
+    exceeds ``1e3 * floor_rel``, the pencil is reduced to the symmetric matrix
+    ``U^-T A U^-1`` (LAPACK ``sygst``), its top ``d`` pairs ``y`` are computed,
+    and ``u = U^-1 y``. Since ``cond_2(B) <= cond_1(B)``, the floor cannot
+    apply on this route. Otherwise ``B`` is whitened with
+    ``W = whitening_factor(B, floor_rel)``, the top ``d`` pairs of the
+    symmetric matrix ``W^T A W`` are computed, and each eigenvector ``v`` is
+    mapped back as ``u = W v``. Either way each ``u`` is normalized to unit
+    Euclidean norm. For nonsingular ``B`` the eigenvalues equal the Rayleigh
+    ratios ``u^T A u / u^T B u``; when the floor applied they are those of the
+    whitened matrix and ``floor_applied`` is set.
 
     Parameters
     ----------
@@ -246,18 +292,45 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     dim = a.shape[0]
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} pencil")
+    if floor_rel < 0:
+        raise InvalidInputError(f"floor_rel must be nonnegative, got {floor_rel}")
 
-    white = whitening_factor(b, floor_rel)
-    transformed = white.factor.T @ a @ white.factor
-    transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
-    eig = sym_eigendecompose(transformed)
+    upper = _comfortable_cholesky(b, floor_rel) if dim >= TOP_D_MIN_DIM else None
+    if upper is not None:
+        # B = U^T U turns the pencil into U^-T A U^-1 y = lam y with u = U^-1 y
+        reduced, _ = lapack.dsygst(a, upper)  # result in the upper triangle
+        values, vectors = scipy.linalg.eigh(reduced, lower=False, overwrite_a=True,
+                                            subset_by_index=[dim - d, dim - 1],
+                                            check_finite=False)
+        values = values[::-1]
+        vectors = scipy.linalg.solve_triangular(upper, vectors[:, ::-1], check_finite=False)
+        floor_applied = False
+    else:
+        white = whitening_factor(b, floor_rel)
+        transformed = white.factor.T @ a @ white.factor
+        transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
+        eig = sym_eigendecompose(transformed, d)
+        values, vectors = eig.eigenvalues, white.factor @ eig.eigenvectors
+        floor_applied = white.floor_applied
 
-    values = np.maximum(eig.eigenvalues[:d], 0.0)
-    mapped = white.factor @ eig.eigenvectors[:, :d]
-    mapped /= np.linalg.norm(mapped, axis=0)
-    vectors = apply_sign_convention(mapped)
+    values = np.maximum(values, 0.0)
+    vectors = apply_sign_convention(vectors / np.linalg.norm(vectors, axis=0))
     _pencil_solves += 1
-    return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors)
+    return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors,
+                                 floor_applied=floor_applied)
+
+
+def _comfortable_cholesky(b: np.ndarray, floor_rel: float) -> np.ndarray | None:
+    """Upper Cholesky factor of ``b`` if its rcond clears the floor's margin, else None.
+
+    Only the upper triangle of the returned array holds the factor.
+    """
+    try:
+        upper, _ = scipy.linalg.cho_factor(b, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    rcond, info = lapack.dpocon(upper, np.linalg.norm(b, 1))
+    return upper if info == 0 and rcond > CHOLESKY_RCOND_MARGIN * floor_rel else None
 
 
 LinearOperator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]

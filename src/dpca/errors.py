@@ -33,6 +33,13 @@ class RankZeroError(NumericalError):
     """A covariance matrix is identically zero, so no whitening factor exists."""
 
 
+class FloorAppliedWarning(UserWarning):
+    """The whitening floor raised background eigenvalues and so set the result.
+
+    The remedy is a ridge on the background covariance (``--ridge``).
+    """
+
+
 class NonConvergenceError(NumericalError):
     """Iterative solver exceeded its iteration budget.
 

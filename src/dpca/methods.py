@@ -13,12 +13,12 @@ directions and their associated eigenvalues:
   target variance to background variance. Parameter-free, and it needs a
   single pencil solve.
 
-``dpca_fit_whitened`` spells out the equivalent whiten-then-PCA route and
-must agree with ``dpca_fit``; ``pencil_residual`` is the matching diagnostic.
+``pencil_residual`` certifies that a dPCA model solves its pencil.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 from . import eigencore
 from .cluster import spectral_cluster
 from .datamodel import CovarianceEstimate, DataMatrix
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError, FloorAppliedWarning, InvalidInputError
 
 METHODS = ("pca", "cpca", "dpca")
 
@@ -126,11 +126,11 @@ def pca_fit(cxx: CovarianceEstimate, d: int,
             target_mean: np.ndarray | None = None) -> ComponentModel:
     """Fit ordinary PCA: the top-``d`` eigenpairs of the target covariance."""
     _check_d(d, cxx.dim)
-    eig = eigencore.sym_eigendecompose(cxx.matrix)
+    eig = eigencore.sym_eigendecompose(cxx.matrix, d)
     return ComponentModel(
         method="pca",
-        components=eig.eigenvectors[:, :d],
-        eigenvalues=eig.eigenvalues[:d],
+        components=eig.eigenvectors,
+        eigenvalues=eig.eigenvalues,
         target_mean=_zero_mean(target_mean, cxx.dim),
         ridge_target=cxx.ridge_applied,
     )
@@ -151,11 +151,11 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
         raise DimensionError(f"covariance dims disagree: {cxx.dim} vs {cyy.dim}")
     _check_d(d, cxx.dim)
     contrast = cxx.matrix - alpha * cyy.matrix
-    eig = eigencore.sym_eigendecompose(contrast)
+    eig = eigencore.sym_eigendecompose(contrast, d)
     return ComponentModel(
         method="cpca",
-        components=eig.eigenvectors[:, :d],
-        eigenvalues=eig.eigenvalues[:d],
+        components=eig.eigenvectors,
+        eigenvalues=eig.eigenvalues,
         target_mean=_zero_mean(target_mean, cxx.dim),
         alpha=float(alpha),
         background_mean=None if background_mean is None else np.asarray(background_mean, dtype=np.float64),
@@ -178,11 +178,22 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
     ``orthonormalize=True`` to re-orthonormalize the columns in order. That
     preserves the spanned subspace and the leading direction, and the
     eigenvalues still refer to the pencil, not to individual rotated columns.
+
+    Emits :class:`~dpca.errors.FloorAppliedWarning` when the eigenvalue floor
+    was applied to the background covariance, because the floor then
+    determines the result; a ridge on the background covariance avoids it.
     """
     if cxx.dim != cyy.dim:
         raise DimensionError(f"covariance dims disagree: {cxx.dim} vs {cyy.dim}")
     _check_d(d, cxx.dim)
     pairs = eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
+    if pairs.floor_applied:
+        warnings.warn(
+            f"the background covariance has eigenvalues below floor_rel={floor_rel:g} times "
+            "its largest (rank-deficient, e.g. fewer background samples than features); "
+            "they were floored, so the floor, not the data, determines the dPCA result. "
+            "Add a ridge to the background covariance (ridge= in sample_covariance, "
+            "--ridge on the command line).", FloorAppliedWarning, stacklevel=2)
     comps = pairs.eigenvectors
     if orthonormalize and d > 1:
         q, r = np.linalg.qr(comps)
@@ -192,37 +203,6 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
         method="dpca",
         components=comps,
         eigenvalues=pairs.eigenvalues,
-        target_mean=_zero_mean(target_mean, cxx.dim),
-        background_mean=None if background_mean is None else np.asarray(background_mean, dtype=np.float64),
-        ridge_target=cxx.ridge_applied,
-        ridge_background=cyy.ridge_applied,
-        floor_rel=float(floor_rel),
-    )
-
-
-def dpca_fit_whitened(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
-                      floor_rel: float = eigencore.DEFAULT_FLOOR_REL,
-                      target_mean: np.ndarray | None = None,
-                      background_mean: np.ndarray | None = None) -> ComponentModel:
-    """Discriminative PCA via the explicit whiten-then-PCA route.
-
-    Whitens the target covariance by the background, runs plain PCA in the
-    whitened coordinates, and maps the directions back. Contractually agrees
-    with :func:`dpca_fit` column-wise up to sign.
-    """
-    if cxx.dim != cyy.dim:
-        raise DimensionError(f"covariance dims disagree: {cxx.dim} vs {cyy.dim}")
-    _check_d(d, cxx.dim)
-    white = eigencore.whitening_factor(cyy.matrix, floor_rel)
-    transformed = white.factor.T @ cxx.matrix @ white.factor
-    transformed = 0.5 * (transformed + transformed.T)
-    eig = eigencore.sym_eigendecompose(transformed)
-    mapped = white.factor @ eig.eigenvectors[:, :d]
-    mapped /= np.linalg.norm(mapped, axis=0)
-    return ComponentModel(
-        method="dpca",
-        components=eigencore.apply_sign_convention(mapped),
-        eigenvalues=np.maximum(eig.eigenvalues[:d], 0.0),
         target_mean=_zero_mean(target_mean, cxx.dim),
         background_mean=None if background_mean is None else np.asarray(background_mean, dtype=np.float64),
         ridge_target=cxx.ridge_applied,

@@ -1,10 +1,15 @@
 """End-to-end CLI checks: pipelines, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpca
 from dpca import fileio
 from dpca.cli import main, parse_grid
 from dpca.datamodel import DataMatrix
@@ -138,6 +143,30 @@ class TestCompare:
         emb = fileio.read_csv(tmp_path / "cmp_dpca.csv")
         assert emb.values.shape == (800, 2)
         assert emb.labels is not None
+
+
+class TestFloorWarning:
+    def test_warning_on_stderr_names_ridge(self, tmp_path, rng):
+        # 20 background rows in 40 features: the whitening floor decides the fit
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 60, np.ones(40))
+        background = write_gaussian_csv(tmp_path / "b.csv", rng, 20, np.ones(40))
+        src = str(Path(dpca.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+        def fit(*extra):
+            return subprocess.run(
+                [sys.executable, "-m", "dpca", "fit", "dpca", str(target), str(background),
+                 "-d", "2", "--out", str(tmp_path / "m.json"), *extra],
+                capture_output=True, text=True, env=env, timeout=120)
+
+        floored = fit()
+        assert floored.returncode == 0
+        assert "FloorAppliedWarning" in floored.stderr and "--ridge" in floored.stderr
+        assert floored.stdout.startswith("dpca d=2 eigenvalues:")
+        ridged = fit("--ridge", "1")
+        assert ridged.returncode == 0
+        assert ridged.stderr == ""
 
 
 class TestExitCodes:

@@ -40,6 +40,23 @@ class TestSymEigendecompose:
             assert np.linalg.norm(gram - np.eye(dim)) <= 1e-10 * dim
             assert np.all(np.diff(out.eigenvalues) <= 1e-12)
 
+    def test_top_d_subset(self, rng):
+        # below TOP_D_MIN_DIM the full solve is sliced, from it up only the
+        # top d pairs are computed
+        for dim in (12, 300):
+            a = random_spd(rng, dim)
+            full = ec.sym_eigendecompose(a)
+            for d in (1, 5, dim):
+                top = ec.sym_eigendecompose(a, d)
+                assert top.dim == dim
+                assert top.eigenvectors.shape == (dim, d)
+                np.testing.assert_allclose(top.eigenvalues, full.eigenvalues[:d], rtol=1e-12)
+                np.testing.assert_allclose(top.eigenvectors, full.eigenvectors[:, :d],
+                                           atol=1e-10)
+            for bad in (0, dim + 1):
+                with pytest.raises(DimensionError):
+                    ec.sym_eigendecompose(a, bad)
+
     def test_sign_convention(self, rng):
         a = random_spd(rng, 6)
         out = ec.sym_eigendecompose(a)

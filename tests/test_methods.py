@@ -5,13 +5,16 @@ common eigenbasis, ranks the candidate directions by brute force, and checks
 the fits pick exactly those directions in that order.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dpca import eigencore as ec
 from dpca import methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix, center, sample_covariance
-from dpca.errors import DimensionError, InvalidInputError
+from dpca.errors import DimensionError, FloorAppliedWarning, InvalidInputError
 
 from conftest import random_orthogonal, random_spd
 
@@ -19,6 +22,43 @@ from conftest import random_orthogonal, random_spd
 def cov(mat, ridge=0.0):
     return CovarianceEstimate(matrix=np.asarray(mat, dtype=np.float64),
                               sample_count=0, ridge_applied=ridge)
+
+
+def whitened_reference(cxx, cyy, d, floor_rel=ec.DEFAULT_FLOOR_REL):
+    """dPCA by explicit whiten-then-PCA with full eigendecompositions.
+
+    The reference for ``dpca_fit``: it whitens the target covariance by the
+    floored ``whitening_factor`` of the background, runs plain PCA on all
+    ``D`` whitened directions, and maps the top ``d`` back. It never takes the
+    Cholesky route, so ``dpca_fit`` must agree with it column-wise up to sign.
+    """
+    white = ec.whitening_factor(cyy.matrix, floor_rel)
+    transformed = white.factor.T @ cxx.matrix @ white.factor
+    transformed = 0.5 * (transformed + transformed.T)
+    eig = ec.sym_eigendecompose(transformed)
+    mapped = white.factor @ eig.eigenvectors[:, :d]
+    mapped /= np.linalg.norm(mapped, axis=0)
+    return methods.ComponentModel(
+        method="dpca",
+        components=ec.apply_sign_convention(mapped),
+        eigenvalues=np.maximum(eig.eigenvalues[:d], 0.0),
+        target_mean=np.zeros(cxx.dim),
+        floor_rel=float(floor_rel),
+    )
+
+
+def assert_top_d_matches(model, ref_vals, ref_vecs):
+    """Eigenvalues to 1e-12 relative (of the largest magnitude), same subspace."""
+    scale = np.max(np.abs(ref_vals))
+    np.testing.assert_allclose(model.eigenvalues, ref_vals, rtol=1e-12, atol=1e-12 * scale)
+    assert methods.subspace_affinity(model.components, ref_vecs) >= 1 - 1e-10
+
+
+def ladder_background(rng, dim, cond):
+    """SPD matrix with log-spaced eigenvalues from 1 down to 1/cond."""
+    q = random_orthogonal(rng, dim)
+    mat = (q * np.logspace(0.0, -np.log10(cond), dim)) @ q.T
+    return 0.5 * (mat + mat.T)
 
 
 def diagonalizable_pair(rng, dim, min_ratio_gap=1e-3):
@@ -48,12 +88,13 @@ class TestPcaFit:
         assert np.linalg.norm(recon - a) <= 1e-8 * np.linalg.norm(a)
 
     def test_matches_dense_reference(self, rng):
-        a = random_spd(rng, 9)
-        model = methods.pca_fit(cov(a), 4)
-        vals, vecs = np.linalg.eigh(a)
-        np.testing.assert_allclose(model.eigenvalues, vals[::-1][:4], rtol=1e-12)
-        for j in range(4):
-            assert abs(model.components[:, j] @ vecs[:, ::-1][:, j]) >= 1 - 1e-10
+        # from order TOP_D_MIN_DIM up, d < D takes the subset eigensolver
+        for dim in (9, 300):
+            a = random_spd(rng, dim)
+            vals, vecs = np.linalg.eigh(a)
+            for d in (1, dim // 2, dim):
+                model = methods.pca_fit(cov(a), d)
+                assert_top_d_matches(model, vals[::-1][:d], vecs[:, ::-1][:, :d])
 
     def test_dimension_error(self, rng):
         with pytest.raises(DimensionError):
@@ -107,11 +148,24 @@ class TestDpcaFit:
         np.testing.assert_array_equal(model.target_mean, mean)
         np.testing.assert_array_equal(model.background_mean, -mean)
 
+    def test_floor_warning_names_ridge(self, rng):
+        # n = 100 background samples in D = 200: only the floor keeps the
+        # background invertible, and a ridge removes the need for it
+        target = center(DataMatrix(rng.standard_normal((300, 200))))
+        background = center(DataMatrix(rng.standard_normal((100, 200))))
+        cxx = sample_covariance(target)
+        with pytest.warns(FloorAppliedWarning, match="ridge"):
+            methods.dpca_fit(cxx, sample_covariance(background), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FloorAppliedWarning)
+            methods.dpca_fit(sample_covariance(target, ridge=1.0),
+                             sample_covariance(background, ridge=1.0), 2)
+
 
 class TestDpcaWhitenedRoute:
     def test_identity_background_reduces_to_pca(self, rng):
         a = random_spd(rng, 6)
-        wh = methods.dpca_fit_whitened(cov(a), cov(np.eye(6)), 2)
+        wh = whitened_reference(cov(a), cov(np.eye(6)), 2)
         pc = methods.pca_fit(cov(a), 2)
         for j in range(2):
             assert abs(wh.components[:, j] @ pc.components[:, j]) >= 1 - 1e-9
@@ -126,10 +180,62 @@ class TestDpcaWhitenedRoute:
             cases.append((cov(random_spd(rng, dim)), cov(random_spd(rng, dim)), 3 if dim >= 3 else 1))
         for cxx, cyy, d in cases:
             one = methods.dpca_fit(cxx, cyy, d)
-            two = methods.dpca_fit_whitened(cxx, cyy, d)
+            two = whitened_reference(cxx, cyy, d)
             np.testing.assert_allclose(one.eigenvalues, two.eigenvalues, rtol=1e-9, atol=1e-12)
             for j in range(d):
                 assert abs(one.components[:, j] @ two.components[:, j]) >= 1 - 1e-8
+
+
+class TestConditionLadder:
+    """Both pencil routes on backgrounds from well- to ill-conditioned.
+
+    With the default floor 1e-10, cond(B) = 1 and 1e4 take the Cholesky
+    route from order TOP_D_MIN_DIM up; 1e8 stays above the floor but inside
+    the Cholesky route's 1e3 margin, so it takes the whitening route
+    unfloored; 1e12 is floored.
+    """
+
+    @pytest.mark.parametrize("dim", [5, 50, 300])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+    def test_routes_agree_with_references(self, rng, monkeypatch, dim, cond):
+        whitenings = []
+        real_whitening = ec.whitening_factor
+
+        def counted(*args, **kwargs):
+            whitenings.append(args)
+            return real_whitening(*args, **kwargs)
+
+        a, b = random_spd(rng, dim), ladder_background(rng, dim, cond)
+        d = min(3, dim)
+        monkeypatch.setattr(ec, "whitening_factor", counted)
+        pairs = ec.generalized_eig(a, b, d)
+        monkeypatch.undo()
+
+        cholesky_route = dim >= ec.TOP_D_MIN_DIM and cond < 1e8
+        assert len(whitenings) == (0 if cholesky_route else 1)
+        assert pairs.floor_applied == (cond > 1 / ec.DEFAULT_FLOOR_REL)
+        ref = whitened_reference(cov(a), cov(b), d)
+        np.testing.assert_allclose(pairs.eigenvalues, ref.eigenvalues, rtol=1e-10)
+        for j in range(d):
+            assert abs(pairs.eigenvectors[:, j] @ ref.components[:, j]) >= 1 - 1e-10
+        if not pairs.floor_applied:
+            # LAPACK's own Cholesky route; generalized eigenvalues are
+            # accurate to about eps * cond(B) relative
+            dense = scipy.linalg.eigh(a, b, eigvals_only=True)[::-1][:d]
+            rtol = max(1e-12, 100 * np.finfo(float).eps * cond)
+            np.testing.assert_allclose(pairs.eigenvalues, dense, rtol=rtol)
+
+    @pytest.mark.parametrize("dim", [50, 300])
+    def test_rank_deficient_background_matches_reference(self, rng, dim):
+        target = center(DataMatrix(rng.standard_normal((2 * dim, dim))))
+        background = center(DataMatrix(rng.standard_normal((dim // 2, dim))))
+        cxx, cyy = sample_covariance(target), sample_covariance(background)
+        with pytest.warns(FloorAppliedWarning):
+            model = methods.dpca_fit(cxx, cyy, 3)
+        ref = whitened_reference(cxx, cyy, 3)
+        np.testing.assert_allclose(model.eigenvalues, ref.eigenvalues, rtol=1e-10)
+        for j in range(3):
+            assert abs(model.components[:, j] @ ref.components[:, j]) >= 1 - 1e-10
 
 
 class TestCpcaFit:
@@ -160,6 +266,15 @@ class TestCpcaFit:
             top_dpc = methods.dpca_fit(cov(a), cov(b), 1).components[:, 0]
             top_cpc = methods.cpca_fit(cov(a), cov(b), float(pairs.eigenvalues[0]), 1).components[:, 0]
             assert abs(top_dpc @ top_cpc) >= 1 - 1e-8
+
+    def test_matches_dense_reference_indefinite(self, rng):
+        for dim in (9, 300):
+            a, b = random_spd(rng, dim), random_spd(rng, dim)
+            vals, vecs = np.linalg.eigh(a - 2.0 * b)
+            assert vals[0] < 0 < vals[-1]  # indefinite contrast; d = D includes negatives
+            for d in (1, dim // 2, dim):
+                model = methods.cpca_fit(cov(a), cov(b), 2.0, d)
+                assert_top_d_matches(model, vals[::-1][:d], vecs[:, ::-1][:, :d])
 
     def test_negative_alpha_rejected(self, rng):
         a = random_spd(rng, 3)
