@@ -198,8 +198,8 @@ def cmd_compare(args) -> int:
 
     t0 = time.perf_counter()
     pca_model = methods.pca_fit(cxx, args.components, target_mean=centered_t.mean)
-    pca_emb = methods.transform(pca_model, target)
     pca_secs = time.perf_counter() - t0
+    pca_emb = methods.transform(pca_model, target)
     path = f"{prefix}_pca.csv"
     fileio.write_embedding_csv(path, pca_emb.coordinates, pca_emb.labels)
     report["methods"]["pca"] = {
@@ -264,8 +264,10 @@ def cmd_compare(args) -> int:
                   row["kmeans_accuracy"], row["silhouette"])
     for alpha, row in per_alpha.items():
         table_row(f"cpca a={alpha}", "", row["kmeans_accuracy"], row["silhouette"])
+    ratio = report["runtime_ratio_cpca_over_dpca"]
     print(f"cpca auto-alpha total: {cpca_secs:.4f} s "
-          f"(ratio vs dpca: {report['runtime_ratio_cpca_over_dpca']:.1f}x) -> {report_path}")
+          f"(ratio vs dpca: {'-' if ratio is None else format(ratio, '.1f') + 'x'}) "
+          f"-> {report_path}")
     return 0
 
 

@@ -56,17 +56,45 @@ class CenteredDataset:
     mean: np.ndarray
 
 
-@dataclass(frozen=True)
 class CovarianceEstimate:
-    """Sample covariance ``X^T X / m`` plus the ridge that was added to it."""
+    """Sample covariance ``X^T X / m + ridge * I`` plus the ridge that was added to it.
 
-    matrix: np.ndarray
-    sample_count: int
-    ridge_applied: float = 0.0
+    Built either from the matrix itself, or (by :func:`sample_covariance`)
+    from the centered data ``X``: then ``data`` is a read-only reference to
+    ``X`` (not a copy) and the ``D x D`` ``matrix`` is formed the first time
+    it is read. Fits on wide data (many more features than samples) work from
+    ``data`` and never form it; ``dim`` never forms it either. ``data`` is None
+    when the estimate was built from a matrix.
+    """
+
+    __slots__ = ("_matrix", "data", "sample_count", "ridge_applied")
+
+    def __init__(self, matrix: np.ndarray | None = None, sample_count: int = 0,
+                 ridge_applied: float = 0.0, *, data: np.ndarray | None = None):
+        if (matrix is None) == (data is None):
+            raise InvalidInputError("a covariance estimate needs exactly one of matrix or data")
+        if data is not None:
+            data = data.view()  # read-only view of the caller's array, not a copy
+            data.flags.writeable = False
+        self._matrix = matrix
+        self.data = data
+        self.sample_count = sample_count
+        self.ridge_applied = ridge_applied
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            x = self.data
+            cov = (x.T @ x) / self.sample_count
+            cov = 0.5 * (cov + cov.T)
+            if self.ridge_applied > 0:
+                cov = cov + self.ridge_applied * np.eye(x.shape[1])
+            self._matrix = cov
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self.data if self._matrix is None else self._matrix).shape[1]
 
 
 def center(raw: DataMatrix) -> CenteredDataset:
@@ -85,17 +113,14 @@ def sample_covariance(centered: CenteredDataset, ridge: float = 0.0) -> Covarian
 
     The divisor is the sample count ``m``, not ``m - 1``. A positive ridge
     makes rank-deficient covariances invertible before a pencil solve; the
-    amount added is recorded on the estimate.
+    amount added is recorded on the estimate. The estimate keeps a reference
+    to the centered values and forms the ``D x D`` matrix only when its
+    ``matrix`` is first read (see :class:`CovarianceEstimate`).
     """
     if ridge < 0:
         raise InvalidInputError(f"ridge must be nonnegative, got {ridge}")
     x = centered.data.values
-    m = x.shape[0]
-    cov = (x.T @ x) / m
-    cov = 0.5 * (cov + cov.T)
-    if ridge > 0:
-        cov = cov + ridge * np.eye(x.shape[1])
-    return CovarianceEstimate(matrix=cov, sample_count=m, ridge_applied=float(ridge))
+    return CovarianceEstimate(sample_count=x.shape[0], ridge_applied=float(ridge), data=x)
 
 
 def concat_rows(parts: Sequence[DataMatrix]) -> DataMatrix:

@@ -33,7 +33,6 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from . import _accel
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -202,8 +201,7 @@ def sym_eigendecompose(mat: np.ndarray, d: int | None = None) -> EigenDecomposit
     if not 1 <= count <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} matrix")
     if count < dim and dim >= TOP_D_MIN_DIM:
-        vals, vecs = scipy.linalg.eigh(arr, subset_by_index=[dim - count, dim - 1],
-                                       check_finite=False)
+        vals, vecs = _top_subset_eigh(arr, count)
     else:
         vals, vecs = np.linalg.eigh(arr)
         vals, vecs = vals[dim - count:], vecs[:, dim - count:]
@@ -299,9 +297,7 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     if upper is not None:
         # B = U^T U turns the pencil into U^-T A U^-1 y = lam y with u = U^-1 y
         reduced, _ = lapack.dsygst(a, upper)  # result in the upper triangle
-        values, vectors = scipy.linalg.eigh(reduced, lower=False, overwrite_a=True,
-                                            subset_by_index=[dim - d, dim - 1],
-                                            check_finite=False)
+        values, vectors = _top_subset_eigh(reduced, d, lower=False)
         values = values[::-1]
         vectors = scipy.linalg.solve_triangular(upper, vectors[:, ::-1], check_finite=False)
         floor_applied = False
@@ -318,6 +314,24 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     _pencil_solves += 1
     return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors,
                                  floor_applied=floor_applied)
+
+
+def _top_subset_eigh(arr: np.ndarray, count: int,
+                     lower: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``count`` eigenpairs of a symmetric matrix, ascending, by LAPACK ``syevr``.
+
+    Only the ``lower`` (or upper) triangle is read. ``syevr`` can return fewer
+    pairs than requested, even none, when the wanted eigenvalues sit in a tight
+    cluster (a rank-2 covariance plus a ridge, top 5 of order 300); the full
+    solve then stands in.
+    """
+    dim = arr.shape[0]
+    vals, vecs = scipy.linalg.eigh(arr, lower=lower, subset_by_index=[dim - count, dim - 1],
+                                   check_finite=False)
+    if vals.shape[0] < count:
+        vals, vecs = np.linalg.eigh(arr, UPLO="L" if lower else "U")
+        vals, vecs = vals[dim - count:], vecs[:, dim - count:]
+    return vals, vecs
 
 
 def _comfortable_cholesky(b: np.ndarray, floor_rel: float) -> np.ndarray | None:
@@ -337,15 +351,13 @@ LinearOperator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5000,
-               seed: int = 0, dim: int | None = None,
-               backend: str | None = None) -> GeneralizedEigenPairs:
+               seed: int = 0, dim: int | None = None) -> GeneralizedEigenPairs:
     """Leading eigenpairs of a symmetric PSD operator by deflated power iteration.
 
     Each pair iterates ``v <- Av / ||Av||`` until successive Rayleigh
     quotients differ by at most ``tol``, then deflates by subtracting
     ``lam v v^T`` and restarts from a fresh seeded vector. Dense-matrix inputs
-    run on the compiled kernel (see :mod:`dpca._accel`); callables run a
-    matching pure-python loop with functional deflation.
+    deflate the matrix itself; callables deflate functionally.
 
     Parameters
     ----------
@@ -362,8 +374,6 @@ def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5
         Seed for the starting vectors.
     dim : int, optional
         Operator dimension, required for callables.
-    backend : str, optional
-        ``"numba"`` or ``"numpy"`` to force a kernel for dense inputs.
 
     Raises
     ------
@@ -392,8 +402,8 @@ def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5
     start = rng.standard_normal((op_dim, d))
 
     if matrix is not None:
-        values, vectors, iters, converged, residuals = _accel.power_deflate(
-            matrix, start, tol, max_iter, backend=backend)
+        values, vectors, iters, converged, residuals = _power_deflate(
+            matrix, start, float(tol), int(max_iter))
         for j in range(d):
             if not converged[j]:
                 raise NonConvergenceError(
@@ -409,8 +419,55 @@ def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5
     return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors)
 
 
+def _power_deflate(mat, start, tol, max_iter):
+    """Deflated power iteration on a dense symmetric matrix.
+
+    Returns ``(values, vectors, iterations, converged, residuals)`` with one
+    entry per requested pair; iteration stops at the first pair that fails to
+    converge within ``max_iter``.
+    """
+    dim = mat.shape[0]
+    d = start.shape[1]
+    values = np.zeros(d)
+    vectors = np.zeros((dim, d))
+    iterations = np.zeros(d, dtype=np.int64)
+    converged = np.zeros(d, dtype=np.bool_)
+    residuals = np.zeros(d)
+
+    work = mat.copy()
+    for j in range(d):
+        v = start[:, j].copy()
+        v /= np.sqrt(v @ v)
+        q = 0.0
+        q_prev = np.inf
+        it = 0
+        while it < max_iter:
+            it += 1
+            w = work @ v
+            q = v @ w
+            if abs(q - q_prev) <= tol:
+                converged[j] = True
+                break
+            norm_w = np.sqrt(w @ w)
+            if norm_w == 0.0:
+                # v lies in the null space of the deflated operator
+                q = 0.0
+                converged[j] = True
+                break
+            v = w / norm_w
+            q_prev = q
+        values[j] = q
+        vectors[:, j] = v
+        iterations[j] = it
+        residuals[j] = np.sqrt(np.sum((work @ v - q * v) ** 2))
+        if not converged[j]:
+            break
+        work -= q * np.outer(v, v)
+    return values, vectors, iterations, converged, residuals
+
+
 def _power_callable(apply_op, start, tol, max_iter):
-    # Same iteration as the dense kernels, with deflation applied functionally.
+    # Same iteration as _power_deflate, with deflation applied functionally.
     op_dim, d = start.shape
     values = np.zeros(d)
     vectors = np.zeros((op_dim, d))

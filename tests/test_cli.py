@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import dpca
-from dpca import fileio
+from dpca import cli, fileio
+from dpca import eigencore as ec
 from dpca.cli import main, parse_grid
 from dpca.datamodel import DataMatrix
 
@@ -143,6 +144,50 @@ class TestCompare:
         emb = fileio.read_csv(tmp_path / "cmp_dpca.csv")
         assert emb.values.shape == (800, 2)
         assert emb.labels is not None
+
+
+    def test_summary_without_runtime_ratio(self, tmp_path, monkeypatch, capsys):
+        # a clock that never advances gives dpca 0 s, so there is no ratio
+        prefix = tmp_path / "exp"
+        run("synth", "--features", 10, "-m", 100, "-n", 150, "--seed", 2, "--out", prefix)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)
+        assert run("compare", f"{prefix}_target.csv", f"{prefix}_background.csv",
+                   "--out", tmp_path / "cmp") == 0
+        monkeypatch.undo()
+        report = json.loads((tmp_path / "cmp_report.json").read_text())
+        assert report["runtime_ratio_cpca_over_dpca"] is None
+        assert report["methods"]["pca"]["seconds"] == 0.0
+        assert "(ratio vs dpca: -)" in capsys.readouterr().out
+
+
+class TestWideData:
+    def test_fit_and_compare_match_dense_reference(self, tmp_path, rng):
+        # 40 + 60 samples in 300 features: the fits take the reduced route
+        dim, m, n = 300, 40, 60
+        labels = np.repeat([0, 1], m // 2)
+        xt = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
+        xt[:, 0] += 4.0 * labels
+        xb = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        fileio.write_data_csv(tmp_path / "t.csv", DataMatrix(xt, labels=labels))
+        fileio.write_data_csv(tmp_path / "b.csv", DataMatrix(xb))
+        assert run("fit", "dpca", tmp_path / "t.csv", tmp_path / "b.csv", "-d", 2,
+                   "--ridge", 1, "--out", tmp_path / "m.json") == 0
+        assert run("compare", tmp_path / "t.csv", tmp_path / "b.csv", "-d", 2,
+                   "--ridge", 1, "--out", tmp_path / "cmp") == 0
+
+        def covariance(x):
+            x = x - x.mean(axis=0)
+            return x.T @ x / x.shape[0] + np.eye(dim)
+
+        ref = ec.generalized_eig(covariance(xt), covariance(xb), 2)
+        model = fileio.load_model(tmp_path / "m.json").model
+        np.testing.assert_allclose(model.eigenvalues, ref.eigenvalues, rtol=1e-12)
+        for j in range(2):
+            assert abs(model.components[:, j] @ ref.eigenvectors[:, j]) >= 1 - 1e-10
+        report = json.loads((tmp_path / "cmp_report.json").read_text())
+        assert report["methods"]["dpca"]["pencil_solves"] == 1
+        np.testing.assert_allclose(report["methods"]["dpca"]["eigenvalues"], ref.eigenvalues,
+                                   rtol=1e-12)
 
 
 class TestFloorWarning:

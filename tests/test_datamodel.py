@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpca.datamodel import DataMatrix, center, concat_rows, sample_covariance
+from dpca.datamodel import CovarianceEstimate, DataMatrix, center, concat_rows, sample_covariance
 from dpca.errors import DimensionError, InvalidInputError
 
 
@@ -89,6 +89,29 @@ class TestSampleCovariance:
         perm = rng.permutation(60)
         shuffled = sample_covariance(center(DataMatrix(vals[perm]))).matrix
         assert np.max(np.abs(base - shuffled)) <= 1e-12
+
+    def test_lazy_matrix_bit_identical_to_eager(self, rng):
+        centered = center(DataMatrix(rng.standard_normal((30, 7))))
+        x = centered.data.values
+        for ridge in (0.0, 0.5):
+            est = sample_covariance(centered, ridge=ridge)
+            assert np.shares_memory(est.data, x) and not est.data.flags.writeable
+            assert est.dim == 7 and est._matrix is None  # dim does not form the matrix
+            eager = (x.T @ x) / 30
+            eager = 0.5 * (eager + eager.T)
+            if ridge > 0:
+                eager = eager + ridge * np.eye(7)
+            assert np.array_equal(est.matrix, eager)
+            assert est.matrix is est.matrix  # formed once
+
+    def test_estimate_from_matrix_or_data(self, rng):
+        mat = np.eye(3)
+        est = CovarianceEstimate(mat, 10, 0.1)
+        assert est.matrix is mat and est.data is None and est.dim == 3
+        with pytest.raises(InvalidInputError):
+            CovarianceEstimate(sample_count=1)
+        with pytest.raises(InvalidInputError):
+            CovarianceEstimate(mat, 1, data=np.ones((1, 3)))
 
     def test_negative_ridge_rejected(self, rng):
         centered = center(DataMatrix(rng.standard_normal((5, 2))))

@@ -57,6 +57,21 @@ class TestSymEigendecompose:
                 with pytest.raises(DimensionError):
                     ec.sym_eigendecompose(a, bad)
 
+    def test_top_d_subset_tight_cluster(self):
+        # rank 2 plus a ridge: the top 5 end in a cluster of 298 equal
+        # eigenvalues, where LAPACK syevr can return fewer pairs than asked for
+        for seed in range(5):
+            x = np.random.default_rng(seed).standard_normal((3, 300))
+            x -= x.mean(axis=0)
+            a = x.T @ x / 3 + 10.0 * np.eye(300)
+            expected = np.linalg.eigvalsh(a)[::-1][:5]
+            top = ec.sym_eigendecompose(a, 5)
+            np.testing.assert_allclose(top.eigenvalues, expected, rtol=1e-12)
+            pairs = ec.generalized_eig(a, 2.0 * np.eye(300), 5)
+            np.testing.assert_allclose(pairs.eigenvalues, expected / 2.0, rtol=1e-12)
+            resid = a @ pairs.eigenvectors - 2.0 * pairs.eigenvectors * pairs.eigenvalues
+            assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(a)
+
     def test_sign_convention(self, rng):
         a = random_spd(rng, 6)
         out = ec.sym_eigendecompose(a)

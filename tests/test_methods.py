@@ -364,6 +364,146 @@ class TestAlphaSelection:
         assert np.array_equal(one.cluster_assignment, two.cluster_assignment)
 
 
+class TestWideDataReduction:
+    """Fits on wide data (k + d <= D/2) against dense solves of the D x D matrices.
+
+    The reduction solves at order k + d (k the total sample count); the
+    references call ``sym_eigendecompose`` / ``generalized_eig`` on the full
+    covariance matrices.
+    """
+
+    SHAPES = [(300, 40, 60), (600, 100, 150)]
+    RIDGES = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1e-3, 0.0)]
+
+    @staticmethod
+    def wide_pair(rng, dim, m, n, ridges):
+        # distinct column scales give the target a spectrum with clear gaps
+        target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
+        background = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        cxx = sample_covariance(center(DataMatrix(target)), ridge=ridges[0])
+        cyy = sample_covariance(center(DataMatrix(background)), ridge=ridges[1])
+        return cxx, cyy
+
+    @staticmethod
+    def solve_orders(monkeypatch):
+        """Record ``(name, order)`` of every eigensolve and pencil solve.
+
+        The whitening route of a pencil solve makes eigensolves of its own,
+        at the pencil's order.
+        """
+        orders = []
+        for name in ("sym_eigendecompose", "generalized_eig"):
+            real = getattr(ec, name)
+
+            def spy(mat, *args, real=real, name=name, **kwargs):
+                orders.append((name, np.shape(mat)[0]))
+                return real(mat, *args, **kwargs)
+
+            monkeypatch.setattr(ec, name, spy)
+        return orders
+
+    @pytest.mark.parametrize("dim,m,n", SHAPES)
+    @pytest.mark.parametrize("ridges", RIDGES)
+    def test_dpca_and_pca_match_dense(self, rng, monkeypatch, dim, m, n, ridges):
+        cxx, cyy = self.wide_pair(rng, dim, m, n, ridges)
+        d = 3
+        orders = self.solve_orders(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dpc = methods.dpca_fit(cxx, cyy, d)
+        assert [name for name, _ in orders].count("generalized_eig") == 1
+        assert {order for _, order in orders} == {m + n + d}  # solved at the reduced order
+        del orders[:]
+        pc = methods.pca_fit(cxx, d)
+        monkeypatch.undo()
+        assert orders == [("sym_eigendecompose", m + d)]
+
+        ref = ec.generalized_eig(cxx.matrix, cyy.matrix, d)
+        floor_warnings = [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
+        assert len(floor_warnings) == int(ref.floor_applied)
+        assert ref.floor_applied == (ridges[1] == 0.0)
+        np.testing.assert_allclose(dpc.eigenvalues, ref.eigenvalues, rtol=1e-12)
+        # pencil eigenvectors are B-orthogonal: compare the spans they orthonormalize to
+        spans = [np.linalg.qr(vecs)[0] for vecs in (dpc.components, ref.eigenvectors)]
+        assert methods.subspace_affinity(*spans) >= 1 - 1e-10
+        assert methods.pencil_residual(dpc, cxx, cyy) <= 1e-10
+
+        dense = ec.sym_eigendecompose(cxx.matrix, d)
+        assert_top_d_matches(pc, dense.eigenvalues, dense.eigenvectors)
+
+    @pytest.mark.parametrize("dim,m,n", SHAPES)
+    @pytest.mark.parametrize("ridges", RIDGES)
+    def test_cpca_matches_dense(self, rng, monkeypatch, dim, m, n, ridges):
+        cxx, cyy = self.wide_pair(rng, dim, m, n, ridges)
+        d = 3
+        for alpha in (0.0, 1.0, 1000.0):
+            orders = self.solve_orders(monkeypatch)
+            model = methods.cpca_fit(cxx, cyy, alpha, d)
+            monkeypatch.undo()
+            assert orders == [("sym_eigendecompose", m + n + d)]
+            dense = ec.sym_eigendecompose(cxx.matrix - alpha * cyy.matrix, d)
+            assert_top_d_matches(model, dense.eigenvalues, dense.eigenvectors)
+
+    def test_complement_eigenvalue_in_top_d(self, rng, monkeypatch):
+        # 3 target rows span 2 directions; every other direction, in the
+        # sample span or not, has the complement eigenvalue, which fills the
+        # rest of the top 5 (k = 3 < d for PCA)
+        dim, d = 300, 5
+        cxx = sample_covariance(center(DataMatrix(rng.standard_normal((3, dim)))), ridge=10.0)
+        cyy = sample_covariance(center(DataMatrix(rng.standard_normal((20, dim)))), ridge=1.0)
+        orders = self.solve_orders(monkeypatch)
+        pc = methods.pca_fit(cxx, d)
+        dpc = methods.dpca_fit(cxx, cyy, d)
+        cpc = methods.cpca_fit(cxx, cyy, 1000.0, d)
+        monkeypatch.undo()
+        assert {order for _, order in orders} == {3 + d, 23 + d}
+        assert [name for name, _ in orders].count("generalized_eig") == 1
+
+        a, b = cxx.matrix, cyy.matrix
+        pca_ref = ec.sym_eigendecompose(a, d).eigenvalues
+        np.testing.assert_allclose(pc.eigenvalues, pca_ref, rtol=1e-12)
+        np.testing.assert_allclose(pc.eigenvalues[2:], 10.0, rtol=1e-12)
+        assert np.linalg.norm(a @ pc.components - pc.components * pc.eigenvalues) <= 1e-12 * np.linalg.norm(a)
+        dpca_ref = ec.generalized_eig(a, b, d).eigenvalues
+        np.testing.assert_allclose(dpc.eigenvalues, dpca_ref, rtol=1e-12)
+        np.testing.assert_allclose(dpc.eigenvalues[2:], 10.0, rtol=1e-12)
+        assert methods.pencil_residual(dpc, cxx, cyy) <= 1e-12
+        cpca_ref = ec.sym_eigendecompose(a - 1000.0 * b, d).eigenvalues
+        np.testing.assert_allclose(cpc.eigenvalues, cpca_ref, rtol=1e-12)
+        np.testing.assert_allclose(cpc.eigenvalues[2:], 10.0 - 1000.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim,m,n", SHAPES)
+    def test_select_alphas_matches_dense(self, rng, monkeypatch, dim, m, n):
+        cxx, cyy = self.wide_pair(rng, dim, m, n, (1.0, 1.0))
+        grid = np.geomspace(0.001, 1000, 15)
+        reductions = []
+        real_reduce = methods._reduce_to_data_span
+
+        def counted(*args):
+            reductions.append(args)
+            return real_reduce(*args)
+
+        monkeypatch.setattr(methods, "_reduce_to_data_span", counted)
+        sel = methods.cpca_select_alphas(cxx, cyy, grid, 2, 4, seed=0)
+        monkeypatch.undo()
+        assert len(reductions) == 1  # once for the whole grid
+        dense = methods.cpca_select_alphas(cov(cxx.matrix, 1.0), cov(cyy.matrix, 1.0),
+                                           grid, 2, 4, seed=0)
+        np.testing.assert_allclose(sel.affinity, dense.affinity, atol=1e-10)
+        np.testing.assert_array_equal(sel.selected, dense.selected)
+
+    def test_cut_over_at_half_the_features(self, rng, monkeypatch):
+        # in 300 features, dPCA's 100 + 60 + 3 > 150 keeps the dense route;
+        # PCA's 100 + 3 <= 150 on the same target is reduced
+        cxx, cyy = self.wide_pair(rng, 300, 100, 60, (1.0, 1.0))
+        orders = self.solve_orders(monkeypatch)
+        methods.dpca_fit(cxx, cyy, 3)
+        assert {order for _, order in orders} == {300}
+        del orders[:]
+        methods.pca_fit(cxx, 3)
+        assert orders == [("sym_eigendecompose", 103)]
+
+
 class TestTransform:
     def test_identity_components(self, rng):
         raw = DataMatrix(rng.standard_normal((20, 4)) + 5.0)

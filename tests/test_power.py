@@ -1,15 +1,12 @@
-"""Deflated power iteration against the dense solver, on both backends."""
+"""Deflated power iteration against the dense solver."""
 
 import numpy as np
 import pytest
 
 from dpca import eigencore as ec
-from dpca._accel import _HAVE_NUMBA
 from dpca.errors import DimensionError, InvalidInputError, NonConvergenceError
 
 from conftest import random_orthogonal
-
-BACKENDS = ["numpy"] + (["numba"] if _HAVE_NUMBA else [])
 
 
 def spd_with_gaps(rng, dim, top=3, gap=0.2):
@@ -21,60 +18,48 @@ def spd_with_gaps(rng, dim, top=3, gap=0.2):
     return (q * eigs) @ q.T, np.sort(eigs)[::-1]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPowerTopd:
-    def test_dominant_diagonal(self, backend):
-        out = ec.power_topd(np.diag([5.0, 1.0, 1.0]), 1, tol=1e-12, backend=backend)
+    def test_dominant_diagonal(self):
+        out = ec.power_topd(np.diag([5.0, 1.0, 1.0]), 1, tol=1e-12)
         assert out.eigenvalues[0] == pytest.approx(5.0, abs=1e-9)
         assert abs(out.eigenvectors[0, 0]) >= 1 - 1e-6
 
-    def test_matches_dense_top3(self, backend, rng):
+    def test_matches_dense_top3(self, rng):
         for _ in range(10):
             mat, eigs = spd_with_gaps(rng, int(rng.integers(6, 30)))
-            out = ec.power_topd(mat, 3, tol=1e-13, max_iter=20000, backend=backend)
+            out = ec.power_topd(mat, 3, tol=1e-13, max_iter=20000)
             dense = ec.sym_eigendecompose(mat)
             assert np.all(np.abs(out.eigenvalues - dense.eigenvalues[:3]) <= 1e-6)
             for j in range(3):
                 cos = abs(out.eigenvectors[:, j] @ dense.eigenvectors[:, j])
                 assert cos >= 1 - 1e-6
 
-    def test_degenerate_top_eigenspace(self, backend):
-        out = ec.power_topd(np.diag([2.0, 2.0]), 1, tol=1e-10, backend=backend)
+    def test_degenerate_top_eigenspace(self):
+        out = ec.power_topd(np.diag([2.0, 2.0]), 1, tol=1e-10)
         assert out.eigenvalues[0] == pytest.approx(2.0, abs=1e-10)
         assert np.linalg.norm(out.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_non_convergence_carries_best_iterate(self, backend, rng):
+    def test_non_convergence_carries_best_iterate(self, rng):
         mat, _ = spd_with_gaps(rng, 12)
         with pytest.raises(NonConvergenceError) as info:
-            ec.power_topd(mat, 1, tol=1e-16, max_iter=3, backend=backend)
+            ec.power_topd(mat, 1, tol=1e-16, max_iter=3)
         err = info.value
         assert err.iterations == 3
         assert err.best_vector.shape == (12,)
         assert np.isfinite(err.residual)
         assert err.best_eigenvalue > 0
 
-    def test_deterministic(self, backend, rng):
+    def test_deterministic(self, rng):
         mat, _ = spd_with_gaps(rng, 15)
-        one = ec.power_topd(mat, 2, seed=7, backend=backend)
-        two = ec.power_topd(mat, 2, seed=7, backend=backend)
+        one = ec.power_topd(mat, 2, seed=7)
+        two = ec.power_topd(mat, 2, seed=7)
         assert np.array_equal(one.eigenvalues, two.eigenvalues)
         assert np.array_equal(one.eigenvectors, two.eigenvectors)
 
 
-def test_backends_agree(rng):
-    if not _HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    mat, _ = spd_with_gaps(rng, 20)
-    a = ec.power_topd(mat, 3, tol=1e-13, max_iter=20000, backend="numpy")
-    b = ec.power_topd(mat, 3, tol=1e-13, max_iter=20000, backend="numba")
-    np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-9)
-    for j in range(3):
-        assert abs(a.eigenvectors[:, j] @ b.eigenvectors[:, j]) >= 1 - 1e-9
-
-
 def test_callable_operator_matches_matrix(rng):
     mat, _ = spd_with_gaps(rng, 14)
-    from_matrix = ec.power_topd(mat, 2, tol=1e-13, max_iter=20000, backend="numpy")
+    from_matrix = ec.power_topd(mat, 2, tol=1e-13, max_iter=20000)
     from_callable = ec.power_topd(lambda v: mat @ v, 2, tol=1e-13, max_iter=20000, dim=14)
     np.testing.assert_allclose(from_callable.eigenvalues, from_matrix.eigenvalues, atol=1e-8)
     for j in range(2):
