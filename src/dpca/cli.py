@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import eigencore, fileio, methods, svgplot, synthgen
 from .cluster import cluster_label_accuracy, silhouette_score
-from .datamodel import DataMatrix, center, concat_rows, sample_covariance
+from .datamodel import CovarianceEstimate, DataMatrix, center, concat_rows, sample_covariance
 from .errors import DpcaError, InvalidInputError, NumericalError
 
 DEFAULT_GRID = "0.001:1000:15log"
@@ -55,54 +56,57 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _zscore_scale(datasets: list[DataMatrix]) -> np.ndarray:
-    # One scale vector for all datasets, from the pooled rows, so target and
-    # background stay directly comparable after scaling.
-    stacked = np.vstack([d.values for d in datasets])
-    scale = stacked.std(axis=0)
-    scale[scale == 0] = 1.0
-    return scale
-
-
 def _apply_scale(data: DataMatrix, scale: np.ndarray) -> DataMatrix:
     return DataMatrix(data.values / scale, labels=data.labels)
 
 
-def _load_inputs(args) -> tuple[DataMatrix, DataMatrix | None, np.ndarray | None]:
-    target = fileio.read_csv(args.target)
-    background = None
+@dataclass(frozen=True)
+class _Prepared:
+    """A command's scaled inputs: ``covs`` and ``means`` list the target's first."""
+
+    target: DataMatrix
+    scale: np.ndarray | None
+    covs: list[CovarianceEstimate]
+    means: list[np.ndarray]
+
+
+def _prepare(args) -> _Prepared:
+    """Load the target and background CSVs, z-score, center, and form the covariances."""
+    datasets = [fileio.read_csv(args.target)]
     if args.background:
         parts = [fileio.read_csv(p) for p in args.background]
-        background = parts[0] if len(parts) == 1 else concat_rows(parts)
-        if background.n_features != target.n_features:
+        datasets.append(parts[0] if len(parts) == 1 else concat_rows(parts))
+        if datasets[1].n_features != datasets[0].n_features:
             raise InvalidInputError(
-                f"feature count mismatch: target has {target.n_features}, "
-                f"background has {background.n_features}")
+                f"feature count mismatch: target has {datasets[0].n_features}, "
+                f"background has {datasets[1].n_features}")
     scale = None
     if args.zscore:
-        pool = [target] + ([background] if background is not None else [])
-        scale = _zscore_scale(pool)
-        target = _apply_scale(target, scale)
-        if background is not None:
-            background = _apply_scale(background, scale)
-    return target, background, scale
+        # One scale vector from the pooled rows, so target and background
+        # stay directly comparable after scaling.
+        scale = np.vstack([d.values for d in datasets]).std(axis=0)
+        scale[scale == 0] = 1.0
+        datasets = [_apply_scale(d, scale) for d in datasets]
+    centered = [center(d) for d in datasets]
+    return _Prepared(datasets[0], scale, [sample_covariance(c, ridge=args.ridge) for c in centered],
+                     [c.mean for c in centered])
 
 
-def _fit_one(method: str, target: DataMatrix, background: DataMatrix | None,
-             args, alpha: float | None) -> methods.ComponentModel:
-    centered_t = center(target)
-    cxx = sample_covariance(centered_t, ridge=args.ridge)
+def _fit(method: str, prep: _Prepared, args,
+         alpha: float | None = None) -> methods.ComponentModel:
     if method == "pca":
-        return methods.pca_fit(cxx, args.components, target_mean=centered_t.mean)
-    centered_b = center(background)
-    cyy = sample_covariance(centered_b, ridge=args.ridge)
+        return methods.pca_fit(prep.covs[0], args.components, target_mean=prep.means[0])
+    means = {"target_mean": prep.means[0], "background_mean": prep.means[1]}
     if method == "cpca":
-        return methods.cpca_fit(cxx, cyy, alpha, args.components,
-                                target_mean=centered_t.mean,
-                                background_mean=centered_b.mean)
-    return methods.dpca_fit(cxx, cyy, args.components, floor_rel=args.floor,
-                            target_mean=centered_t.mean,
-                            background_mean=centered_b.mean)
+        return methods.cpca_fit(*prep.covs, alpha, args.components, **means)
+    return methods.dpca_fit(*prep.covs, args.components, floor_rel=args.floor, **means)
+
+
+def _auto_alpha(prep: _Prepared, args) -> list[methods.ComponentModel]:
+    """cPCA models at the alphas that auto-selection picks over ``--grid``."""
+    selection = methods.cpca_select_alphas(
+        *prep.covs, parse_grid(args.grid), args.components, args.select, seed=args.seed)
+    return [_fit("cpca", prep, args, float(a)) for a in selection.selected]
 
 
 def _provenance(args, scale) -> dict:
@@ -115,7 +119,7 @@ def _provenance(args, scale) -> dict:
     }
 
 
-def _eigs_str(vals: np.ndarray) -> str:
+def _eigs_str(vals: np.ndarray | list[float]) -> str:
     return " ".join(format(v, ".6g") for v in vals)
 
 
@@ -132,32 +136,24 @@ def cmd_fit(args) -> int:
     elif args.alpha is not None or args.auto_alpha:
         raise UsageError("--alpha/--auto-alpha apply to cpca only")
 
-    target, background, scale = _load_inputs(args)
+    prep = _prepare(args)
     started = time.perf_counter()
 
     if args.method == "cpca" and args.auto_alpha:
-        centered_t = center(target)
-        centered_b = center(background)
-        cxx = sample_covariance(centered_t, ridge=args.ridge)
-        cyy = sample_covariance(centered_b, ridge=args.ridge)
-        selection = methods.cpca_select_alphas(
-            cxx, cyy, parse_grid(args.grid), args.components, args.select, seed=args.seed)
+        models = _auto_alpha(prep, args)
         out = Path(args.out)
-        for i, alpha in enumerate(selection.selected, start=1):
-            model = methods.cpca_fit(cxx, cyy, float(alpha), args.components,
-                                     target_mean=centered_t.mean,
-                                     background_mean=centered_b.mean)
+        for i, model in enumerate(models, start=1):
             path = out.with_name(f"{out.stem}_a{i}{out.suffix or '.json'}")
             fileio.save_model(fileio.ensure_parent(path), model,
-                              feature_scale=scale, provenance=_provenance(args, scale))
-            print(f"alpha={alpha:.6g} eigenvalues: {_eigs_str(model.eigenvalues)} -> {path}")
-        print(f"selected alphas: {_eigs_str(selection.selected)} "
+                              feature_scale=prep.scale, provenance=_provenance(args, prep.scale))
+            print(f"alpha={model.alpha:.6g} eigenvalues: {_eigs_str(model.eigenvalues)} -> {path}")
+        print(f"selected alphas: {_eigs_str([m.alpha for m in models])} "
               f"({time.perf_counter() - started:.3f} s)")
         return 0
 
-    model = _fit_one(args.method, target, background, args, args.alpha)
+    model = _fit(args.method, prep, args, args.alpha)
     fileio.save_model(fileio.ensure_parent(args.out), model,
-                      feature_scale=scale, provenance=_provenance(args, scale))
+                      feature_scale=prep.scale, provenance=_provenance(args, prep.scale))
     print(f"{args.method} d={args.components} eigenvalues: {_eigs_str(model.eigenvalues)} "
           f"({time.perf_counter() - started:.3f} s) -> {args.out}")
     return 0
@@ -187,83 +183,58 @@ def _metrics(coords: np.ndarray, labels, seed: int) -> dict:
 def cmd_compare(args) -> int:
     if not args.background:
         raise UsageError("compare requires a background CSV")
-    target, background, scale = _load_inputs(args)
-    centered_t = center(target)
-    centered_b = center(background)
-    cxx = sample_covariance(centered_t, ridge=args.ridge)
-    cyy = sample_covariance(centered_b, ridge=args.ridge)
+    prep = _prepare(args)
     prefix = Path(args.out)
     fileio.ensure_parent(prefix.with_name(prefix.name + "_report.json"))
-    report = {"n_components": args.components, "methods": {}}
 
+    # each "seconds" times the fits only
     t0 = time.perf_counter()
-    pca_model = methods.pca_fit(cxx, args.components, target_mean=centered_t.mean)
+    pca_model = _fit("pca", prep, args)
     pca_secs = time.perf_counter() - t0
-    pca_emb = methods.transform(pca_model, target)
-    path = f"{prefix}_pca.csv"
-    fileio.write_embedding_csv(path, pca_emb.coordinates, pca_emb.labels)
-    report["methods"]["pca"] = {
-        "seconds": pca_secs, "eigenvalues": pca_model.eigenvalues.tolist(),
-        "embedding_csv": path, **_metrics(pca_emb.coordinates, pca_emb.labels, args.seed),
-    }
-
     eigencore.reset_pencil_solve_count()
     t0 = time.perf_counter()
-    dpca_model = methods.dpca_fit(cxx, cyy, args.components, floor_rel=args.floor,
-                                  target_mean=centered_t.mean,
-                                  background_mean=centered_b.mean)
+    dpca_model = _fit("dpca", prep, args)
     dpca_secs = time.perf_counter() - t0
-    dpca_emb = methods.transform(dpca_model, target)
-    path = f"{prefix}_dpca.csv"
-    fileio.write_embedding_csv(path, dpca_emb.coordinates, dpca_emb.labels)
-    report["methods"]["dpca"] = {
-        "seconds": dpca_secs, "eigenvalues": dpca_model.eigenvalues.tolist(),
-        "embedding_csv": path, "pencil_solves": eigencore.pencil_solve_count(),
-        **_metrics(dpca_emb.coordinates, dpca_emb.labels, args.seed),
-    }
-
+    extra = {"dpca": {"pencil_solves": eigencore.pencil_solve_count()}}
     t0 = time.perf_counter()
-    selection = methods.cpca_select_alphas(
-        cxx, cyy, parse_grid(args.grid), args.components, args.select, seed=args.seed)
-    cpca_models = [methods.cpca_fit(cxx, cyy, float(a), args.components,
-                                    target_mean=centered_t.mean,
-                                    background_mean=centered_b.mean)
-                   for a in selection.selected]
+    cpca_models = _auto_alpha(prep, args)
     cpca_secs = time.perf_counter() - t0
-    per_alpha = {}
-    for i, model in enumerate(cpca_models, start=1):
-        emb = methods.transform(model, target)
-        path = f"{prefix}_cpca_a{i}.csv"
-        fileio.write_embedding_csv(path, emb.coordinates, emb.labels)
-        per_alpha[format(model.alpha, ".6g")] = {
-            "eigenvalues": model.eigenvalues.tolist(), "embedding_csv": path,
-            **_metrics(emb.coordinates, emb.labels, args.seed),
-        }
-    report["methods"]["cpca_auto"] = {
-        "seconds": cpca_secs,
-        "selected_alphas": selection.selected.tolist(),
-        "per_alpha": per_alpha,
-    }
-    report["runtime_ratio_cpca_over_dpca"] = (
-        cpca_secs / dpca_secs if dpca_secs > 0 else None)
 
+    fitted = {"pca": pca_model, "dpca": dpca_model,
+              **{f"cpca_a{i}": m for i, m in enumerate(cpca_models, start=1)}}
+    rows = {}
+    for name, model in fitted.items():
+        emb = methods.transform(model, prep.target)
+        path = f"{prefix}_{name}.csv"
+        fileio.write_embedding_csv(path, emb.coordinates, emb.labels)
+        rows[name] = {"eigenvalues": model.eigenvalues.tolist(), "embedding_csv": path,
+                      **extra.get(name, {}), **_metrics(emb.coordinates, emb.labels, args.seed)}
+    per_alpha = {format(m.alpha, ".6g"): rows[n] for n, m in fitted.items() if m.method == "cpca"}
+    report = {
+        "n_components": args.components,
+        "methods": {
+            "pca": {"seconds": pca_secs, **rows["pca"]},
+            "dpca": {"seconds": dpca_secs, **rows["dpca"]},
+            "cpca_auto": {"seconds": cpca_secs,
+                          "selected_alphas": [m.alpha for m in cpca_models],
+                          "per_alpha": per_alpha},
+        },
+        "runtime_ratio_cpca_over_dpca": cpca_secs / dpca_secs if dpca_secs > 0 else None,
+    }
     report_path = f"{prefix}_report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 
-    def table_row(name, seconds, acc, sil):
+    table = [("pca", format(pca_secs, ".4f"), rows["pca"]),
+             ("dpca", format(dpca_secs, ".4f"), rows["dpca"]),
+             *((f"cpca a={alpha}", "", row) for alpha, row in per_alpha.items())]
+    print(f"{'method':<18} {'seconds':>9} {'kmeans_acc':>11} {'silhouette':>11}")
+    for name, seconds, row in table:
+        acc, sil = row["kmeans_accuracy"], row["silhouette"]
         print(f"{name:<18} {seconds:>9} "
               f"{'-' if acc is None else format(acc, '.3f'):>11} "
               f"{'-' if sil is None else format(sil, '.3f'):>11}")
-
-    print(f"{'method':<18} {'seconds':>9} {'kmeans_acc':>11} {'silhouette':>11}")
-    for name in ("pca", "dpca"):
-        row = report["methods"][name]
-        table_row(name, format(row["seconds"], ".4f"),
-                  row["kmeans_accuracy"], row["silhouette"])
-    for alpha, row in per_alpha.items():
-        table_row(f"cpca a={alpha}", "", row["kmeans_accuracy"], row["silhouette"])
     ratio = report["runtime_ratio_cpca_over_dpca"]
     print(f"cpca auto-alpha total: {cpca_secs:.4f} s "
           f"(ratio vs dpca: {'-' if ratio is None else format(ratio, '.1f') + 'x'}) "
@@ -418,10 +389,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"dpca: numerical error: {exc}", file=sys.stderr)
         return 4
-    except (InvalidInputError, OSError) as exc:
-        print(f"dpca: data error: {exc}", file=sys.stderr)
-        return 3
-    except DpcaError as exc:
+    except (DpcaError, OSError) as exc:
         print(f"dpca: data error: {exc}", file=sys.stderr)
         return 3
 

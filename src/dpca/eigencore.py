@@ -356,8 +356,10 @@ def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5
 
     Each pair iterates ``v <- Av / ||Av||`` until successive Rayleigh
     quotients differ by at most ``tol``, then deflates by subtracting
-    ``lam v v^T`` and restarts from a fresh seeded vector. Dense-matrix inputs
-    deflate the matrix itself; callables deflate functionally.
+    ``lam v v^T`` and restarts from a fresh seeded vector. One kernel serves
+    both kinds of operator: a dense matrix is applied as ``v -> A v``, and
+    the deflation is applied functionally, so the operator is never copied
+    or modified.
 
     Parameters
     ----------
@@ -386,88 +388,26 @@ def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
 
-    matrix: np.ndarray | None
     if callable(op):
         if dim is None:
             raise DimensionError("dim is required when the operator is a callable")
-        matrix = None
-        op_dim = int(dim)
+        apply_op, op_dim = op, int(dim)
     else:
         matrix = check_symmetric(op, "operator")
-        op_dim = matrix.shape[0]
+        apply_op, op_dim = (lambda v: matrix @ v), matrix.shape[0]
     if not 1 <= d <= op_dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{op_dim} operator")
 
     rng = np.random.default_rng(seed)
-    start = rng.standard_normal((op_dim, d))
-
-    if matrix is not None:
-        values, vectors, iters, converged, residuals = _power_deflate(
-            matrix, start, float(tol), int(max_iter))
-        for j in range(d):
-            if not converged[j]:
-                raise NonConvergenceError(
-                    f"power iteration for pair {j} did not converge in {max_iter} iterations",
-                    best_eigenvalue=float(values[j]), best_vector=vectors[:, j].copy(),
-                    residual=float(residuals[j]), iterations=int(iters[j]))
-    else:
-        values, vectors = _power_callable(op, start, tol, max_iter)
-
+    values, vectors = _power_callable(apply_op, rng.standard_normal((op_dim, d)), tol, max_iter)
     order = np.argsort(-values, kind="stable")
     values = np.maximum(values[order], 0.0)
     vectors = apply_sign_convention(vectors[:, order])
     return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors)
 
 
-def _power_deflate(mat, start, tol, max_iter):
-    """Deflated power iteration on a dense symmetric matrix.
-
-    Returns ``(values, vectors, iterations, converged, residuals)`` with one
-    entry per requested pair; iteration stops at the first pair that fails to
-    converge within ``max_iter``.
-    """
-    dim = mat.shape[0]
-    d = start.shape[1]
-    values = np.zeros(d)
-    vectors = np.zeros((dim, d))
-    iterations = np.zeros(d, dtype=np.int64)
-    converged = np.zeros(d, dtype=np.bool_)
-    residuals = np.zeros(d)
-
-    work = mat.copy()
-    for j in range(d):
-        v = start[:, j].copy()
-        v /= np.sqrt(v @ v)
-        q = 0.0
-        q_prev = np.inf
-        it = 0
-        while it < max_iter:
-            it += 1
-            w = work @ v
-            q = v @ w
-            if abs(q - q_prev) <= tol:
-                converged[j] = True
-                break
-            norm_w = np.sqrt(w @ w)
-            if norm_w == 0.0:
-                # v lies in the null space of the deflated operator
-                q = 0.0
-                converged[j] = True
-                break
-            v = w / norm_w
-            q_prev = q
-        values[j] = q
-        vectors[:, j] = v
-        iterations[j] = it
-        residuals[j] = np.sqrt(np.sum((work @ v - q * v) ** 2))
-        if not converged[j]:
-            break
-        work -= q * np.outer(v, v)
-    return values, vectors, iterations, converged, residuals
-
-
 def _power_callable(apply_op, start, tol, max_iter):
-    # Same iteration as _power_deflate, with deflation applied functionally.
+    """Deflated power iteration from the columns of ``start``; deflation is functional."""
     op_dim, d = start.shape
     values = np.zeros(d)
     vectors = np.zeros((op_dim, d))
@@ -496,6 +436,7 @@ def _power_callable(apply_op, start, tol, max_iter):
                 break
             norm_w = float(np.linalg.norm(w))
             if norm_w == 0.0:
+                # v lies in the null space of the deflated operator
                 q = 0.0
                 ok = True
                 break

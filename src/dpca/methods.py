@@ -37,7 +37,9 @@ METHODS = ("pca", "cpca", "dpca")
 
 
 def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    # C order, as after a save/load round trip: the projection's BLAS path
+    # depends on the layout, and in-memory and reloaded models must agree.
+    arr = np.array(values, dtype=np.float64, copy=True, order="C")
     arr.flags.writeable = False
     return arr
 

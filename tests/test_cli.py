@@ -160,6 +160,31 @@ class TestCompare:
         assert "(ratio vs dpca: -)" in capsys.readouterr().out
 
 
+class TestCompareMatchesFit:
+    @pytest.mark.parametrize("flags", [(), ("--ridge", "0.5", "--seed", "3"), ("--zscore",)])
+    def test_embeddings_equal_fit_then_transform(self, tmp_path, flags):
+        # compare and fit share one load -> z-score -> center -> covariance ->
+        # fit path, so compare's embeddings are fit + transform's, byte for byte
+        prefix = tmp_path / "exp"
+        run("synth", "--features", 20, "-m", 150, "-n", 200, "--seed", 4, "--out", prefix)
+        target, background = f"{prefix}_target.csv", f"{prefix}_background.csv"
+        assert run("compare", target, background, *flags, "--out", tmp_path / "cmp") == 0
+        fits = {"dpca": ("dpca", target, background),
+                "cpca": ("cpca", target, background, "--auto-alpha")}
+        if "--zscore" not in flags:
+            # fit pca takes no background, so its z-score scale comes from the
+            # target alone, while compare pools target and background
+            fits["pca"] = ("pca", target)
+        for name, argv in fits.items():
+            assert run("fit", *argv, *flags, "--out", tmp_path / f"{name}.json") == 0
+        # fit cpca --auto-alpha writes one model per selected alpha (4 by default)
+        models = [n for n in fits if n != "cpca"] + [f"cpca_a{i}" for i in range(1, 5)]
+        for name in models:
+            emb = tmp_path / f"{name}.csv"
+            assert run("transform", tmp_path / f"{name}.json", target, "--out", emb) == 0
+            assert emb.read_bytes() == (tmp_path / f"cmp_{name}.csv").read_bytes(), name
+
+
 class TestWideData:
     def test_fit_and_compare_match_dense_reference(self, tmp_path, rng):
         # 40 + 60 samples in 300 features: the fits take the reduced route
