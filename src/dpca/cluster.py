@@ -15,6 +15,10 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError
 
 
+# Distance rows formed at once by silhouette_score: 32 MiB of float64.
+_SILHOUETTE_BLOCK_BYTES = 32 * 2**20
+
+
 def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     p2 = np.sum(points * points, axis=1, keepdims=True)
     c2 = np.sum(centers * centers, axis=1, keepdims=True).T
@@ -94,36 +98,48 @@ def spectral_cluster(affinity: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette coefficient over all samples.
 
-    For sample ``i`` with intra-cluster mean distance ``a`` and smallest
-    other-cluster mean distance ``b``, the coefficient is
-    ``(b - a) / max(a, b)``; singleton clusters contribute 0.
+    For sample ``i`` with intra-cluster mean distance ``a`` (self excluded)
+    and smallest other-cluster mean distance ``b``, the coefficient is
+    ``(b - a) / max(a, b)``, or 0 when both are 0; singleton clusters
+    contribute 0. Distances are formed for a block of rows at a time and
+    summed per cluster by a product with the one-hot label matrix, so extra
+    memory is about 32 MiB rather than ``m * m`` doubles.
     """
     pts = np.asarray(points, dtype=np.float64)
-    labs = np.asarray(labels)
-    uniq = np.unique(labs)
+    uniq, cluster = np.unique(np.asarray(labels), return_inverse=True)
     if uniq.size < 2:
         raise InvalidInputError("silhouette needs at least two clusters")
     if uniq.size >= pts.shape[0]:
         raise InvalidInputError("silhouette needs at least one non-singleton cluster")
-    d = np.sqrt(_pairwise_sq_dists(pts, pts))
     m = pts.shape[0]
+    sizes = np.bincount(cluster).astype(np.float64)
+    one_hot = np.zeros((m, uniq.size))
+    one_hot[np.arange(m), cluster] = 1.0
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    block = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * m))
     scores = np.zeros(m)
-    masks = {c: labs == c for c in uniq}
-    for i in range(m):
-        own = masks[labs[i]]
-        n_own = int(np.sum(own))
-        if n_own <= 1:
-            scores[i] = 0.0
-            continue
-        a = float(np.sum(d[i, own]) / (n_own - 1))  # excludes self (distance 0)
-        b = np.inf
-        for c in uniq:
-            if c == labs[i]:
-                continue
-            other = masks[c]
-            b = min(b, float(np.mean(d[i, other])))
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        local = np.arange(hi - lo)
+        # squared distances, in place: |p|^2 + |q|^2 - 2 p.q, clipped at 0
+        dist = pts[lo:hi] @ pts.T
+        dist *= -2.0
+        dist += sq_norms[lo:hi, None]
+        dist += sq_norms[None, :]
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        dist[local, lo + local] = 0.0  # the formula leaves a rounding residual here
+        sums = dist @ one_hot
+        del dist  # free this block before the next one is allocated
+        own = cluster[lo:hi]
+        n_own = sizes[own]
+        a = sums[local, own] / np.maximum(n_own - 1.0, 1.0)
+        means = sums / sizes
+        means[local, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        safe = (n_own > 1) & (denom > 0)
+        scores[lo:hi] = np.where(safe, (b - a) / np.where(safe, denom, 1.0), 0.0)
     return float(np.mean(scores))
 
 

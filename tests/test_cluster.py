@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dpca import cluster
 from dpca.cluster import cluster_label_accuracy, kmeans, silhouette_score, spectral_cluster
 from dpca.errors import InvalidInputError
 
@@ -50,7 +53,69 @@ class TestSpectralCluster:
         assert labels.shape == (5,)
 
 
+def silhouette_loop(points, labels):
+    """Per-sample loop over a dense distance matrix, the reference.
+
+    Distances come from coordinate differences, so a point's distance to
+    itself is exactly 0 and ``a`` excludes self.
+    """
+    d = np.sqrt(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1))
+    uniq = np.unique(labels)
+    m = points.shape[0]
+    scores = np.zeros(m)
+    masks = {c: labels == c for c in uniq}
+    for i in range(m):
+        own = masks[labels[i]]
+        n_own = int(np.sum(own))
+        if n_own <= 1:
+            scores[i] = 0.0
+            continue
+        a = float(np.sum(d[i, own]) / (n_own - 1))
+        b = np.inf
+        for c in uniq:
+            if c == labels[i]:
+                continue
+            b = min(b, float(np.mean(d[i, masks[c]])))
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(np.mean(scores))
+
+
 class TestSilhouette:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("block_bytes", [cluster._SILHOUETTE_BLOCK_BYTES, 8 * 7 * 150])
+    def test_matches_loop(self, rng, monkeypatch, k, block_bytes):
+        # the small block size splits the 150 rows into blocks of 7
+        monkeypatch.setattr(cluster, "_SILHOUETTE_BLOCK_BYTES", block_bytes)
+        centers = rng.standard_normal((k, 3)) * 4.0 + 20.0
+        labels = rng.integers(-3, k - 3, size=150)
+        labels[17] = 99  # a singleton cluster
+        points = centers[np.clip(labels + 3, 0, k - 1)] + rng.standard_normal((150, 3))
+        assert silhouette_score(points, labels) == pytest.approx(
+            silhouette_loop(points, labels), abs=1e-12)
+
+    def test_duplicate_points_score_zero(self):
+        # a = b = 0 for every sample: a zero denominator scores 0
+        points = np.zeros((6, 2))
+        assert silhouette_score(points, np.array([0, 0, 0, 1, 1, 1])) == 0.0
+
+    def test_needs_non_singleton_cluster(self, rng):
+        with pytest.raises(InvalidInputError):
+            silhouette_score(rng.standard_normal((3, 2)), np.arange(3))
+
+    def test_memory_bounded(self, rng):
+        m = 6000
+        dense_bytes = 8 * m * m  # 288 MB for the full distance matrix
+        points = rng.standard_normal((m, 2))
+        labels = rng.integers(0, 3, size=m)
+        tracemalloc.start()
+        try:
+            silhouette_score(points, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * dense_bytes
+
     def test_matches_sklearn(self, rng):
         sklearn_metrics = pytest.importorskip("sklearn.metrics")
         for _ in range(5):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpca import fileio, methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix
@@ -54,25 +57,26 @@ class TestCsvErrors:
     def test_ragged(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"bad\.csv: row 2 has 1 cells, expected 2"):
             fileio.read_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,oops\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"bad\.csv: row 1: column 2 holds 'oops'"):
             fileio.read_csv(path)
 
     def test_non_finite(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,nan\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"bad\.csv: row 1 contains a non-finite"):
             fileio.read_csv(path)
 
     def test_non_integer_label(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f1,label\n1.0,0.5\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match=r"bad\.csv: row 1: label 0\.5 is not a 64-bit integer"):
             fileio.read_csv(path)
 
     def test_empty_file(self, tmp_path):
@@ -86,6 +90,174 @@ class TestCsvErrors:
         path.write_text("f1,f2\n")
         with pytest.raises(InvalidInputError):
             fileio.read_csv(path)
+
+
+def read_text(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return fileio.read_csv(path)
+
+
+class TestCsvDialect:
+    """The accepted dialect: quoting, line endings, empty lines, padding."""
+
+    def test_crlf_line_endings(self, tmp_path):
+        back = read_text(tmp_path, "f1,label\r\n1.5,0\r\n2,1\r\n")
+        assert back.values.tolist() == [[1.5], [2.0]]
+        assert back.labels.tolist() == [0, 1]
+
+    def test_cr_line_endings(self, tmp_path):
+        back = read_text(tmp_path, "f1,f2\r1,2\r3,4\r")
+        assert back.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_blank_lines_skipped_even_before_header(self, tmp_path):
+        back = read_text(tmp_path, "\n\r\nf1,label\n\n1,0\r\n\n2.5,1\n\n")
+        assert back.values.tolist() == [[1.0], [2.5]]
+        assert back.labels.tolist() == [0, 1]
+
+    def test_blank_line_before_headerless_data(self, tmp_path):
+        back = read_text(tmp_path, "\n1,2\n\n3,4\n")
+        assert back.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_quoted_cells(self, tmp_path):
+        back = read_text(tmp_path, '"f1","label"\n"1.5","1"\n')
+        assert back.values.tolist() == [[1.5]]
+        assert back.labels.tolist() == [1]
+
+    def test_spaces_around_cells(self, tmp_path):
+        back = read_text(tmp_path, " f1 , label \n 1.5 , 2 \n3,4\n")
+        assert back.values.tolist() == [[1.5], [3.0]]
+        assert back.labels.tolist() == [2, 4]
+
+    def test_one_row(self, tmp_path):
+        back = read_text(tmp_path, "1,2,3")
+        assert back.values.tolist() == [[1.0, 2.0, 3.0]]
+
+    def test_one_column(self, tmp_path):
+        back = read_text(tmp_path, "x\n1\n-2e3\n")
+        assert back.values.tolist() == [[1.0], [-2000.0]]
+        assert back.labels is None
+
+    def test_label_written_as_float(self, tmp_path):
+        back = read_text(tmp_path, "f1,label\n0.5,1.0\n0.25,-2.0\n")
+        assert back.labels.dtype == np.int64
+        assert back.labels.tolist() == [1, -2]
+
+    def test_hash_is_a_cell_not_a_comment(self, tmp_path):
+        with pytest.raises(InvalidInputError, match=r"in\.csv: row 2: column 1 holds '#'"):
+            read_text(tmp_path, "f1,f2\n1,2\n#,4\n")
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        # float() accepts "1_0"; the CSV dialect does not
+        with pytest.raises(InvalidInputError, match=r"row 1: column 1 holds '1_0'"):
+            read_text(tmp_path, "1_0,2\n")
+
+
+class TestCsvErrorRows:
+    """Errors name the file and the 1-based data row, blank lines not counted."""
+
+    def test_ragged(self, tmp_path):
+        with pytest.raises(InvalidInputError,
+                           match=r"in\.csv: row 3 has 1 cells, expected 2"):
+            read_text(tmp_path, "a,b\n1,2\n\n3,4\n5\n")
+
+    def test_ragged_wide(self, tmp_path):
+        with pytest.raises(InvalidInputError,
+                           match=r"in\.csv: row 2 has 3 cells, expected 2"):
+            read_text(tmp_path, "1,2\n3,4,5\n")
+
+    def test_non_numeric(self, tmp_path):
+        with pytest.raises(InvalidInputError,
+                           match=r"in\.csv: row 2: column 2 holds 'oops', not a number"):
+            read_text(tmp_path, "x,y\n1,2\n\n3,oops\n")
+
+    def test_empty_cell(self, tmp_path):
+        with pytest.raises(InvalidInputError, match=r"in\.csv: row 1: column 3 holds ''"):
+            read_text(tmp_path, "a,b,c\n1,2,\n")
+
+    def test_non_finite(self, tmp_path):
+        with pytest.raises(InvalidInputError,
+                           match=r"in\.csv: row 3 contains a non-finite value"):
+            read_text(tmp_path, "1,2\n3,4\n\n5,inf\n")
+
+    @pytest.mark.parametrize("cell", ["0.5", "nan", "inf", "1e300"])
+    def test_non_integer_label(self, tmp_path, cell):
+        with pytest.raises(InvalidInputError,
+                           match=r"in\.csv: row 2: label .* is not a 64-bit integer"):
+            read_text(tmp_path, f"f1,label\n1,0\n2,{cell}\n")
+
+    def test_blank_only_file(self, tmp_path):
+        with pytest.raises(InvalidInputError, match=r"in\.csv: file contains no data"):
+            read_text(tmp_path, "\n\r\n\n")
+
+    def test_header_then_blank_lines(self, tmp_path):
+        with pytest.raises(InvalidInputError, match=r"in\.csv: header but no data rows"):
+            read_text(tmp_path, "f1,f2\n\n\n")
+
+
+def reference_table(values, labels, header):
+    """The table as text, one ``format(v, '.17g')`` per cell."""
+    lines = [",".join(header)]
+    for i, row in enumerate(values):
+        cells = [format(float(v), ".17g") for v in row]
+        if labels is not None:
+            cells.append(str(int(labels[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                        [3.0, -2.0, 1e16],
+                        [0.1, -1.7976931348623157e308, -5e-324],
+                        [2.0**53, 1 / 3, -123456789.0]])
+
+
+class TestCsvWriterBytes:
+    def test_data_csv_matches_reference(self, tmp_path):
+        labels = np.array([-3, 0, 7, -1])
+        path = tmp_path / "data.csv"
+        fileio.write_data_csv(path, DataMatrix(EDGE_VALUES, labels=labels))
+        expected = reference_table(EDGE_VALUES, labels, ["f1", "f2", "f3", "label"])
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_data_csv_without_labels(self, tmp_path):
+        path = tmp_path / "data.csv"
+        fileio.write_data_csv(path, DataMatrix(EDGE_VALUES))
+        expected = reference_table(EDGE_VALUES, None, ["f1", "f2", "f3"])
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_embedding_csv_matches_reference(self, tmp_path):
+        labels = [-1, -2, 0, 5]
+        path = tmp_path / "emb.csv"
+        fileio.write_embedding_csv(path, EDGE_VALUES, labels=labels)
+        expected = reference_table(EDGE_VALUES, labels,
+                                   ["component_1", "component_2", "component_3", "label"])
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_edge_values_read_back_bit_exact(self, tmp_path):
+        path = tmp_path / "data.csv"
+        fileio.write_data_csv(path, DataMatrix(EDGE_VALUES))
+        assert fileio.read_csv(path).values.tobytes() == EDGE_VALUES.tobytes()
+
+
+finite_tables = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=finite_tables, data=st.data())
+def test_write_read_round_trip(tmp_path_factory, values, data):
+    # labels stay within the integers a float64 holds exactly
+    labels = data.draw(hnp.arrays(np.int64, values.shape[0],
+                                  elements=st.integers(-2**53, 2**53)))
+    path = tmp_path_factory.mktemp("rt") / "data.csv"
+    fileio.write_data_csv(path, DataMatrix(values, labels=labels))
+    back = fileio.read_csv(path)
+    assert back.values.tobytes() == np.ascontiguousarray(values).tobytes()
+    assert np.array_equal(back.labels, labels)
 
 
 def make_models(rng):
