@@ -103,10 +103,20 @@ def _fit(method: str, prep: _Prepared, args,
 
 
 def _auto_alpha(prep: _Prepared, args) -> list[methods.ComponentModel]:
-    """cPCA models at the alphas that auto-selection picks over ``--grid``."""
+    """cPCA models at the alphas that auto-selection picks over ``--grid``.
+
+    The selection has already solved at each selected alpha; its pairs are
+    the ones ``cpca_fit`` would return, so nothing is refitted.
+    """
+    cxx, cyy = prep.covs
     selection = methods.cpca_select_alphas(
-        *prep.covs, parse_grid(args.grid), args.components, args.select, seed=args.seed)
-    return [_fit("cpca", prep, args, float(a)) for a in selection.selected]
+        cxx, cyy, parse_grid(args.grid), args.components, args.select, seed=args.seed)
+    return [methods.ComponentModel("cpca", components, values, prep.means[0],
+                                   alpha=float(alpha), background_mean=prep.means[1],
+                                   ridge_target=cxx.ridge_applied,
+                                   ridge_background=cyy.ridge_applied)
+            for alpha, components, values in zip(selection.selected, selection.components,
+                                                 selection.eigenvalues)]
 
 
 def _provenance(args, scale) -> dict:

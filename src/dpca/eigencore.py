@@ -52,6 +52,9 @@ CHOLESKY_RCOND_MARGIN = 1e3
 # threaded scipy call after numpy BLAS work (such as forming a covariance) can
 # wait for numpy's idle pool to stop spinning: up to 0.1 s on a 2-core
 # machine. Below this order the full numpy eigensolves cost less than that.
+# The same rule picks the library for the whole of a fit reduced to the data
+# span (methods._reduce_to_data_span): its QR, Gram blocks and lift run in
+# the library its solve runs in, so the fit never hands off between pools.
 TOP_D_MIN_DIM = 256
 
 # Count of pencil solves performed, for runtime instrumentation. Reset with

@@ -1,14 +1,15 @@
 """File formats used by the CLI: CSV tables and JSON model files.
 
-CSV tables are UTF-8 and comma-separated with an optional single header row;
-a final integer column named ``label`` (by header name) is read as labels.
-The first non-empty line is the header unless every cell parses with
-``float()``. The data rows go through numpy's C parser in one call, so no
-step runs per cell in Python: cells may be quoted with ``"`` and padded with
-spaces, empty lines are skipped, CRLF endings are accepted, and there are no
-comment lines (``#`` is a non-numeric cell). Every error names the file and
-the 1-based data row. Numbers are written with ``%.17g`` (17 significant
-digits) so values survive a round trip exactly.
+CSV tables are UTF-8, with or without a leading byte-order mark, and
+comma-separated with an optional single header row; a final integer column
+named ``label`` (by header name) is read as labels. The first non-empty line
+is the header unless every cell parses with ``float()``. The data rows go
+through numpy's C parser in one call, so no step runs per cell in Python:
+cells may be quoted with ``"`` and padded with spaces, empty lines are
+skipped, CRLF endings are accepted, and there are no comment lines (``#`` is
+a non-numeric cell). Every error names the file and the 1-based data row.
+Numbers are written with ``%.17g`` (17 significant digits) so values survive
+a round trip exactly.
 
 Model files are JSON; Python's float repr in JSON is already
 shortest-round-trip, so numeric fields reload bit-exact.
@@ -77,7 +78,9 @@ def _parse_error(path, exc: ValueError) -> InvalidInputError:
 
 def read_csv(path) -> DataMatrix:
     """Read a data table; returns values and, when present, labels."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise make
+    # the first cell non-numeric and turn a data row into a header
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         first = _next_row(fh)
         if first is None:
             raise InvalidInputError(f"{path}: file contains no data")

@@ -17,16 +17,19 @@ directions and their associated eigenvalues:
 
 On wide data (far fewer samples than features) the three fits solve exactly
 the same problem at the order of the sample count instead of the feature
-count; see ``_reduce_to_data_span``.
+count, and each such fit keeps its BLAS and LAPACK work in one library,
+numpy's or scipy's, picked by that order; see ``_reduce_to_data_span``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from . import eigencore
 from .cluster import spectral_cluster
@@ -106,12 +109,29 @@ class EmbeddingResult:
 
 @dataclass(frozen=True)
 class AlphaSelection:
-    """Outcome of automatic alpha selection over a candidate grid."""
+    """Outcome of automatic alpha selection over a candidate grid.
+
+    ``components[i]`` and ``eigenvalues[i]`` are the cPCA pairs at
+    ``selected[i]``, the same as :func:`cpca_fit` returns at that alpha.
+    """
 
     grid: np.ndarray
     affinity: np.ndarray
     cluster_assignment: np.ndarray
     selected: np.ndarray
+    components: tuple[np.ndarray, ...]
+    eigenvalues: tuple[np.ndarray, ...]
+
+
+class _Reflectors(NamedTuple):
+    """``Q`` of a QR factorization as LAPACK ``geqrf`` leaves it: Householder reflectors."""
+
+    reflectors: np.ndarray
+    tau: np.ndarray
+
+
+# The orthonormal basis of a reduced fit: None (not reduced), Q, or its reflectors.
+_Basis = Union[None, np.ndarray, _Reflectors]
 
 
 def _zero_mean(mean, dim: int) -> np.ndarray:
@@ -129,7 +149,7 @@ def _check_d(d: int, dim: int) -> None:
 
 
 def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
-                         d: int) -> tuple[np.ndarray | None, list[np.ndarray]]:
+                         d: int) -> tuple[_Basis, list[np.ndarray]]:
     """The fit's covariances, restricted to a basis of their data's span when that pays.
 
     A covariance built from centered data ``X`` (``m`` rows) is
@@ -148,12 +168,23 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     needs the eigenvalue floor exactly when the full one does. With
     ``R = Q^T [X_1^T, ...]``, the reduced covariances are ``R_i R_i^T / m_i + r_i I``.
 
-    Returns ``(Q, reduced matrices)`` when every covariance carries its data
-    and ``K <= D / 2``, else ``(None, full matrices)``. Measured from D=16 to
-    2000 on 2 cores, up to that cut-over the reduction beats forming the
-    covariances and solving at order ``D`` for cPCA and dPCA, and PCA, the
-    cheapest dense fit, breaks even near it; beyond it the QR costs more than
-    it saves for PCA.
+    The whole reduced fit runs in one BLAS/LAPACK, numpy's or scipy's, chosen
+    by ``K`` with the rule that chooses the solvers
+    (``eigencore.TOP_D_MIN_DIM``): each library has its own thread pool, and
+    handing work from one to the other leaves the idle pool's threads
+    spinning while the other works. From that order up the reduced solve
+    runs in scipy (a pencil's whitening fallback excepted), and so do the QR
+    (``geqrf``; ``Q`` is kept as Householder reflectors and never formed),
+    the Gram blocks (``syrk``) and the lift (``ormqr``, see :func:`_lift`).
+    Below it the solve runs in numpy, and so do the QR (``Q`` formed) and
+    the products.
+
+    Returns ``(basis, reduced matrices)`` when every covariance carries its
+    data and ``K <= D / 2``, else ``(None, full matrices)``; ``basis`` is ``Q``
+    or its reflectors. Measured from D=16 to 2000 on 2 cores, up to that
+    cut-over the reduction beats forming the covariances and solving at order
+    ``D`` for cPCA and dPCA, and PCA, the cheapest dense fit, breaks even near
+    it; beyond it the QR costs more than it saves for PCA.
     """
     dim = covs[0].dim
     total = sum(c.sample_count for c in covs) + d
@@ -161,24 +192,46 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
         return None, [c.matrix for c in covs]
     # stacking rows and transposing gives the Fortran-ordered D x K layout LAPACK works in
     stacked = np.concatenate([c.data for c in covs] + [np.zeros((d, dim))]).T
-    basis, upper = np.linalg.qr(stacked)
+    in_scipy = total >= eigencore.TOP_D_MIN_DIM
+    if in_scipy:
+        (reflectors, tau), upper = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True,
+                                                   check_finite=False)
+        basis = _Reflectors(reflectors, tau)
+    else:
+        basis, upper = np.linalg.qr(stacked)
     reduced, start = [], 0
     for c in covs:
         part = upper[:, start:start + c.sample_count]
         start += c.sample_count
-        block = (part @ part.T) / c.sample_count
-        block = 0.5 * (block + block.T)
+        if in_scipy:
+            block = blas.dsyrk(1.0 / c.sample_count, part)  # upper triangle only
+            block = np.triu(block) + np.triu(block, 1).T
+        else:
+            block = (part @ part.T) / c.sample_count
+            block = 0.5 * (block + block.T)
         if c.ridge_applied > 0:
             block += c.ridge_applied * np.eye(total)
         reduced.append(block)
     return basis, reduced
 
 
-def _lift(basis: np.ndarray | None, vectors: np.ndarray) -> np.ndarray:
-    """Map eigenvectors of a reduced problem back to feature space, ``u = Q y``."""
+def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
+    """Map eigenvectors of a reduced problem back to feature space, ``u = Q y``.
+
+    ``Q`` is applied as a matrix or, from its reflectors, by LAPACK ``ormqr``;
+    unreduced fits pass through unchanged.
+    """
     if basis is None:
         return vectors
-    return eigencore.apply_sign_convention(basis @ vectors)
+    if isinstance(basis, np.ndarray):
+        return eigencore.apply_sign_convention(basis @ vectors)
+    # Q y is the full D x D orthogonal factor applied to y padded with zeros
+    padded = np.zeros((basis.reflectors.shape[0], vectors.shape[1]), order="F")
+    padded[:vectors.shape[0]] = vectors
+    _, work, _ = lapack.dormqr("L", "N", basis.reflectors, basis.tau, padded, -1)  # size query
+    lifted, _, _ = lapack.dormqr("L", "N", basis.reflectors, basis.tau, padded, int(work[0]),
+                                 overwrite_c=True)
+    return eigencore.apply_sign_convention(lifted)
 
 
 def pca_fit(cxx: CovarianceEstimate, d: int,
@@ -201,7 +254,7 @@ def pca_fit(cxx: CovarianceEstimate, d: int,
 
 
 def _cpca_reduce(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alphas: np.ndarray,
-                 d: int) -> tuple[np.ndarray | None, list[np.ndarray]]:
+                 d: int) -> tuple[_Basis, list[np.ndarray]]:
     """Validate a cPCA request and reduce its covariances, once for all ``alphas``."""
     lowest = float(np.min(alphas))
     if lowest < 0:
@@ -212,7 +265,7 @@ def _cpca_reduce(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alphas: np.nd
     return _reduce_to_data_span([cxx, cyy], d)
 
 
-def _cpca_top(basis: np.ndarray | None, a: np.ndarray, b: np.ndarray, alpha: float,
+def _cpca_top(basis: _Basis, a: np.ndarray, b: np.ndarray, alpha: float,
               d: int) -> tuple[np.ndarray, np.ndarray]:
     eig = eigencore.sym_eigendecompose(a - alpha * b, d)
     return _lift(basis, eig.eigenvectors), eig.eigenvalues
@@ -313,7 +366,8 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
     affinity (product of principal-angle cosines), spectrally clusters the
     affinity matrix into ``n_select`` groups, and returns one medoid per
     group (the member maximizing within-group affinity sum). The selected
-    values are returned in ascending order. On wide data the covariances are
+    values are returned in ascending order, with their components and
+    eigenvalues, so no refit is needed. On wide data the covariances are
     reduced to the span of the samples once for the whole grid.
     """
     grid_arr = np.asarray(list(grid), dtype=np.float64)
@@ -324,12 +378,12 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
             f"cannot select {n_select} alphas from a grid of {grid_arr.size}")
 
     basis, (a, b) = _cpca_reduce(cxx, cyy, grid_arr, d)
-    subspaces = [_cpca_top(basis, a, b, alpha, d)[0] for alpha in grid_arr]
+    pairs = [_cpca_top(basis, a, b, alpha, d) for alpha in grid_arr]
     n = grid_arr.size
     affinity = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            affinity[i, j] = affinity[j, i] = subspace_affinity(subspaces[i], subspaces[j])
+            affinity[i, j] = affinity[j, i] = subspace_affinity(pairs[i][0], pairs[j][0])
 
     assignment = spectral_cluster(affinity, n_select, seed=seed)
     total_affinity = affinity.sum(axis=1)
@@ -343,9 +397,11 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
         else:
             within = affinity[np.ix_(members, members)].sum(axis=1)
             chosen.append(int(members[int(np.argmax(within))]))
-    selected = np.sort(grid_arr[chosen])
-    return AlphaSelection(grid=grid_arr, affinity=affinity,
-                          cluster_assignment=assignment, selected=selected)
+    chosen.sort(key=lambda i: grid_arr[i])
+    return AlphaSelection(grid=grid_arr, affinity=affinity, cluster_assignment=assignment,
+                          selected=grid_arr[chosen],
+                          components=tuple(pairs[i][0] for i in chosen),
+                          eigenvalues=tuple(pairs[i][1] for i in chosen))
 
 
 def transform(model: ComponentModel, raw: DataMatrix) -> EmbeddingResult:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dpca
-from dpca import cli, fileio
+from dpca import cli, fileio, methods
 from dpca import eigencore as ec
 from dpca.cli import main, parse_grid
 from dpca.datamodel import DataMatrix
@@ -92,6 +92,28 @@ class TestPipeline:
         assert len(models) == 4
         alphas = [fileio.load_model(p).model.alpha for p in models]
         assert all(a is not None for a in alphas)
+
+    def test_auto_alpha_reuses_the_selection_pairs(self, tmp_path, monkeypatch):
+        # the selection has already solved at each selected alpha; neither
+        # command fits cPCA again
+        prefix = tmp_path / "exp"
+        run("synth", "--features", 20, "-m", 150, "-n", 200, "--seed", 4, "--out", prefix)
+        target, background = f"{prefix}_target.csv", f"{prefix}_background.csv"
+        calls = []
+        real = methods.cpca_fit
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(methods, "cpca_fit", spy)
+        assert run("fit", "cpca", target, background, "--auto-alpha",
+                   "--out", tmp_path / "cp.json") == 0
+        assert run("compare", target, background, "--out", tmp_path / "cmp") == 0
+        assert calls == []
+        assert run("fit", "cpca", target, background, "--alpha", 1,
+                   "--out", tmp_path / "one.json") == 0
+        assert len(calls) == 1  # the spy sees a fixed-alpha fit
 
     def test_remark1_white_noise_background(self, tmp_path, rng):
         stds = [5.0, 4.0, 3.0, 2.0, 1.0, 1.0]

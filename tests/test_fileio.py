@@ -129,6 +129,17 @@ class TestCsvDialect:
         assert back.values.tolist() == [[1.5], [3.0]]
         assert back.labels.tolist() == [2, 4]
 
+    def test_byte_order_mark_headerless(self, tmp_path):
+        # the mark must not make the first data row look like a header
+        back = read_text(tmp_path, "\ufeff1.5,2\n3,4\n")
+        assert back.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+        assert back.labels is None
+
+    def test_byte_order_mark_with_label_header(self, tmp_path):
+        back = read_text(tmp_path, "\ufefff1,label\n1.5,0\n2,1\n")
+        assert back.values.tolist() == [[1.5], [2.0]]
+        assert back.labels.tolist() == [0, 1]
+
     def test_one_row(self, tmp_path):
         back = read_text(tmp_path, "1,2,3")
         assert back.values.tolist() == [[1.0, 2.0, 3.0]]

@@ -363,6 +363,17 @@ class TestAlphaSelection:
         assert np.array_equal(one.selected, two.selected)
         assert np.array_equal(one.cluster_assignment, two.cluster_assignment)
 
+    # dense; wide below the scipy order (103); wide from it (303)
+    @pytest.mark.parametrize("dim,m,n", [(20, 200, 300), (300, 40, 60), (700, 100, 200)])
+    def test_selected_pairs_equal_cpca_fit(self, rng, dim, m, n):
+        cxx, cyy = TestWideDataReduction.wide_pair(rng, dim, m, n, (1.0, 1.0))
+        sel = methods.cpca_select_alphas(cxx, cyy, np.geomspace(0.001, 1000, 15), 3, 4, seed=0)
+        assert len(sel.components) == len(sel.eigenvalues) == sel.selected.size
+        for alpha, components, values in zip(sel.selected, sel.components, sel.eigenvalues):
+            model = methods.cpca_fit(cxx, cyy, float(alpha), 3)
+            assert np.array_equal(components, model.components)
+            assert np.array_equal(values, model.eigenvalues)
+
 
 class TestWideDataReduction:
     """Fits on wide data (k + d <= D/2) against dense solves of the D x D matrices.
@@ -372,7 +383,9 @@ class TestWideDataReduction:
     covariance matrices.
     """
 
-    SHAPES = [(300, 40, 60), (600, 100, 150)]
+    # K = k + d for dPCA/cPCA: 103, 253 and 303; PCA's 263 on the last shape
+    # also takes the reflector route (K >= ec.TOP_D_MIN_DIM)
+    SHAPES = [(300, 40, 60), (600, 100, 150), (700, 260, 40)]
     RIDGES = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1e-3, 0.0)]
 
     @staticmethod
@@ -445,18 +458,26 @@ class TestWideDataReduction:
             assert_top_d_matches(model, dense.eigenvalues, dense.eigenvectors)
 
     def test_complement_eigenvalue_in_top_d(self, rng, monkeypatch):
+        # 20 background rows: every solve runs in numpy
+        self.check_complement_eigenvalue_in_top_d(rng, monkeypatch, 300, 20)
+
+    def test_complement_eigenvalue_in_top_d_on_reflector_route(self, rng, monkeypatch):
+        # 260 background rows: dPCA and cPCA solve at order 268, in scipy
+        self.check_complement_eigenvalue_in_top_d(rng, monkeypatch, 600, 260)
+
+    def check_complement_eigenvalue_in_top_d(self, rng, monkeypatch, dim, n):
         # 3 target rows span 2 directions; every other direction, in the
         # sample span or not, has the complement eigenvalue, which fills the
         # rest of the top 5 (k = 3 < d for PCA)
-        dim, d = 300, 5
+        d = 5
         cxx = sample_covariance(center(DataMatrix(rng.standard_normal((3, dim)))), ridge=10.0)
-        cyy = sample_covariance(center(DataMatrix(rng.standard_normal((20, dim)))), ridge=1.0)
+        cyy = sample_covariance(center(DataMatrix(rng.standard_normal((n, dim)))), ridge=1.0)
         orders = self.solve_orders(monkeypatch)
         pc = methods.pca_fit(cxx, d)
         dpc = methods.dpca_fit(cxx, cyy, d)
         cpc = methods.cpca_fit(cxx, cyy, 1000.0, d)
         monkeypatch.undo()
-        assert {order for _, order in orders} == {3 + d, 23 + d}
+        assert {order for _, order in orders} == {3 + d, 3 + n + d}
         assert [name for name, _ in orders].count("generalized_eig") == 1
 
         a, b = cxx.matrix, cyy.matrix
@@ -491,6 +512,39 @@ class TestWideDataReduction:
                                            grid, 2, 4, seed=0)
         np.testing.assert_allclose(sel.affinity, dense.affinity, atol=1e-10)
         np.testing.assert_array_equal(sel.selected, dense.selected)
+
+    @pytest.mark.parametrize("n,library", [(152, "numpy"), (153, "scipy")])
+    def test_qr_library_follows_the_solve_order(self, rng, monkeypatch, n, library):
+        # 100 + n + 3 is 255 or 256 = ec.TOP_D_MIN_DIM: the QR runs in the
+        # library the solve at that order runs in
+        cxx, cyy = self.wide_pair(rng, 600, 100, n, (1.0, 1.0))
+        calls = []
+        for module, name in ((np.linalg, "numpy"), (scipy.linalg, "scipy")):
+            def spy(*args, real=module.qr, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "qr", spy)
+        dpc = methods.dpca_fit(cxx, cyy, 3)
+        monkeypatch.undo()
+        assert calls == [library]
+        ref = ec.generalized_eig(cxx.matrix, cyy.matrix, 3)
+        np.testing.assert_allclose(dpc.eigenvalues, ref.eigenvalues, rtol=1e-12)
+        spans = [np.linalg.qr(vecs)[0] for vecs in (dpc.components, ref.eigenvectors)]
+        assert methods.subspace_affinity(*spans) >= 1 - 1e-10
+
+    def test_reflector_route_never_forms_q(self, rng, monkeypatch):
+        # PCA at order 263, cPCA and dPCA at 303: Q stays as reflectors
+        cxx, cyy = self.wide_pair(rng, 700, 260, 40, (1.0, 1.0))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.qr reached on the reflector route")
+
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        methods.pca_fit(cxx, 3)
+        methods.cpca_fit(cxx, cyy, 1.0, 3)
+        methods.dpca_fit(cxx, cyy, 3)
+        methods.cpca_select_alphas(cxx, cyy, np.geomspace(0.001, 1000, 5), 3, 2)
 
     def test_cut_over_at_half_the_features(self, rng, monkeypatch):
         # in 300 features, dPCA's 100 + 60 + 3 > 150 keeps the dense route;
