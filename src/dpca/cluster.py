@@ -15,16 +15,45 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError
 
 
-# Distance rows formed at once by silhouette_score: 32 MiB of float64.
-_SILHOUETTE_BLOCK_BYTES = 32 * 2**20
+# Distance rows formed at once by silhouette_score: 1 MiB of float64, so each
+# block and the in-place passes over it stay in a core's L2 cache.
+_SILHOUETTE_BLOCK_BYTES = 2**20
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    p2 = np.sum(points * points, axis=1, keepdims=True)
-    c2 = np.sum(centers * centers, axis=1, keepdims=True).T
-    d = p2 + c2 - 2.0 * (points @ centers.T)
+def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances ``(r, k, m)`` from ``r`` sets of ``k`` centers to the points.
+
+    Each entry is rounded as ``(|p|^2 + |c|^2) - 2 p.c``, clipped at 0, with
+    the products of one ``points @ c.T`` per center set ``c``, so it equals
+    the distance formed for that set alone.
+    """
+    # contiguous (r, k, m), so the passes below run along m
+    dot = np.ascontiguousarray(np.swapaxes(points @ np.swapaxes(centers, 1, 2), 1, 2))
+    dot *= 2.0
+    d = np.sum(centers * centers, axis=2)[:, :, None] + sq_norms
+    d -= dot
     np.maximum(d, 0.0, out=d)
     return d
+
+
+def _cluster_sums(points: np.ndarray, seg: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``points`` in each segment, ``(counts.size, dim)``.
+
+    ``seg`` holds one segment id per point and restart, shape ``(r, m)``, and
+    ``counts`` the number of entries with each id. Each sum is bit-equal to
+    ``points[member].sum(axis=0)``: numpy adds the rows of a multi-column
+    array one after another, as ``np.bincount`` does, but sums a single
+    column pairwise, which ``np.add.reduce`` repeats on the column's members
+    in index order.
+    """
+    m, dim = points.shape
+    flat = seg.ravel()
+    if dim > 1:
+        return np.stack([np.bincount(flat, weights=np.tile(col, seg.shape[0]), minlength=counts.size)
+                         for col in points.T], axis=1)
+    grouped = points[np.argsort(flat, kind="stable") % m, 0]
+    parts = np.split(grouped, np.cumsum(counts)[:-1])
+    return np.array([np.add.reduce(part) for part in parts])[:, None]
 
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 8,
@@ -33,7 +62,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 8,
 
     Ties in assignment go to the lowest cluster index, and a cluster left
     empty keeps its previous centroid, so degenerate inputs (e.g. all points
-    identical) still terminate with a valid labeling.
+    identical) still terminate with a valid labeling. The restarts iterate
+    together, each stopping at its own convergence, and return the same
+    labels as running them one at a time; the lowest inertia wins, the
+    earliest restart on a tie.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -42,28 +74,41 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 8,
     if not 1 <= k <= m:
         raise InvalidInputError(f"k must be in [1, {m}], got {k}")
     rng = np.random.default_rng(seed)
+    centers = np.stack([pts[rng.choice(m, size=k, replace=False)] for _ in range(restarts)])
+    sq_norms = np.sum(pts * pts, axis=1)
+    labels = np.zeros((restarts, m), dtype=np.int64)
+    running = np.arange(restarts)  # restarts not yet converged
+    for _ in range(max_iter):
+        if running.size == 0:
+            break
+        current = centers[running]
+        dists = _sq_dists(pts, sq_norms, current)
+        assigned = np.zeros((running.size, m), dtype=np.int64)
+        nearest = dists[:, 0].copy()
+        # argmin by one pass per cluster (np.argmin along the short k axis
+        # is several times slower); strict "<" keeps a tie at the lower index
+        for c in range(1, k):
+            closer = dists[:, c] < nearest
+            assigned[closer] = c
+            np.minimum(nearest, dists[:, c], out=nearest)
+        labels[running] = assigned
+        seg = assigned + k * np.arange(running.size)[:, None]
+        counts = np.bincount(seg.ravel(), minlength=running.size * k)
+        filled = counts > 0
+        updated = current.reshape(-1, pts.shape[1]).copy()
+        updated[filled] = _cluster_sums(pts, seg, counts)[filled] / counts[filled, None]
+        updated = updated.reshape(current.shape)
+        moved = np.max(np.abs(updated - current), axis=(1, 2))
+        centers[running] = updated
+        running = running[moved > tol]
+    inertia = np.sum(np.min(_sq_dists(pts, sq_norms, centers), axis=1), axis=1)
 
     best_labels = None
     best_inertia = np.inf
-    for _ in range(restarts):
-        centers = pts[rng.choice(m, size=k, replace=False)].copy()
-        labels = np.zeros(m, dtype=np.int64)
-        for _ in range(max_iter):
-            dists = _pairwise_sq_dists(pts, centers)
-            labels = np.argmin(dists, axis=1)
-            moved = 0.0
-            for c in range(k):
-                member = labels == c
-                if np.any(member):
-                    new_center = pts[member].mean(axis=0)
-                    moved = max(moved, float(np.max(np.abs(new_center - centers[c]))))
-                    centers[c] = new_center
-            if moved <= tol:
-                break
-        inertia = float(np.sum(np.min(_pairwise_sq_dists(pts, centers), axis=1)))
-        if inertia < best_inertia - 1e-15:
-            best_inertia = inertia
-            best_labels = labels
+    for r in range(restarts):
+        if inertia[r] < best_inertia - 1e-15:
+            best_inertia = inertia[r]
+            best_labels = labels[r]
     return best_labels
 
 
@@ -103,7 +148,8 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     ``(b - a) / max(a, b)``, or 0 when both are 0; singleton clusters
     contribute 0. Distances are formed for a block of rows at a time and
     summed per cluster by a product with the one-hot label matrix, so extra
-    memory is about 32 MiB rather than ``m * m`` doubles.
+    memory is about 1 MiB rather than ``m * m`` doubles; a block that small
+    stays in cache through its in-place passes.
     """
     pts = np.asarray(points, dtype=np.float64)
     uniq, cluster = np.unique(np.asarray(labels), return_inverse=True)

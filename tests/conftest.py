@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a failure always
+# reproduces; each test keeps its own max_examples.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def random_orthogonal(rng, dim):

@@ -2,16 +2,40 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpca import cluster
 from dpca.cluster import cluster_label_accuracy, kmeans, silhouette_score, spectral_cluster
 from dpca.errors import InvalidInputError
+
+MIB = 2**20
 
 
 def two_blobs(rng, n=60, sep=8.0):
     a = rng.standard_normal((n, 2)) + [sep, 0]
     b = rng.standard_normal((n, 2)) - [sep, 0]
     return np.vstack([a, b]), np.repeat([0, 1], n)
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Points, k and keyword arguments for ``kmeans`` and ``kmeans_loop``."""
+    m = draw(st.integers(2, 300), label="m")
+    k = draw(st.integers(1, min(6, m)), label="k")
+    dim = draw(st.integers(1, 3), label="dim")
+    kind = draw(st.sampled_from(["gaussian", "rounded", "identical"]), label="kind")
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, dim))
+    if kind == "rounded":  # exact ties in distances, inexact sums in centroids
+        points = np.round(points * draw(st.sampled_from([0.2, 1.0])), 1)
+    elif kind == "identical":
+        points = np.repeat(points[:1], m, axis=0)
+    # a large tol or a small max_iter stops restarts at different iterations
+    kwargs = dict(seed=draw(st.integers(0, 2**16), label="seed"),
+                  restarts=draw(st.integers(1, 8), label="restarts"),
+                  max_iter=draw(st.sampled_from([1, 2, 5, 100]), label="max_iter"),
+                  tol=draw(st.sampled_from([0.0, 1e-12, 0.05, 0.5]), label="tol"))
+    return points, k, kwargs
 
 
 class TestKmeans:
@@ -36,6 +60,25 @@ class TestKmeans:
         with pytest.raises(InvalidInputError):
             kmeans(rng.standard_normal((4, 2)), 5)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=kmeans_cases())
+    # one column summed in a different order flips a tied label here
+    @example(case=(np.array([[3], [3], [1], [1], [3], [0], [3], [1], [1], [1], [0], [3]]) * 0.1,
+                   2, {"seed": 71, "restarts": 1}))
+    def test_matches_loop(self, case):
+        points, k, kwargs = case
+        assert np.array_equal(kmeans(points, k, **kwargs), kmeans_loop(points, k, **kwargs))
+
+    def test_memory_bounded(self, rng):
+        points = rng.standard_normal((6000, 2))
+        tracemalloc.start()
+        try:
+            kmeans(points, 3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MIB
+
 
 class TestSpectralCluster:
     def test_block_affinity(self):
@@ -51,6 +94,46 @@ class TestSpectralCluster:
     def test_all_ones_affinity(self):
         labels = spectral_cluster(np.ones((5, 5)), 2, seed=0)
         assert labels.shape == (5,)
+
+
+def kmeans_loop(points, k, seed=0, restarts=8, max_iter=100, tol=1e-12):
+    """One restart at a time, one cluster at a time, the reference.
+
+    Each centroid is ``points[member].mean(axis=0)``; a restart stops when no
+    centroid moves by more than ``tol``; the first restart with the lowest
+    inertia (by a 1e-15 margin) wins.
+    """
+    def sq_dists(pts, centers):
+        p2 = np.sum(pts * pts, axis=1, keepdims=True)
+        c2 = np.sum(centers * centers, axis=1, keepdims=True).T
+        d = p2 + c2 - 2.0 * (pts @ centers.T)
+        np.maximum(d, 0.0, out=d)
+        return d
+
+    pts = np.asarray(points, dtype=np.float64)
+    m = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    best_labels = None
+    best_inertia = np.inf
+    for _ in range(restarts):
+        centers = pts[rng.choice(m, size=k, replace=False)].copy()
+        labels = np.zeros(m, dtype=np.int64)
+        for _ in range(max_iter):
+            labels = np.argmin(sq_dists(pts, centers), axis=1)
+            moved = 0.0
+            for c in range(k):
+                member = labels == c
+                if np.any(member):
+                    new_center = pts[member].mean(axis=0)
+                    moved = max(moved, float(np.max(np.abs(new_center - centers[c]))))
+                    centers[c] = new_center
+            if moved <= tol:
+                break
+        inertia = float(np.sum(np.min(sq_dists(pts, centers), axis=1)))
+        if inertia < best_inertia - 1e-15:
+            best_inertia = inertia
+            best_labels = labels
+    return best_labels
 
 
 def silhouette_loop(points, labels):
@@ -83,9 +166,10 @@ def silhouette_loop(points, labels):
 
 class TestSilhouette:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("block_bytes", [cluster._SILHOUETTE_BLOCK_BYTES, 8 * 7 * 150])
+    @pytest.mark.parametrize("block_bytes", [32 * MIB, 8 * 7 * 150])
     def test_matches_loop(self, rng, monkeypatch, k, block_bytes):
-        # the small block size splits the 150 rows into blocks of 7
+        # 32 MiB holds all 150 rows in one block; 8 * 7 * 150 bytes splits
+        # them into blocks of 7
         monkeypatch.setattr(cluster, "_SILHOUETTE_BLOCK_BYTES", block_bytes)
         centers = rng.standard_normal((k, 3)) * 4.0 + 20.0
         labels = rng.integers(-3, k - 3, size=150)
@@ -103,9 +187,18 @@ class TestSilhouette:
         with pytest.raises(InvalidInputError):
             silhouette_score(rng.standard_normal((3, 2)), np.arange(3))
 
+    def test_default_blocks_match_loop(self, rng):
+        m = 600
+        assert cluster._SILHOUETTE_BLOCK_BYTES // (8 * m) < m  # several blocks
+        labels = rng.integers(0, 3, size=m)
+        points = labels[:, None] * 1.5 + rng.standard_normal((m, 2))
+        assert silhouette_score(points, labels) == pytest.approx(
+            silhouette_loop(points, labels), abs=1e-12)
+
     def test_memory_bounded(self, rng):
+        # the full distance matrix would be 8 * 6000**2 bytes, 275 MiB; one
+        # block of distance rows is 1 MiB
         m = 6000
-        dense_bytes = 8 * m * m  # 288 MB for the full distance matrix
         points = rng.standard_normal((m, 2))
         labels = rng.integers(0, 3, size=m)
         tracemalloc.start()
@@ -114,7 +207,7 @@ class TestSilhouette:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * dense_bytes
+        assert peak < 4 * MIB
 
     def test_matches_sklearn(self, rng):
         sklearn_metrics = pytest.importorskip("sklearn.metrics")
