@@ -54,7 +54,8 @@ CHOLESKY_RCOND_MARGIN = 1e3
 # machine. Below this order the full numpy eigensolves cost less than that.
 # The same rule picks the library for the whole of a fit reduced to the data
 # span (methods._reduce_to_data_span): its QR, Gram blocks and lift run in
-# the library its solve runs in, so the fit never hands off between pools.
+# the library its solve runs in, so the fit never hands off between pools
+# (in scipy: compact-WY geqrt, syrk and gemqrt; in numpy: qr and matmul).
 TOP_D_MIN_DIM = 256
 
 # Count of pencil solves performed, for runtime instrumentation. Reset with
@@ -147,8 +148,12 @@ def check_symmetric(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate finiteness and symmetry; returns the matrix as float64.
 
     Symmetry tolerance is elementwise: ``|A_ij - A_ji| <= 1e-12 * max(1, |A_ij|)``.
+    An exactly symmetric matrix passes it, so that case skips the tolerance
+    arithmetic.
     """
     arr = _as_square_matrix(mat, name)
+    if np.array_equal(arr, arr.T):
+        return arr
     gap = np.abs(arr - arr.T)
     limit = SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))
     if not np.all(gap <= limit):

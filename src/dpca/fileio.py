@@ -3,7 +3,9 @@
 CSV tables are UTF-8, with or without a leading byte-order mark, and
 comma-separated with an optional single header row; a final integer column
 named ``label`` (by header name) is read as labels. The first non-empty line
-is the header unless every cell parses with ``float()``. The data rows go
+is the header when fewer than half of its cells parse with ``float()``;
+otherwise it is the first data row, and a bad cell there is an error like one
+in any other row. The data rows go
 through numpy's C parser in one call, so no step runs per cell in Python:
 cells may be quoted with ``"`` and padded with spaces, empty lines are
 skipped, CRLF endings are accepted, and there are no comment lines (``#`` is
@@ -86,7 +88,7 @@ def read_csv(path) -> DataMatrix:
             raise InvalidInputError(f"{path}: file contains no data")
         start, cells = first
         header = None
-        if not all(_parses_as_float(c) for c in cells):
+        if 2 * sum(_parses_as_float(c) for c in cells) < len(cells):
             header = [c.strip() for c in cells]
             first_data = _next_row(fh)
             if first_data is None:

@@ -18,7 +18,9 @@ directions and their associated eigenvalues:
 On wide data (far fewer samples than features) the three fits solve exactly
 the same problem at the order of the sample count instead of the feature
 count, and each such fit keeps its BLAS and LAPACK work in one library,
-numpy's or scipy's, picked by that order; see ``_reduce_to_data_span``.
+numpy's or scipy's, picked by that order; see ``_reduce_to_data_span``. In
+scipy the basis of the samples comes from LAPACK's compact-WY QR
+(``geqrt``/``gemqrt``) and is never formed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from . import eigencore
@@ -124,10 +125,16 @@ class AlphaSelection:
 
 
 class _Reflectors(NamedTuple):
-    """``Q`` of a QR factorization as LAPACK ``geqrf`` leaves it: Householder reflectors."""
+    """``Q`` of a QR factorization as LAPACK ``geqrt`` leaves it, in compact-WY form.
+
+    ``Q = I - V T V^T``: ``reflectors`` holds the Householder vectors ``V``
+    below its diagonal (the factored stack; the rest is ``R`` and unused
+    here), and ``t`` the upper-triangular block factors ``T``, one per
+    column block.
+    """
 
     reflectors: np.ndarray
-    tau: np.ndarray
+    t: np.ndarray
 
 
 # The orthonormal basis of a reduced fit: None (not reduced), Q, or its reflectors.
@@ -174,10 +181,11 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     handing work from one to the other leaves the idle pool's threads
     spinning while the other works. From that order up the reduced solve
     runs in scipy (a pencil's whitening fallback excepted), and so do the QR
-    (``geqrf``; ``Q`` is kept as Householder reflectors and never formed),
-    the Gram blocks (``syrk``) and the lift (``ormqr``, see :func:`_lift`).
-    Below it the solve runs in numpy, and so do the QR (``Q`` formed) and
-    the products.
+    (``geqrt``, LAPACK's recursive compact-WY QR, in place on the stack;
+    ``Q`` is kept as its reflectors and never formed), the Gram blocks
+    (``syrk``, mirrored and given their ridge in place) and the lift
+    (``gemqrt``, see :func:`_lift`). Below it the solve runs in numpy, and
+    so do the QR (``Q`` formed) and the products.
 
     Returns ``(basis, reduced matrices)`` when every covariance carries its
     data and ``K <= D / 2``, else ``(None, full matrices)``; ``basis`` is ``Q``
@@ -194,9 +202,9 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     stacked = np.concatenate([c.data for c in covs] + [np.zeros((d, dim))]).T
     in_scipy = total >= eigencore.TOP_D_MIN_DIM
     if in_scipy:
-        (reflectors, tau), upper = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True,
-                                                   check_finite=False)
-        basis = _Reflectors(reflectors, tau)
+        factored, t, _ = lapack.dgeqrt(min(64, total), stacked, overwrite_a=1)
+        basis = _Reflectors(factored, t)
+        upper = np.tril(factored[:total].T).T  # R, Fortran-ordered like the stack
     else:
         basis, upper = np.linalg.qr(stacked)
     reduced, start = [], 0
@@ -204,13 +212,15 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
         part = upper[:, start:start + c.sample_count]
         start += c.sample_count
         if in_scipy:
-            block = blas.dsyrk(1.0 / c.sample_count, part)  # upper triangle only
-            block = np.triu(block) + np.triu(block, 1).T
+            block = blas.dsyrk(1.0 / c.sample_count, part)  # upper triangle; lower left at 0
+            block += np.triu(block, 1).T
+            if c.ridge_applied > 0:
+                block[np.diag_indices(total)] += c.ridge_applied
         else:
             block = (part @ part.T) / c.sample_count
             block = 0.5 * (block + block.T)
-        if c.ridge_applied > 0:
-            block += c.ridge_applied * np.eye(total)
+            if c.ridge_applied > 0:
+                block += c.ridge_applied * np.eye(total)
         reduced.append(block)
     return basis, reduced
 
@@ -218,8 +228,8 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
 def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
     """Map eigenvectors of a reduced problem back to feature space, ``u = Q y``.
 
-    ``Q`` is applied as a matrix or, from its reflectors, by LAPACK ``ormqr``;
-    unreduced fits pass through unchanged.
+    ``Q`` is applied as a matrix or, from its compact-WY reflectors, by LAPACK
+    ``gemqrt``; unreduced fits pass through unchanged.
     """
     if basis is None:
         return vectors
@@ -228,9 +238,7 @@ def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
     # Q y is the full D x D orthogonal factor applied to y padded with zeros
     padded = np.zeros((basis.reflectors.shape[0], vectors.shape[1]), order="F")
     padded[:vectors.shape[0]] = vectors
-    _, work, _ = lapack.dormqr("L", "N", basis.reflectors, basis.tau, padded, -1)  # size query
-    lifted, _, _ = lapack.dormqr("L", "N", basis.reflectors, basis.tau, padded, int(work[0]),
-                                 overwrite_c=True)
+    lifted, _ = lapack.dgemqrt(basis.reflectors, basis.t, padded, "L", "N", overwrite_c=1)
     return eigencore.apply_sign_convention(lifted)
 
 
@@ -413,22 +421,44 @@ def transform(model: ComponentModel, raw: DataMatrix) -> EmbeddingResult:
     return EmbeddingResult(coordinates=coords, model=model, labels=raw.labels)
 
 
+def _times(cov: CovarianceEstimate, vectors: np.ndarray) -> np.ndarray:
+    """``C u`` for each column ``u``; from the data, ``X^T (X u) / m + r u``."""
+    if cov.data is None:
+        return cov.matrix @ vectors
+    x = cov.data
+    out = x.T @ (x @ vectors) / cov.sample_count
+    if cov.ridge_applied > 0:
+        out += cov.ridge_applied * vectors
+    return out
+
+
+def _frobenius_norm(cov: CovarianceEstimate) -> float:
+    """``||C||_F``; from the data, through the smaller Gram matrix of ``X``.
+
+    ``||X^T X / m + r I||_F^2 = ||X^T X||_F^2 / m^2 + 2 r tr(X^T X) / m + r^2 D``,
+    with ``||X^T X||_F = ||X X^T||_F`` and ``tr(X^T X) = ||X||_F^2``.
+    """
+    if cov.data is None:
+        return float(np.linalg.norm(cov.matrix))
+    x, m, r = cov.data, cov.sample_count, cov.ridge_applied
+    gram = x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x
+    squared = (np.linalg.norm(gram) / m) ** 2 + 2.0 * r * np.linalg.norm(x) ** 2 / m \
+        + r * r * x.shape[1]
+    return float(np.sqrt(squared))
+
+
 def pencil_residual(model: ComponentModel, cxx: CovarianceEstimate,
                     cyy: CovarianceEstimate) -> float:
     """Worst relative pencil residual of a dPCA model's components.
 
     Returns ``max_i ||C_target u_i - lam_i C_background u_i|| / (||C_target||_F
     + lam_i ||C_background||_F)``; small values certify the components solve
-    the pencil they claim to.
+    the pencil they claim to. Covariances that carry their data are applied
+    and measured from it, so no ``D x D`` matrix is formed.
     """
     if model.method != "dpca":
         raise InvalidInputError(f"pencil residual is defined for dpca models, got {model.method!r}")
-    norm_a = float(np.linalg.norm(cxx.matrix))
-    norm_b = float(np.linalg.norm(cyy.matrix))
-    worst = 0.0
-    for i in range(model.n_components):
-        u = model.components[:, i]
-        lam = float(model.eigenvalues[i])
-        resid = float(np.linalg.norm(cxx.matrix @ u - lam * (cyy.matrix @ u)))
-        worst = max(worst, resid / (norm_a + lam * norm_b))
-    return worst
+    lams = model.eigenvalues
+    resid = np.linalg.norm(_times(cxx, model.components) - _times(cyy, model.components) * lams,
+                           axis=0)
+    return float(np.max(resid / (_frobenius_norm(cxx) + lams * _frobenius_norm(cyy))))

@@ -95,6 +95,46 @@ class TestSymEigendecompose:
             ec.sym_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+class TestCheckSymmetric:
+    """Accept/reject decisions of ``check_symmetric``, exact symmetry or not."""
+
+    @staticmethod
+    def nudged(rng, scale, factor):
+        # one off-diagonal entry moved by factor times its tolerance
+        a = random_spd(rng, 6) * scale
+        a[1, 4] += factor * ec.SYMMETRY_RTOL * max(1.0, abs(a[1, 4]))
+        return a
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_exactly_symmetric_accepted(self, rng, scale):
+        a = random_spd(rng, 6) * scale
+        a = 0.5 * (a + a.T)
+        assert np.array_equal(ec.check_symmetric(a), a)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_asymmetry_within_tolerance_accepted(self, rng, scale):
+        a = self.nudged(rng, scale, 0.5)
+        assert not np.array_equal(a, a.T)
+        assert np.array_equal(ec.check_symmetric(a), a)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_asymmetry_beyond_tolerance_rejected(self, rng, scale):
+        with pytest.raises(SymmetryError, match="not symmetric within tolerance"):
+            ec.check_symmetric(self.nudged(rng, scale, 4.0))
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, where, value):
+        a = np.eye(3)
+        a[where] = a[where[::-1]] = value  # placed symmetrically: only finiteness fails
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ec.check_symmetric(a, "A")
+
+    def test_signed_zero_mirror_accepted(self):
+        a = np.array([[1.0, -0.0], [0.0, 2.0]])
+        assert np.array_equal(ec.check_symmetric(a), a)
+
+
 class TestWhiteningFactor:
     def test_identity(self):
         out = ec.whitening_factor(np.eye(4))

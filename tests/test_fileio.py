@@ -158,6 +158,23 @@ class TestCsvDialect:
         with pytest.raises(InvalidInputError, match=r"in\.csv: row 2: column 1 holds '#'"):
             read_text(tmp_path, "f1,f2\n1,2\n#,4\n")
 
+    @pytest.mark.parametrize("first,column,cell", [("1,x", 2, "x"), ("1.5,2,x", 3, "x"),
+                                                   ("x,1", 1, "x")])
+    def test_mostly_numeric_first_row_is_data(self, tmp_path, first, column, cell):
+        # at least half of the cells are numbers: a typo, not a header
+        width = first.count(",") + 1
+        rest = "\n".join(",".join(["3"] * width) for _ in range(2))
+        with pytest.raises(InvalidInputError,
+                           match=rf"in\.csv: row 1: column {column} holds '{cell}', not a number"):
+            read_text(tmp_path, f"{first}\n{rest}\n")
+
+    @pytest.mark.parametrize("header", ["f1,f2,label", "f1,2,label", "a", " f1 , f2 , f3 , label "])
+    def test_mostly_text_first_row_is_header(self, tmp_path, header):
+        width = header.count(",") + 1
+        back = read_text(tmp_path, header + "\n" + ",".join(["1"] * width) + "\n")
+        assert back.m == 1
+        assert (back.labels is not None) == header.strip().endswith("label")
+
     def test_underscore_digits_rejected(self, tmp_path):
         # float() accepts "1_0"; the CSV dialect does not
         with pytest.raises(InvalidInputError, match=r"row 1: column 1 holds '1_0'"):

@@ -519,12 +519,12 @@ class TestWideDataReduction:
         # library the solve at that order runs in
         cxx, cyy = self.wide_pair(rng, 600, 100, n, (1.0, 1.0))
         calls = []
-        for module, name in ((np.linalg, "numpy"), (scipy.linalg, "scipy")):
-            def spy(*args, real=module.qr, name=name, **kwargs):
+        for module, attr, name in ((np.linalg, "qr", "numpy"), (methods.lapack, "dgeqrt", "scipy")):
+            def spy(*args, real=getattr(module, attr), name=name, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(module, "qr", spy)
+            monkeypatch.setattr(module, attr, spy)
         dpc = methods.dpca_fit(cxx, cyy, 3)
         monkeypatch.undo()
         assert calls == [library]
@@ -545,6 +545,40 @@ class TestWideDataReduction:
         methods.cpca_fit(cxx, cyy, 1.0, 3)
         methods.dpca_fit(cxx, cyy, 3)
         methods.cpca_select_alphas(cxx, cyy, np.geomspace(0.001, 1000, 5), 3, 2)
+
+    @pytest.mark.parametrize("ridge", [1.0, 1e-3])
+    def test_nearly_collinear_samples_on_reflector_route(self, rng, monkeypatch, ridge):
+        # every row twice, the copy moved by 1e-8: R of the QR is nearly
+        # rank-deficient, and K = 130 + 150 + 3 = 283 takes the reflector route
+        dim, d = 700, 3
+
+        def doubled(rows, scale):
+            x = rng.standard_normal((rows, dim)) * scale
+            return np.vstack([x, x + 1e-8 * rng.standard_normal((rows, dim))])
+
+        target = doubled(65, np.linspace(3.0, 0.5, dim))
+        background = doubled(75, rng.uniform(0.5, 2.0, dim))
+        cxx = sample_covariance(center(DataMatrix(target)), ridge=ridge)
+        cyy = sample_covariance(center(DataMatrix(background)), ridge=ridge)
+        orders = self.solve_orders(monkeypatch)
+        pc = methods.pca_fit(cxx, d)
+        cpc = methods.cpca_fit(cxx, cyy, 10.0, d)
+        dpc = methods.dpca_fit(cxx, cyy, d)
+        monkeypatch.undo()
+        assert sorted({order for _, order in orders}) == [130 + d, 280 + d]
+
+        a, b = cxx.matrix, cyy.matrix
+        rtol = max(1e-12, 100 * np.finfo(float).eps * np.linalg.cond(b))
+        for model, dense in ((pc, ec.sym_eigendecompose(a, d)),
+                             (cpc, ec.sym_eigendecompose(a - 10.0 * b, d))):
+            scale = np.max(np.abs(dense.eigenvalues))
+            np.testing.assert_allclose(model.eigenvalues, dense.eigenvalues, rtol=rtol,
+                                       atol=rtol * scale)
+            assert methods.subspace_affinity(model.components, dense.eigenvectors) >= 1 - 1e-10
+        ref = ec.generalized_eig(a, b, d)
+        np.testing.assert_allclose(dpc.eigenvalues, ref.eigenvalues, rtol=rtol)
+        spans = [np.linalg.qr(vecs)[0] for vecs in (dpc.components, ref.eigenvectors)]
+        assert methods.subspace_affinity(*spans) >= 1 - 1e-10
 
     def test_cut_over_at_half_the_features(self, rng, monkeypatch):
         # in 300 features, dPCA's 100 + 60 + 3 > 150 keeps the dense route;
@@ -620,6 +654,29 @@ class TestPencilResidual:
         a = random_spd(rng, 5)
         model = methods.dpca_fit(cov(a), cov(a), 2)
         assert methods.pencil_residual(model, cov(a), cov(a)) <= 1e-12
+
+    @pytest.mark.parametrize("dim,m,n,ridges", [(300, 40, 60, (1e-3, 1.0)), (300, 40, 60, (0.0, 0.5)),
+                                                (30, 80, 120, (0.0, 0.0)), (30, 80, 120, (2.0, 1.0))])
+    def test_data_backed_equals_dense_formula(self, rng, dim, m, n, ridges):
+        cxx, cyy = TestWideDataReduction.wide_pair(rng, dim, m, n, ridges)
+        # random unit columns: residuals of order one, far from rounding
+        comps = rng.standard_normal((dim, 3))
+        model = methods.ComponentModel(method="dpca", components=comps / np.linalg.norm(comps, axis=0),
+                                       eigenvalues=[2.0, 1.0, 0.5], target_mean=np.zeros(dim))
+        residual = methods.pencil_residual(model, cxx, cyy)
+        assert cxx._matrix is None and cyy._matrix is None
+        a, b = cxx.matrix, cyy.matrix
+        dense = max(np.linalg.norm(a @ u - lam * (b @ u)) / (np.linalg.norm(a) + lam * np.linalg.norm(b))
+                    for u, lam in zip(model.components.T, model.eigenvalues))
+        assert residual == pytest.approx(dense, rel=1e-12)
+        assert methods.pencil_residual(model, cov(a), cov(b)) == pytest.approx(dense, rel=1e-12)
+
+    def test_wide_fit_never_forms_the_covariances(self, rng):
+        # K = 110 + 150 + 3 = 263: the reflector route
+        cxx, cyy = TestWideDataReduction.wide_pair(rng, 2000, 110, 150, (1.0, 1.0))
+        model = methods.dpca_fit(cxx, cyy, 3)
+        assert methods.pencil_residual(model, cxx, cyy) <= 1e-12
+        assert cxx._matrix is None and cyy._matrix is None
 
     def test_wrong_method_tag(self, rng):
         a = random_spd(rng, 4)
