@@ -19,7 +19,7 @@ import numpy as np
 from . import eigencore, fileio, methods, svgplot, synthgen
 from .cluster import cluster_label_accuracy, silhouette_score
 from .datamodel import CovarianceEstimate, DataMatrix, center, concat_rows, sample_covariance
-from .errors import DpcaError, InvalidInputError, NumericalError
+from .errors import DimensionError, DpcaError, InvalidInputError, NumericalError
 
 DEFAULT_GRID = "0.001:1000:15log"
 
@@ -57,7 +57,7 @@ def _utc_now() -> str:
 
 
 def _apply_scale(data: DataMatrix, scale: np.ndarray) -> DataMatrix:
-    return DataMatrix(data.values / scale, labels=data.labels)
+    return DataMatrix._adopt(data.values / scale, data.labels)
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,9 @@ def cmd_transform(args) -> int:
     stored = fileio.load_model(args.model)
     data = fileio.read_csv(args.data)
     if stored.feature_scale is not None:
+        if data.n_features != stored.model.n_features:  # before the scale can broadcast
+            raise DimensionError(f"data has {data.n_features} features, "
+                                 f"model expects {stored.model.n_features}")
         data = _apply_scale(data, stored.feature_scale)
     emb = methods.transform(stored.model, data)
     fileio.write_embedding_csv(fileio.ensure_parent(args.out), emb.coordinates, emb.labels)

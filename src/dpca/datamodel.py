@@ -16,28 +16,51 @@ class DataMatrix:
 
     ``labels`` is an optional length-``m`` integer tag vector used only for
     evaluation and plotting; it never influences a fit.
+
+    ``DataMatrix(values, labels)`` copies both arrays, so the caller's arrays
+    stay theirs and stay writeable. Arrays that the package has just built
+    itself (a parsed CSV, generated or centered data) are adopted instead:
+    :meth:`_adopt` takes ownership without a copy. Either way the stored
+    arrays are read-only.
     """
 
     values: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
+        self._own(np.array(self.values, dtype=np.float64, copy=True),
+                  None if self.labels is None else np.array(self.labels, dtype=np.int64, copy=True))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, labels: np.ndarray | None = None, *,
+               finite_checked: bool = False) -> DataMatrix:
+        """A DataMatrix that owns float64 ``values`` and int64 ``labels`` without copying.
+
+        Only for arrays that nothing else writes to: they are made read-only
+        in place. ``finite_checked`` skips the finiteness scan when the caller
+        has just made it (with a better message) or built the values from
+        finite data by copying.
+        """
+        matrix = object.__new__(cls)
+        matrix._own(values, labels, finite_checked=finite_checked)
+        return matrix
+
+    def _own(self, vals: np.ndarray, labs: np.ndarray | None, *,
+             finite_checked: bool = False) -> None:
+        """Validate the arrays, freeze them, and store them on this instance."""
         if vals.ndim != 2:
             raise DimensionError(f"data must be 2-D (samples x features), got ndim={vals.ndim}")
         if vals.shape[0] < 1 or vals.shape[1] < 1:
             raise DimensionError(f"data must be at least 1x1, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not finite_checked and not np.all(np.isfinite(vals)):
             raise InvalidInputError("data contains non-finite values")
+        if labs is not None and labs.shape != (vals.shape[0],):
+            raise DimensionError(f"labels must have length {vals.shape[0]}, got shape {labs.shape}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if self.labels is not None:
-            labs = np.array(self.labels, dtype=np.int64, copy=True)
-            if labs.shape != (vals.shape[0],):
-                raise DimensionError(
-                    f"labels must have length {vals.shape[0]}, got shape {labs.shape}")
+        if labs is not None:
             labs.flags.writeable = False
-            object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "labels", labs)
 
     @property
     def m(self) -> int:
@@ -101,11 +124,12 @@ def center(raw: DataMatrix) -> CenteredDataset:
     """Remove the column-wise mean from a dataset.
 
     Labels pass through unchanged. Idempotent on the data part: centering an
-    already centered dataset leaves it unchanged up to rounding.
+    already centered dataset leaves it unchanged up to rounding. The one
+    subtraction makes the only new array, which the result adopts; it is
+    still checked for finiteness, because ``x - mean`` can overflow.
     """
     mean = raw.values.mean(axis=0)
-    shifted = raw.values - mean
-    return CenteredDataset(data=DataMatrix(shifted, labels=raw.labels), mean=mean)
+    return CenteredDataset(data=DataMatrix._adopt(raw.values - mean, raw.labels), mean=mean)
 
 
 def sample_covariance(centered: CenteredDataset, ridge: float = 0.0) -> CovarianceEstimate:
@@ -136,4 +160,5 @@ def concat_rows(parts: Sequence[DataMatrix]) -> DataMatrix:
         if p.n_features != width:
             raise DimensionError(
                 f"dataset {i} has {p.n_features} features, expected {width}")
-    return DataMatrix(np.vstack([p.values for p in parts]))
+    # the parts are finite DataMatrix values, so their stack is too
+    return DataMatrix._adopt(np.vstack([p.values for p in parts]), finite_checked=True)

@@ -79,7 +79,12 @@ def _parse_error(path, exc: ValueError) -> InvalidInputError:
 
 
 def read_csv(path) -> DataMatrix:
-    """Read a data table; returns values and, when present, labels."""
+    """Read a data table; returns values and, when present, labels.
+
+    The returned DataMatrix adopts the parsed table, so an unlabelled file
+    is held once. A labelled one gets one C-contiguous copy of its value
+    columns, the layout every later product expects.
+    """
     # utf-8-sig drops a leading byte-order mark, which would otherwise make
     # the first cell non-numeric and turn a data row into a header
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -112,23 +117,36 @@ def read_csv(path) -> DataMatrix:
             raise InvalidInputError(f"{path}: row {bad[0] + 1}: label "
                                     f"{float(column[bad[0]])!r} is not a 64-bit integer")
         labels = column.astype(np.int64)
-        table = table[:, :-1]
+        table = np.ascontiguousarray(table[:, :-1])
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise InvalidInputError(f"{path}: row {bad[0] + 1} contains a non-finite value")
-    return DataMatrix(table, labels=labels)
+    return DataMatrix._adopt(table, labels, finite_checked=True)
 
 
 def _write_table(path, values: np.ndarray, labels, header: list[str]) -> None:
-    rows = values.tolist()
+    """Write a header line, then one ``%.17g`` row per sample (``%d`` label last).
+
+    Rows are formatted a block of about 64k cells at a time, so the Python
+    floats behind the text never outgrow a small fixed buffer; the bytes are
+    the same as formatting the whole table at once.
+    """
     fmt = ",".join(["%.17g"] * values.shape[1])
     if labels is not None:
         fmt += ",%d"
-        rows = [row + [label] for row, label in zip(rows, np.asarray(labels).tolist())]
+        labels = np.asarray(labels)
     fmt += "\n"
+    block = max(1, 65536 // (values.shape[1] + (labels is not None)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % tuple(row) for row in rows)
+        # each block's rows are freed by the time the next block's are built
+        for lo in range(0, values.shape[0], block):
+            hi = lo + block
+            if labels is None:
+                fh.writelines(fmt % tuple(row) for row in values[lo:hi].tolist())
+            else:
+                fh.writelines(fmt % (*row, label) for row, label
+                              in zip(values[lo:hi].tolist(), labels[lo:hi].tolist()))
 
 
 def write_data_csv(path, data: DataMatrix) -> None:
@@ -211,16 +229,17 @@ def load_model(path) -> ModelFile:
             ridge_background=reg.get("ridge_background"),
             floor_rel=reg.get("floor_rel"),
         )
+        scale = doc.get("feature_scale")
+        if scale is not None:
+            scale = np.asarray(scale, dtype=np.float64)
+            if scale.shape != (model.n_features,):
+                raise InvalidInputError(f"{path}: malformed model file: feature_scale has "
+                                        f"shape {scale.shape}, expected ({model.n_features},)")
     except KeyError as exc:
         raise InvalidInputError(f"{path}: model file is missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise InvalidInputError(f"{path}: malformed model file: {exc}") from exc
-    scale = doc.get("feature_scale")
-    return ModelFile(
-        model=model,
-        feature_scale=None if scale is None else np.asarray(scale, dtype=np.float64),
-        provenance=doc.get("provenance") or {},
-    )
+    return ModelFile(model=model, feature_scale=scale, provenance=doc.get("provenance") or {})
 
 
 def ensure_parent(path) -> Path:

@@ -137,15 +137,23 @@ def random_spec(n_features: int, n_shared: int, n_specific: int,
 
 
 def gen_background(spec: FactorModelSpec, n: int) -> DataMatrix:
-    """Draw ``n`` background samples: mean + shared subspace + noise."""
+    """Draw ``n`` background samples: mean + shared subspace + noise.
+
+    The terms are summed in place into the first product, in the order
+    ``mean + coeffs @ B.T + noise_std * noise``, so the samples equal that
+    expression bit for bit; the result is adopted, not copied.
+    """
     if n < 1:
         raise InvalidInputError(f"need n >= 1 samples, got {n}")
     rng = np.random.default_rng([spec.seed, _BACKGROUND_STREAM])
     coeffs = rng.standard_normal((n, spec.n_shared)) * spec.background_coeff_std
-    rows = spec.background_mean + coeffs @ np.asarray(spec.shared_basis).T
+    rows = coeffs @ np.asarray(spec.shared_basis).T
+    rows += spec.background_mean
     if spec.noise_std > 0:
-        rows = rows + spec.noise_std * rng.standard_normal((n, spec.n_features))
-    return DataMatrix(rows)
+        noise = rng.standard_normal((n, spec.n_features))
+        noise *= spec.noise_std
+        rows += noise
+    return DataMatrix._adopt(rows)
 
 
 def gen_target(spec: FactorModelSpec, m: int,
@@ -154,7 +162,9 @@ def gen_target(spec: FactorModelSpec, m: int,
 
     Rows are assigned to clusters round-robin, so counts are balanced within
     one. Each row is mean + shared coefficients + (cluster offset + jitter)
-    along the specific basis + noise; the label records the cluster.
+    along the specific basis + noise; the label records the cluster. As in
+    :func:`gen_background`, the terms are summed in place in the order of
+    that expression, so the samples equal it bit for bit.
     """
     offsets = np.asarray(cluster_offsets, dtype=np.float64)
     if offsets.ndim != 2 or offsets.shape[1] != spec.n_specific:
@@ -167,12 +177,14 @@ def gen_target(spec: FactorModelSpec, m: int,
     labels = np.arange(m, dtype=np.int64) % n_clusters
     shared = rng.standard_normal((m, spec.n_shared)) * spec.shared_coeff_std
     specific = offsets[labels] + rng.standard_normal((m, spec.n_specific)) * spec.specific_coeff_std
-    rows = (spec.target_mean
-            + shared @ np.asarray(spec.shared_basis).T
-            + specific @ np.asarray(spec.specific_basis).T)
+    rows = shared @ np.asarray(spec.shared_basis).T
+    rows += spec.target_mean
+    rows += specific @ np.asarray(spec.specific_basis).T
     if spec.noise_std > 0:
-        rows = rows + spec.noise_std * rng.standard_normal((m, spec.n_features))
-    return DataMatrix(rows, labels=labels)
+        noise = rng.standard_normal((m, spec.n_features))
+        noise *= spec.noise_std
+        rows += noise
+    return DataMatrix._adopt(rows, labels)
 
 
 def gen_pair(spec: FactorModelSpec, m: int, n: int,

@@ -310,3 +310,13 @@ class TestExitCodes:
         assert run("fit", "pca", target, "--out", model) == 0
         other = write_gaussian_csv(tmp_path / "wide.csv", rng, 5, [1.0, 1.0, 1.0])
         assert run("transform", model, other, "--out", tmp_path / "e.csv") == 3
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_transform_dimension_mismatch_zscored(self, tmp_path, rng, capsys, width):
+        # a narrower table would broadcast against the model's scale, a wider one not
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        model = tmp_path / "m.json"
+        assert run("fit", "pca", target, "--zscore", "--out", model) == 0
+        other = write_gaussian_csv(tmp_path / "other.csv", rng, 5, [1.0] * width)
+        assert run("transform", model, other, "--out", tmp_path / "e.csv") == 3
+        assert f"data has {width} features, model expects 2" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,43 @@ class TestDataMatrix:
     def test_rejects_1d(self):
         with pytest.raises(DimensionError):
             DataMatrix(np.ones(4))
+
+
+class TestOwnership:
+    def test_public_constructor_copies(self):
+        values, labels = np.ones((3, 2)), np.array([0, 1, 2])
+        dm = DataMatrix(values, labels=labels)
+        values[0, 0] = 7.0
+        labels[0] = 7
+        assert dm.values[0, 0] == 1.0 and dm.labels[0] == 0
+        assert values.flags.writeable and labels.flags.writeable
+        assert not dm.values.flags.writeable and not dm.labels.flags.writeable
+
+    def test_adopted_arrays_are_read_only(self):
+        values, labels = np.ones((3, 2)), np.array([0, 1, 2])
+        dm = DataMatrix._adopt(values, labels)
+        assert dm.values is values and dm.labels is labels
+        assert not values.flags.writeable and not labels.flags.writeable
+
+    def test_adopt_validates_like_the_constructor(self):
+        with pytest.raises(InvalidInputError):
+            DataMatrix._adopt(np.array([[1.0, np.inf]]))
+        with pytest.raises(DimensionError):
+            DataMatrix._adopt(np.ones(4))
+        with pytest.raises(DimensionError):
+            DataMatrix._adopt(np.ones((0, 2)))
+        with pytest.raises(DimensionError):
+            DataMatrix._adopt(np.ones((3, 2)), np.array([0, 1]))
+
+    def test_center_and_concat_share_no_memory_with_inputs(self, rng):
+        raw = DataMatrix(rng.standard_normal((10, 3)), labels=np.arange(10))
+        centered = center(raw).data.values
+        assert not np.shares_memory(centered, raw.values)
+        assert not centered.flags.writeable
+        for parts in ([raw], [raw, DataMatrix(rng.standard_normal((4, 3)))]):
+            stacked = concat_rows(parts).values
+            assert not any(np.shares_memory(stacked, p.values) for p in parts)
+            assert not stacked.flags.writeable
 
 
 class TestCenter:
@@ -51,6 +90,22 @@ class TestCenter:
     def test_labels_pass_through(self):
         out = center(DataMatrix([[1.0], [2.0]], labels=[0, 1]))
         np.testing.assert_array_equal(out.data.labels, [0, 1])
+
+    def test_overflow_rejected(self):
+        # finite values whose difference from the mean is not
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+            center(DataMatrix([[1.7e308], [-1.7e308], [-1.7e308]]))
+
+    def test_memory_is_one_copy(self, rng):
+        # the result plus the finiteness scan's boolean mask: 1.13x measured
+        raw = DataMatrix(rng.standard_normal((20000, 50)))
+        tracemalloc.start()
+        try:
+            center(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * raw.values.nbytes
 
 
 class TestSampleCovariance:

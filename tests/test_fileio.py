@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,71 @@ class TestCsvWriterBytes:
         assert fileio.read_csv(path).values.tobytes() == EDGE_VALUES.tobytes()
 
 
+def whole_table(path, values, labels, header):
+    """The writer as it was before row blocks: every row formatted in one pass."""
+    rows = values.tolist()
+    fmt = ",".join(["%.17g"] * values.shape[1])
+    if labels is not None:
+        fmt += ",%d"
+        rows = [row + [label] for row, label in zip(rows, np.asarray(labels).tolist())]
+    fmt += "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_many_blocks_match_whole_table(self, tmp_path, rng, labelled):
+        # 40 columns: blocks of 1638 rows (1598 with a label), 2 blocks and a part
+        values = rng.standard_normal((4500, 40)) * 10.0 ** rng.integers(-300, 300, (4500, 40))
+        values[::97, 3] = -0.0
+        values[5::89, 7] = 5e-324
+        values[11::83, 11] = 1e300
+        values[17::79, 19] = 0.1
+        labels = rng.integers(-2**40, 2**40, 4500) if labelled else None
+        header = [f"f{j + 1}" for j in range(40)] + (["label"] if labelled else [])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        fileio.write_data_csv(got, DataMatrix(values, labels=labels))
+        whole_table(want, values, labels, header)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_row_wider_than_a_block(self, tmp_path, rng):
+        values = rng.standard_normal((3, 70000))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        fileio.write_embedding_csv(got, values, labels=[4, -5, 6])
+        whole_table(want, values, [4, -5, 6],
+                    [f"component_{j + 1}" for j in range(70000)] + ["label"])
+        assert got.read_bytes() == want.read_bytes()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    """Peak traced memory around a 10000 x 50 table (3.8 MB of float64)."""
+
+    def test_write_holds_one_block(self, tmp_path, rng):
+        # one block of Python floats: 2.1 MiB measured, where formatting the
+        # whole table at once took 5.4x the data (20 MiB)
+        data = DataMatrix(rng.standard_normal((10000, 50)), labels=rng.integers(0, 3, 10000))
+        peak = traced_peak(lambda: fileio.write_data_csv(tmp_path / "d.csv", data))
+        assert peak < 3 * 2**20
+
+    def test_unlabelled_read_is_adopted(self, tmp_path, rng):
+        # the parsed table plus the finiteness scan's mask: 1.16x measured
+        data = DataMatrix(rng.standard_normal((10000, 50)))
+        fileio.write_data_csv(tmp_path / "d.csv", data)
+        peak = traced_peak(lambda: fileio.read_csv(tmp_path / "d.csv"))
+        assert peak < 1.25 * data.values.nbytes
+
+
 finite_tables = hnp.arrays(
     np.float64,
     hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -340,6 +407,13 @@ class TestModelRoundTrip:
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(InvalidInputError):
+            fileio.load_model(path)
+
+    @pytest.mark.parametrize("scale", [[1.0] * 4, [1.0] * 6, [[1.0] * 5]])
+    def test_feature_scale_of_wrong_shape_rejected(self, tmp_path, rng, scale):
+        path = tmp_path / "model.json"
+        fileio.save_model(path, make_models(rng)[0], feature_scale=scale)
+        with pytest.raises(InvalidInputError, match="malformed model file: feature_scale"):
             fileio.load_model(path)
 
     def test_not_json_rejected(self, tmp_path):

@@ -102,6 +102,52 @@ class TestGenTarget:
         assert rel <= 0.05
 
 
+def background_expression(spec, n):
+    """The background generator as one expression, on the same RNG stream."""
+    rng = np.random.default_rng([spec.seed, 0])
+    coeffs = rng.standard_normal((n, spec.n_shared)) * spec.background_coeff_std
+    rows = spec.background_mean + coeffs @ np.asarray(spec.shared_basis).T
+    if spec.noise_std > 0:
+        rows = rows + spec.noise_std * rng.standard_normal((n, spec.n_features))
+    return rows
+
+
+def target_expression(spec, m, offsets):
+    """The target generator as one expression, on the same RNG stream."""
+    offsets = np.asarray(offsets, dtype=np.float64)
+    rng = np.random.default_rng([spec.seed, 1])
+    labels = np.arange(m) % offsets.shape[0]
+    shared = rng.standard_normal((m, spec.n_shared)) * spec.shared_coeff_std
+    specific = offsets[labels] + rng.standard_normal((m, spec.n_specific)) * spec.specific_coeff_std
+    rows = (spec.target_mean
+            + shared @ np.asarray(spec.shared_basis).T
+            + specific @ np.asarray(spec.specific_basis).T)
+    if spec.noise_std > 0:
+        rows = rows + spec.noise_std * rng.standard_normal((m, spec.n_features))
+    return rows, labels
+
+
+class TestInPlaceSums:
+    @pytest.mark.parametrize("noise", [0.0, 0.7])
+    def test_bit_equal_to_the_expressions(self, noise):
+        rng = np.random.default_rng(5)
+        spec = synthgen.random_spec(30, 3, 2,
+                                    background_coeff_std=[9.0, 5.0, 0.3],
+                                    shared_coeff_std=[4.0, 2.0, 1e-3],
+                                    specific_coeff_std=[1.5, 0.25],
+                                    noise_std=noise, seed=17,
+                                    target_mean=rng.standard_normal(30) * 1e3,
+                                    background_mean=rng.standard_normal(30) * 1e-3)
+        offsets = synthgen.spread_offsets(3, 2, 6.0)
+        background = synthgen.gen_background(spec, 257)
+        target = synthgen.gen_target(spec, 301, offsets)
+        assert background.values.tobytes() == background_expression(spec, 257).tobytes()
+        rows, labels = target_expression(spec, 301, offsets)
+        assert target.values.tobytes() == rows.tobytes()
+        assert np.array_equal(target.labels, labels)
+        assert not background.values.flags.writeable and not target.values.flags.writeable
+
+
 class TestSubgroupConstruction:
     def test_pca_misses_dpca_finds(self):
         # shared variance dominates: PCA locks onto it, the ratio does not
