@@ -43,6 +43,8 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise UsageError(f"bad grid {spec!r}: {exc}") from exc
+    if not np.isfinite(lo) or not np.isfinite(hi):
+        raise UsageError(f"bad grid {spec!r}: lo and hi must be finite")
     if n < 1 or hi < lo:
         raise UsageError(f"bad grid {spec!r}: need hi >= lo and N >= 1")
     if log:
@@ -71,7 +73,15 @@ class _Prepared:
 
 
 def _prepare(args) -> _Prepared:
-    """Load the target and background CSVs, z-score, center, and form the covariances."""
+    """Load the target and background CSVs, z-score, center, and form the covariances.
+
+    NaN or infinite ``--ridge``, ``--floor`` or ``--alpha`` values are rejected
+    before any file is read.
+    """
+    for flag in ("ridge", "floor", "alpha"):
+        value = getattr(args, flag, None)  # compare has no --alpha
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"--{flag} must be a finite number, got {value}")
     datasets = [fileio.read_csv(args.target)]
     if args.background:
         parts = [fileio.read_csv(p) for p in args.background]
@@ -108,13 +118,10 @@ def _auto_alpha(prep: _Prepared, args) -> list[methods.ComponentModel]:
     The selection has already solved at each selected alpha; its pairs are
     the ones ``cpca_fit`` would return, so nothing is refitted.
     """
-    cxx, cyy = prep.covs
     selection = methods.cpca_select_alphas(
-        cxx, cyy, parse_grid(args.grid), args.components, args.select, seed=args.seed)
-    return [methods.ComponentModel("cpca", components, values, prep.means[0],
-                                   alpha=float(alpha), background_mean=prep.means[1],
-                                   ridge_target=cxx.ridge_applied,
-                                   ridge_background=cyy.ridge_applied)
+        *prep.covs, parse_grid(args.grid), args.components, args.select, seed=args.seed)
+    return [methods._model("cpca", prep.covs, components, values, *prep.means,
+                           alpha=float(alpha))
             for alpha, components, values in zip(selection.selected, selection.components,
                                                  selection.eigenvalues)]
 
@@ -131,6 +138,17 @@ def _provenance(args, scale) -> dict:
 
 def _eigs_str(vals: np.ndarray | list[float]) -> str:
     return " ".join(format(v, ".6g") for v in vals)
+
+
+def _alpha_keys(alphas: list[float]) -> list[str]:
+    """Labels for alphas: the fewest significant digits, 6 to 17, that tell them apart.
+
+    Equal alphas share a label; 17 digits tell any two different floats apart.
+    """
+    digits = 6
+    while len({format(a, f".{digits}g") for a in alphas}) < len(set(alphas)):
+        digits += 1
+    return [format(a, f".{digits}g") for a in alphas]
 
 
 def cmd_fit(args) -> int:
@@ -222,7 +240,8 @@ def cmd_compare(args) -> int:
         fileio.write_embedding_csv(path, emb.coordinates, emb.labels)
         rows[name] = {"eigenvalues": model.eigenvalues.tolist(), "embedding_csv": path,
                       **extra.get(name, {}), **_metrics(emb.coordinates, emb.labels, args.seed)}
-    per_alpha = {format(m.alpha, ".6g"): rows[n] for n, m in fitted.items() if m.method == "cpca"}
+    keys = _alpha_keys([m.alpha for m in cpca_models])
+    per_alpha = {key: rows[f"cpca_a{i}"] for i, key in enumerate(keys, start=1)}
     report = {
         "n_components": args.components,
         "methods": {

@@ -141,8 +141,8 @@ def sample_covariance(centered: CenteredDataset, ridge: float = 0.0) -> Covarian
     to the centered values and forms the ``D x D`` matrix only when its
     ``matrix`` is first read (see :class:`CovarianceEstimate`).
     """
-    if ridge < 0:
-        raise InvalidInputError(f"ridge must be nonnegative, got {ridge}")
+    if not 0 <= ridge < np.inf:
+        raise InvalidInputError(f"ridge must be finite and nonnegative, got {ridge}")
     x = centered.data.values
     return CovarianceEstimate(sample_count=x.shape[0], ridge_applied=float(ridge), data=x)
 

@@ -21,17 +21,23 @@ is built on four operations:
 * :func:`power_topd` computes leading eigenpairs by deflated power iteration,
   the cheap route for when a dense solve is overkill.
 
+Fits on wide data solve at a smaller order in an orthonormal basis ``Q`` of
+their samples: ``_reduce_to_span`` factors the samples and forms the reduced
+matrices, and ``_lift`` maps the reduced eigenvectors back as ``u = Q y``.
+This module is the only one that chooses between numpy's and scipy's BLAS
+and LAPACK; the choice, by matrix order, is ``TOP_D_MIN_DIM``'s.
+
 All functions are pure; returned arrays are never aliased to the inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import (
     DimensionError,
@@ -47,15 +53,15 @@ DEFAULT_FLOOR_REL = 1e-10
 # LAPACK condition estimate can undershoot ||B^{-1}||_1; the margin covers
 # that, so the floor can never apply on the Cholesky route.
 CHOLESKY_RCOND_MARGIN = 1e3
-# Smallest matrix order that takes the top-d LAPACK routes (scipy). The usual
-# numpy and scipy wheels each bundle their own OpenBLAS, and the first
-# threaded scipy call after numpy BLAS work (such as forming a covariance) can
-# wait for numpy's idle pool to stop spinning: up to 0.1 s on a 2-core
-# machine. Below this order the full numpy eigensolves cost less than that.
-# The same rule picks the library for the whole of a fit reduced to the data
-# span (methods._reduce_to_data_span): its QR, Gram blocks and lift run in
-# the library its solve runs in, so the fit never hands off between pools
-# (in scipy: compact-WY geqrt, syrk and gemqrt; in numpy: qr and matmul).
+# Smallest matrix order whose linear algebra runs in scipy: the top-d LAPACK
+# routes of the solvers, and the QR, Gram blocks and lift of a span
+# reduction; below it all of them run in numpy. The usual numpy and scipy
+# wheels each bundle their own OpenBLAS, and the first threaded scipy call
+# after numpy BLAS work (such as forming a covariance) can wait for numpy's
+# idle pool to stop spinning: up to 0.1 s on a 2-core machine. Below this
+# order the full numpy eigensolves cost less than that wait. A reduced fit
+# solves at the order it reduced to, so its reduction, solve and lift run in
+# one library and never hand work from one pool to the other.
 TOP_D_MIN_DIM = 256
 
 # Count of pencil solves performed, for runtime instrumentation. Reset with
@@ -239,8 +245,8 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
     RankZeroError
         If the largest eigenvalue is not positive (zero matrix).
     """
-    if floor_rel < 0:
-        raise InvalidInputError(f"floor_rel must be nonnegative, got {floor_rel}")
+    if not 0 <= floor_rel < np.inf:
+        raise InvalidInputError(f"floor_rel must be finite and nonnegative, got {floor_rel}")
     eig = sym_eigendecompose(cov)
     s_max = float(eig.eigenvalues[0])
     if s_max <= 0.0:
@@ -298,8 +304,8 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     dim = a.shape[0]
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} pencil")
-    if floor_rel < 0:
-        raise InvalidInputError(f"floor_rel must be nonnegative, got {floor_rel}")
+    if not 0 <= floor_rel < np.inf:
+        raise InvalidInputError(f"floor_rel must be finite and nonnegative, got {floor_rel}")
 
     upper = _comfortable_cholesky(b, floor_rel) if dim >= TOP_D_MIN_DIM else None
     if upper is not None:
@@ -353,6 +359,86 @@ def _comfortable_cholesky(b: np.ndarray, floor_rel: float) -> np.ndarray | None:
         return None
     rcond, info = lapack.dpocon(upper, np.linalg.norm(b, 1))
     return upper if info == 0 and rcond > CHOLESKY_RCOND_MARGIN * floor_rel else None
+
+
+class _Reflectors(NamedTuple):
+    """``Q`` of a QR factorization as LAPACK ``geqrt`` leaves it, in compact-WY form.
+
+    ``Q = I - V T V^T``: ``reflectors`` holds the Householder vectors ``V``
+    below its diagonal (the factored stack; the rest is ``R`` and unused
+    here), and ``t`` the upper-triangular block factors ``T``, one per
+    column block.
+    """
+
+    reflectors: np.ndarray
+    t: np.ndarray
+
+
+# The orthonormal basis of a reduced fit: None (not reduced), Q, or its reflectors.
+_Basis = Union[None, np.ndarray, _Reflectors]
+
+
+def _reduce_to_span(parts: Sequence[tuple[np.ndarray, int, float]],
+                    d: int) -> tuple[_Basis, list[np.ndarray]]:
+    """An orthonormal basis ``Q`` of the samples, and each covariance reduced to it.
+
+    ``parts`` holds one ``(X_i, m_i, r_i)`` per covariance
+    ``X_i^T X_i / m_i + r_i I``; the result is ``Q`` and each
+    ``Q^T (X_i^T X_i / m_i + r_i I) Q``. ``Q`` (``D x K``, ``K`` the total
+    row count plus ``d``) is the Householder QR basis of
+    ``[X_1^T, ..., X_p^T, 0]``: its first columns span every row of every
+    ``X_i`` and its last ``d`` are orthonormal to them. With
+    ``R = Q^T [X_1^T, ...]`` each reduced matrix is
+    ``R_i R_i^T / m_i + r_i I``. From ``K = TOP_D_MIN_DIM`` up the QR is
+    LAPACK's recursive compact-WY ``geqrt``, in place on the stack, and ``Q``
+    is kept as its reflectors and never formed; the Gram blocks come from
+    ``syrk``, mirrored and given their ridge in place. Below it numpy forms
+    ``Q`` and the products.
+    """
+    # stacking rows and transposing gives the Fortran-ordered D x K layout LAPACK works in
+    stacked = np.concatenate([x for x, _, _ in parts] + [np.zeros((d, parts[0][0].shape[1]))]).T
+    order = stacked.shape[1]
+    in_scipy = order >= TOP_D_MIN_DIM
+    if in_scipy:
+        factored, t, _ = lapack.dgeqrt(min(64, order), stacked, overwrite_a=1)
+        basis = _Reflectors(factored, t)
+        upper = np.tril(factored[:order].T).T  # R, Fortran-ordered like the stack
+    else:
+        basis, upper = np.linalg.qr(stacked)
+    blocks, start = [], 0
+    for x, count, ridge in parts:
+        part = upper[:, start:start + x.shape[0]]
+        start += x.shape[0]
+        if in_scipy:
+            block = blas.dsyrk(1.0 / count, part)  # upper triangle; lower left at 0
+            block += np.triu(block, 1).T
+            if ridge > 0:
+                block[np.diag_indices(order)] += ridge
+        else:
+            block = (part @ part.T) / count
+            block = 0.5 * (block + block.T)
+            if ridge > 0:
+                block += ridge * np.eye(order)
+        blocks.append(block)
+    return basis, blocks
+
+
+def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
+    """Map eigenvectors of a reduced problem back to feature space, ``u = Q y``.
+
+    ``Q`` is applied as a matrix or, from its compact-WY reflectors, by LAPACK
+    ``gemqrt``; the columns then follow the sign convention. Unreduced fits
+    (``basis`` None) pass through unchanged.
+    """
+    if basis is None:
+        return vectors
+    if isinstance(basis, np.ndarray):
+        return apply_sign_convention(basis @ vectors)
+    # Q y is the full D x D orthogonal factor applied to y padded with zeros
+    padded = np.zeros((basis.reflectors.shape[0], vectors.shape[1]), order="F")
+    padded[:vectors.shape[0]] = vectors
+    lifted, _ = lapack.dgemqrt(basis.reflectors, basis.t, padded, "L", "N", overwrite_c=1)
+    return apply_sign_convention(lifted)
 
 
 LinearOperator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]

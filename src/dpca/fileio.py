@@ -8,8 +8,9 @@ otherwise it is the first data row, and a bad cell there is an error like one
 in any other row. The data rows go
 through numpy's C parser in one call, so no step runs per cell in Python:
 cells may be quoted with ``"`` and padded with spaces, empty lines are
-skipped, CRLF endings are accepted, and there are no comment lines (``#`` is
-a non-numeric cell). Every error names the file and the 1-based data row.
+skipped, CRLF and CR endings are read as LF (universal newlines), and there
+are no comment lines (``#`` is a non-numeric cell). Every error names the file
+and the 1-based data row.
 Numbers are written with ``%.17g`` (17 significant digits) so values survive
 a round trip exactly.
 
@@ -87,7 +88,7 @@ def read_csv(path) -> DataMatrix:
     """
     # utf-8-sig drops a leading byte-order mark, which would otherwise make
     # the first cell non-numeric and turn a data row into a header
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         first = _next_row(fh)
         if first is None:
             raise InvalidInputError(f"{path}: file contains no data")
@@ -206,11 +207,22 @@ def save_model(path, model: ComponentModel, feature_scale=None, provenance=None)
 
 
 def load_model(path) -> ModelFile:
+    """Read a model file written by :func:`save_model`.
+
+    Anything that is not such a file is an :class:`InvalidInputError` naming
+    ``path``: text that is not JSON, a document that is not an object, a
+    missing field, and values the model would reject (non-finite components,
+    eigenvalues or means, for one) or a ``feature_scale`` that is not a
+    finite positive vector of length ``n_features``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: not a valid model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(
+            f"{path}: malformed model file: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise InvalidInputError(
@@ -233,11 +245,13 @@ def load_model(path) -> ModelFile:
         if scale is not None:
             scale = np.asarray(scale, dtype=np.float64)
             if scale.shape != (model.n_features,):
-                raise InvalidInputError(f"{path}: malformed model file: feature_scale has "
-                                        f"shape {scale.shape}, expected ({model.n_features},)")
+                raise InvalidInputError(f"feature_scale has shape {scale.shape}, "
+                                        f"expected ({model.n_features},)")
+            if not np.all((scale > 0) & (scale < np.inf)):  # nan fails both
+                raise InvalidInputError("feature_scale must be finite and positive")
     except KeyError as exc:
         raise InvalidInputError(f"{path}: model file is missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, InvalidInputError) as exc:
         raise InvalidInputError(f"{path}: malformed model file: {exc}") from exc
     return ModelFile(model=model, feature_scale=scale, provenance=doc.get("provenance") or {})
 

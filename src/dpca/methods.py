@@ -17,20 +17,18 @@ directions and their associated eigenvalues:
 
 On wide data (far fewer samples than features) the three fits solve exactly
 the same problem at the order of the sample count instead of the feature
-count, and each such fit keeps its BLAS and LAPACK work in one library,
-numpy's or scipy's, picked by that order; see ``_reduce_to_data_span``. In
-scipy the basis of the samples comes from LAPACK's compact-WY QR
-(``geqrt``/``gemqrt``) and is never formed.
+count; see ``_reduce_to_data_span``. Every fit takes one path: validate and
+reduce (``_reduce``), solve, lift back to feature space
+(``eigencore._lift``) and build the model (``_model``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from . import eigencore
 from .cluster import spectral_cluster
@@ -72,6 +70,12 @@ class ComponentModel:
             raise InvalidInputError(f"unknown method {self.method!r}")
         comps = _frozen_array(self.components)
         vals = _frozen_array(self.eigenvalues)
+        mean = _frozen_array(self.target_mean)
+        background = None if self.background_mean is None else _frozen_array(self.background_mean)
+        for name, arr in (("components", comps), ("eigenvalues", vals), ("target_mean", mean),
+                          ("background_mean", background)):
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise InvalidInputError(f"{name} must be finite")
         if comps.ndim != 2 or vals.ndim != 1 or comps.shape[1] != vals.shape[0]:
             raise DimensionError("components must be (D, d) with one eigenvalue per column")
         norms = np.linalg.norm(comps, axis=0)
@@ -81,14 +85,12 @@ class ComponentModel:
             raise InvalidInputError("eigenvalues must be sorted descending")
         if (self.alpha is not None) != (self.method == "cpca"):
             raise InvalidInputError("alpha must be present exactly for cpca models")
-        mean = _frozen_array(self.target_mean)
         if mean.shape != (comps.shape[0],):
             raise DimensionError(f"target_mean must have length {comps.shape[0]}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "target_mean", mean)
-        if self.background_mean is not None:
-            object.__setattr__(self, "background_mean", _frozen_array(self.background_mean))
+        object.__setattr__(self, "background_mean", background)
 
     @property
     def n_features(self) -> int:
@@ -124,39 +126,8 @@ class AlphaSelection:
     eigenvalues: tuple[np.ndarray, ...]
 
 
-class _Reflectors(NamedTuple):
-    """``Q`` of a QR factorization as LAPACK ``geqrt`` leaves it, in compact-WY form.
-
-    ``Q = I - V T V^T``: ``reflectors`` holds the Householder vectors ``V``
-    below its diagonal (the factored stack; the rest is ``R`` and unused
-    here), and ``t`` the upper-triangular block factors ``T``, one per
-    column block.
-    """
-
-    reflectors: np.ndarray
-    t: np.ndarray
-
-
-# The orthonormal basis of a reduced fit: None (not reduced), Q, or its reflectors.
-_Basis = Union[None, np.ndarray, _Reflectors]
-
-
-def _zero_mean(mean, dim: int) -> np.ndarray:
-    if mean is None:
-        return np.zeros(dim)
-    arr = np.asarray(mean, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise DimensionError(f"mean must have length {dim}, got shape {arr.shape}")
-    return arr
-
-
-def _check_d(d: int, dim: int) -> None:
-    if not 1 <= d <= dim:
-        raise DimensionError(f"requested {d} components from {dim} features")
-
-
 def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
-                         d: int) -> tuple[_Basis, list[np.ndarray]]:
+                         d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
     """The fit's covariances, restricted to a basis of their data's span when that pays.
 
     A covariance built from centered data ``X`` (``m`` rows) is
@@ -172,74 +143,51 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     that value into the reduced problem, so its top ``d`` pairs ``y``, lifted
     as ``u = Q y``, are top-``d`` pairs of the full problem even when the
     complement value ranks among them, and the reduced background block
-    needs the eigenvalue floor exactly when the full one does. With
-    ``R = Q^T [X_1^T, ...]``, the reduced covariances are ``R_i R_i^T / m_i + r_i I``.
-
-    The whole reduced fit runs in one BLAS/LAPACK, numpy's or scipy's, chosen
-    by ``K`` with the rule that chooses the solvers
-    (``eigencore.TOP_D_MIN_DIM``): each library has its own thread pool, and
-    handing work from one to the other leaves the idle pool's threads
-    spinning while the other works. From that order up the reduced solve
-    runs in scipy (a pencil's whitening fallback excepted), and so do the QR
-    (``geqrt``, LAPACK's recursive compact-WY QR, in place on the stack;
-    ``Q`` is kept as its reflectors and never formed), the Gram blocks
-    (``syrk``, mirrored and given their ridge in place) and the lift
-    (``gemqrt``, see :func:`_lift`). Below it the solve runs in numpy, and
-    so do the QR (``Q`` formed) and the products.
+    needs the eigenvalue floor exactly when the full one does.
+    ``eigencore._reduce_to_span`` forms ``Q`` and the reduced matrices.
 
     Returns ``(basis, reduced matrices)`` when every covariance carries its
-    data and ``K <= D / 2``, else ``(None, full matrices)``; ``basis`` is ``Q``
-    or its reflectors. Measured from D=16 to 2000 on 2 cores, up to that
-    cut-over the reduction beats forming the covariances and solving at order
-    ``D`` for cPCA and dPCA, and PCA, the cheapest dense fit, breaks even near
-    it; beyond it the QR costs more than it saves for PCA.
+    data and ``K <= D / 2``, else ``(None, full matrices)``. Measured from
+    D=16 to 2000 on 2 cores, up to that cut-over the reduction beats forming
+    the covariances and solving at order ``D`` for cPCA and dPCA, and PCA,
+    the cheapest dense fit, breaks even near it; beyond it the QR costs more
+    than it saves for PCA.
     """
-    dim = covs[0].dim
     total = sum(c.sample_count for c in covs) + d
-    if 2 * total > dim or any(c.data is None for c in covs):
+    if 2 * total > covs[0].dim or any(c.data is None for c in covs):
         return None, [c.matrix for c in covs]
-    # stacking rows and transposing gives the Fortran-ordered D x K layout LAPACK works in
-    stacked = np.concatenate([c.data for c in covs] + [np.zeros((d, dim))]).T
-    in_scipy = total >= eigencore.TOP_D_MIN_DIM
-    if in_scipy:
-        factored, t, _ = lapack.dgeqrt(min(64, total), stacked, overwrite_a=1)
-        basis = _Reflectors(factored, t)
-        upper = np.tril(factored[:total].T).T  # R, Fortran-ordered like the stack
-    else:
-        basis, upper = np.linalg.qr(stacked)
-    reduced, start = [], 0
-    for c in covs:
-        part = upper[:, start:start + c.sample_count]
-        start += c.sample_count
-        if in_scipy:
-            block = blas.dsyrk(1.0 / c.sample_count, part)  # upper triangle; lower left at 0
-            block += np.triu(block, 1).T
-            if c.ridge_applied > 0:
-                block[np.diag_indices(total)] += c.ridge_applied
-        else:
-            block = (part @ part.T) / c.sample_count
-            block = 0.5 * (block + block.T)
-            if c.ridge_applied > 0:
-                block += c.ridge_applied * np.eye(total)
-        reduced.append(block)
-    return basis, reduced
+    return eigencore._reduce_to_span([(c.data, c.sample_count, c.ridge_applied) for c in covs], d)
 
 
-def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
-    """Map eigenvectors of a reduced problem back to feature space, ``u = Q y``.
+def _reduce(covs: Sequence[CovarianceEstimate],
+            d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
+    """Validate a fit's covariances and ``d``, then reduce them (``_reduce_to_data_span``)."""
+    dim = covs[0].dim
+    if covs[-1].dim != dim:  # the background's, when there is one
+        raise DimensionError(f"covariance dims disagree: {dim} vs {covs[-1].dim}")
+    if not 1 <= d <= dim:
+        raise DimensionError(f"requested {d} components from {dim} features")
+    return _reduce_to_data_span(covs, d)
 
-    ``Q`` is applied as a matrix or, from its compact-WY reflectors, by LAPACK
-    ``gemqrt``; unreduced fits pass through unchanged.
+
+def _model(method: str, covs: Sequence[CovarianceEstimate], components: np.ndarray,
+           eigenvalues: np.ndarray, target_mean: np.ndarray | None,
+           background_mean: np.ndarray | None = None, **fields) -> ComponentModel:
+    """The model of a fit: its pairs, its means, and the ridges of its covariances.
+
+    ``covs`` lists the target's covariance first; a missing ``target_mean``
+    is zero.
     """
-    if basis is None:
-        return vectors
-    if isinstance(basis, np.ndarray):
-        return eigencore.apply_sign_convention(basis @ vectors)
-    # Q y is the full D x D orthogonal factor applied to y padded with zeros
-    padded = np.zeros((basis.reflectors.shape[0], vectors.shape[1]), order="F")
-    padded[:vectors.shape[0]] = vectors
-    lifted, _ = lapack.dgemqrt(basis.reflectors, basis.t, padded, "L", "N", overwrite_c=1)
-    return eigencore.apply_sign_convention(lifted)
+    return ComponentModel(
+        method=method,
+        components=components,
+        eigenvalues=eigenvalues,
+        target_mean=np.zeros(covs[0].dim) if target_mean is None else target_mean,
+        background_mean=background_mean,
+        ridge_target=covs[0].ridge_applied,
+        ridge_background=covs[1].ridge_applied if len(covs) > 1 else None,
+        **fields,
+    )
 
 
 def pca_fit(cxx: CovarianceEstimate, d: int,
@@ -249,34 +197,25 @@ def pca_fit(cxx: CovarianceEstimate, d: int,
     On wide data the eigenproblem is solved in the span of the target samples
     (see the module docstring); the result is the same.
     """
-    _check_d(d, cxx.dim)
-    basis, (a,) = _reduce_to_data_span([cxx], d)
+    basis, (a,) = _reduce([cxx], d)
     eig = eigencore.sym_eigendecompose(a, d)
-    return ComponentModel(
-        method="pca",
-        components=_lift(basis, eig.eigenvectors),
-        eigenvalues=eig.eigenvalues,
-        target_mean=_zero_mean(target_mean, cxx.dim),
-        ridge_target=cxx.ridge_applied,
-    )
+    return _model("pca", [cxx], eigencore._lift(basis, eig.eigenvectors), eig.eigenvalues,
+                  target_mean)
 
 
 def _cpca_reduce(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alphas: np.ndarray,
-                 d: int) -> tuple[_Basis, list[np.ndarray]]:
+                 d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
     """Validate a cPCA request and reduce its covariances, once for all ``alphas``."""
-    lowest = float(np.min(alphas))
-    if lowest < 0:
-        raise InvalidInputError(f"alpha must be nonnegative, got {lowest}")
-    if cxx.dim != cyy.dim:
-        raise DimensionError(f"covariance dims disagree: {cxx.dim} vs {cyy.dim}")
-    _check_d(d, cxx.dim)
-    return _reduce_to_data_span([cxx, cyy], d)
+    bad = alphas[~(np.isfinite(alphas) & (alphas >= 0))]
+    if bad.size:
+        raise InvalidInputError(f"alpha must be finite and nonnegative, got {bad[0]}")
+    return _reduce([cxx, cyy], d)
 
 
-def _cpca_top(basis: _Basis, a: np.ndarray, b: np.ndarray, alpha: float,
+def _cpca_top(basis: eigencore._Basis, a: np.ndarray, b: np.ndarray, alpha: float,
               d: int) -> tuple[np.ndarray, np.ndarray]:
     eig = eigencore.sym_eigendecompose(a - alpha * b, d)
-    return _lift(basis, eig.eigenvectors), eig.eigenvalues
+    return eigencore._lift(basis, eig.eigenvectors), eig.eigenvalues
 
 
 def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: int,
@@ -290,18 +229,9 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
     is solved in the span of the target and background samples (see the
     module docstring); the result is the same.
     """
-    basis, (a, b) = _cpca_reduce(cxx, cyy, np.array([alpha]), d)
-    components, values = _cpca_top(basis, a, b, alpha, d)
-    return ComponentModel(
-        method="cpca",
-        components=components,
-        eigenvalues=values,
-        target_mean=_zero_mean(target_mean, cxx.dim),
-        alpha=float(alpha),
-        background_mean=None if background_mean is None else np.asarray(background_mean, dtype=np.float64),
-        ridge_target=cxx.ridge_applied,
-        ridge_background=cyy.ridge_applied,
-    )
+    basis, (a, b) = _cpca_reduce(cxx, cyy, np.array([alpha], dtype=np.float64), d)
+    return _model("cpca", [cxx, cyy], *_cpca_top(basis, a, b, alpha, d), target_mean,
+                  background_mean, alpha=float(alpha))
 
 
 def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
@@ -325,10 +255,7 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
     was applied to the background covariance, because the floor then
     determines the result; a ridge on the background covariance avoids it.
     """
-    if cxx.dim != cyy.dim:
-        raise DimensionError(f"covariance dims disagree: {cxx.dim} vs {cyy.dim}")
-    _check_d(d, cxx.dim)
-    basis, (a, b) = _reduce_to_data_span([cxx, cyy], d)
+    basis, (a, b) = _reduce([cxx, cyy], d)
     pairs = eigencore.generalized_eig(a, b, d, floor_rel)
     if pairs.floor_applied:
         warnings.warn(
@@ -337,21 +264,13 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
             "they were floored, so the floor, not the data, determines the dPCA result. "
             "Add a ridge to the background covariance (ridge= in sample_covariance, "
             "--ridge on the command line).", FloorAppliedWarning, stacklevel=2)
-    comps = _lift(basis, pairs.eigenvectors)
+    comps = eigencore._lift(basis, pairs.eigenvectors)
     if orthonormalize and d > 1:
         q, r = np.linalg.qr(comps)
         q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]  # keep column orientation
         comps = eigencore.apply_sign_convention(q)
-    return ComponentModel(
-        method="dpca",
-        components=comps,
-        eigenvalues=pairs.eigenvalues,
-        target_mean=_zero_mean(target_mean, cxx.dim),
-        background_mean=None if background_mean is None else np.asarray(background_mean, dtype=np.float64),
-        ridge_target=cxx.ridge_applied,
-        ridge_background=cyy.ridge_applied,
-        floor_rel=float(floor_rel),
-    )
+    return _model("dpca", [cxx, cyy], comps, pairs.eigenvalues, target_mean, background_mean,
+                  floor_rel=float(floor_rel))
 
 
 def subspace_affinity(u: np.ndarray, v: np.ndarray) -> float:

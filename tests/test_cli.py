@@ -182,6 +182,32 @@ class TestCompare:
         assert "(ratio vs dpca: -)" in capsys.readouterr().out
 
 
+class TestAlphaKeys:
+    def test_fewest_digits_that_tell_alphas_apart(self):
+        default = list(parse_grid(cli.DEFAULT_GRID))
+        assert cli._alpha_keys(default) == [format(a, ".6g") for a in default]
+        assert cli._alpha_keys([1.0, 1.0000002, 1.0000008]) == ["1", "1.0000002", "1.0000008"]
+        assert cli._alpha_keys([2.5, 2.5]) == ["2.5", "2.5"]
+        assert cli._alpha_keys([0.1, np.nextafter(0.1, 1.0)]) == ["0.10000000000000001",
+                                                                   "0.10000000000000002"]
+
+    def test_compare_reports_every_selected_alpha(self, tmp_path, capsys):
+        prefix = tmp_path / "exp"
+        run("synth", "--features", 20, "-m", 150, "-n", 200, "--seed", 4, "--out", prefix)
+        capsys.readouterr()
+        assert run("compare", f"{prefix}_target.csv", f"{prefix}_background.csv",
+                   "--grid", "1:1.000001:6", "--select", 3, "--out", tmp_path / "cmp") == 0
+        printed = capsys.readouterr().out
+        auto = json.loads((tmp_path / "cmp_report.json").read_text())["methods"]["cpca_auto"]
+        # three different alphas that agree to 6 significant digits
+        assert len(set(auto["selected_alphas"])) == 3
+        assert list(auto["per_alpha"]) == cli._alpha_keys(auto["selected_alphas"])
+        assert len(auto["per_alpha"]) == 3
+        for i, key in enumerate(auto["per_alpha"], start=1):
+            assert auto["per_alpha"][key]["embedding_csv"] == f"{tmp_path / 'cmp'}_cpca_a{i}.csv"
+            assert f"cpca a={key} " in printed
+
+
 class TestCompareMatchesFit:
     @pytest.mark.parametrize("flags", [(), ("--ridge", "0.5", "--seed", "3"), ("--zscore",)])
     def test_embeddings_equal_fit_then_transform(self, tmp_path, flags):
@@ -310,6 +336,49 @@ class TestExitCodes:
         assert run("fit", "pca", target, "--out", model) == 0
         other = write_gaussian_csv(tmp_path / "wide.csv", rng, 5, [1.0, 1.0, 1.0])
         assert run("transform", model, other, "--out", tmp_path / "e.csv") == 3
+
+    @pytest.mark.parametrize("command,flags,named", [
+        (("fit", "dpca"), ("--ridge", "nan"), "--ridge"),
+        (("fit", "dpca"), ("--floor", "nan"), "--floor"),
+        (("fit", "cpca"), ("--alpha", "nan"), "--alpha"),
+        (("fit", "cpca"), ("--alpha", "inf"), "--alpha"),
+        (("fit", "cpca"), ("--auto-alpha", "--grid", "nan:1:3"), "nan:1:3"),
+        (("fit", "cpca"), ("--auto-alpha", "--grid", "1:inf:3"), "1:inf:3"),
+        (("compare",), ("--ridge", "inf"), "--ridge"),
+    ], ids=["ridge-nan", "floor-nan", "alpha-nan", "alpha-inf", "grid-lo-nan", "grid-hi-inf",
+            "compare-ridge-inf"])
+    def test_usage_non_finite_parameter(self, tmp_path, rng, capsys, command, flags, named):
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 20, [1.0, 1.0])
+        background = write_gaussian_csv(tmp_path / "b.csv", rng, 20, [1.0, 1.0])
+        assert run(*command, target, background, *flags, "--out", tmp_path / "m.json") == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("m*"))
+
+    @pytest.mark.parametrize("doc", [[1, 2], None])
+    def test_data_model_file_not_an_object(self, tmp_path, rng, capsys, doc):
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
+        assert f"{model}: malformed model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("components", float("nan")), ("eigenvalues", float("inf")),
+        ("target_mean", float("-inf")), ("feature_scale", float("nan")),
+        ("feature_scale", float("inf")), ("feature_scale", 0.0), ("feature_scale", -1.0)])
+    def test_data_model_file_values(self, tmp_path, rng, capsys, field, value):
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        model = tmp_path / "m.json"
+        assert run("fit", "pca", target, "--zscore", "--out", model) == 0
+        doc = json.loads(model.read_text())
+        row = doc[field][0] if field == "components" else doc[field]
+        row[0] = value
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
+        err = capsys.readouterr().err
+        assert f"{model}: malformed model file: {field}" in err
+        assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_transform_dimension_mismatch_zscored(self, tmp_path, rng, capsys, width):

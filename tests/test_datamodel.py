@@ -127,6 +127,12 @@ class TestSampleCovariance:
         np.testing.assert_allclose(ridged.matrix, plain.matrix + 0.5 * np.eye(5), atol=1e-14)
         assert ridged.ridge_applied == 0.5
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        # a NaN ridge would fail every "> 0" test and be skipped silently
+        with pytest.raises(InvalidInputError, match="ridge must be finite"):
+            sample_covariance(center(DataMatrix([[1.0, 2.0], [3.0, 5.0]])), ridge=ridge)
+
     def test_single_sample_degenerate(self):
         c = sample_covariance(center(DataMatrix([[4.0, 5.0]])), ridge=0.25)
         np.testing.assert_allclose(c.matrix, 0.25 * np.eye(2))

@@ -519,7 +519,7 @@ class TestWideDataReduction:
         # library the solve at that order runs in
         cxx, cyy = self.wide_pair(rng, 600, 100, n, (1.0, 1.0))
         calls = []
-        for module, attr, name in ((np.linalg, "qr", "numpy"), (methods.lapack, "dgeqrt", "scipy")):
+        for module, attr, name in ((np.linalg, "qr", "numpy"), (ec.lapack, "dgeqrt", "scipy")):
             def spy(*args, real=getattr(module, attr), name=name, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
@@ -685,7 +685,40 @@ class TestPencilResidual:
             methods.pencil_residual(model, cov(a), cov(a))
 
 
+class TestNonFiniteParameters:
+    """NaN and infinite alphas and floors are rejected by name, before any solve."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cpca_alpha(self, rng, bad):
+        a, b = cov(random_spd(rng, 4)), cov(random_spd(rng, 4))
+        with pytest.raises(InvalidInputError, match="alpha must be finite"):
+            methods.cpca_fit(a, b, bad, 2)
+        with pytest.raises(InvalidInputError, match="alpha must be finite"):
+            methods.cpca_select_alphas(a, b, [0.1, bad, 10.0], 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_floor_rel(self, rng, bad):
+        a, b = random_spd(rng, 4), random_spd(rng, 4)
+        with pytest.raises(InvalidInputError, match="floor_rel must be finite"):
+            methods.dpca_fit(cov(a), cov(b), 2, floor_rel=bad)
+        with pytest.raises(InvalidInputError, match="floor_rel must be finite"):
+            ec.generalized_eig(a, b, 2, floor_rel=bad)
+        with pytest.raises(InvalidInputError, match="floor_rel must be finite"):
+            ec.whitening_factor(b, floor_rel=bad)
+
+
 class TestComponentModelInvariants:
+    @pytest.mark.parametrize("field", ["components", "eigenvalues", "target_mean",
+                                       "background_mean"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        fields = {"components": np.eye(2), "eigenvalues": np.array([2.0, 1.0]),
+                  "target_mean": np.zeros(2), "background_mean": np.zeros(2)}
+        fields[field] = fields[field].copy()
+        fields[field].flat[0] = bad
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            methods.ComponentModel(method="dpca", **fields)
+
     def test_alpha_only_for_cpca(self):
         with pytest.raises(InvalidInputError):
             methods.ComponentModel(method="pca", components=np.eye(2),
