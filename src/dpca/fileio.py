@@ -11,8 +11,11 @@ cells may be quoted with ``"`` and padded with spaces, empty lines are
 skipped, CRLF and CR endings are read as LF (universal newlines), and there
 are no comment lines (``#`` is a non-numeric cell). Every error names the file
 and the 1-based data row.
-Numbers are written with ``%.17g`` (17 significant digits) so values survive
-a round trip exactly.
+Numbers are written as ``'%.17g' % v`` (17 significant digits, so values
+survive a round trip exactly) and labels as ``'%d'``. Those bytes are formed
+by a numpy kernel, a block of cells at a time, with exact integer digits;
+numbers outside ``10**-6 <= |v| < 10**17`` are formatted by ``%`` itself
+(see :func:`_write_table`).
 
 Model files are JSON; Python's float repr in JSON is already
 shortest-round-trip, so numeric fields reload bit-exact.
@@ -21,10 +24,12 @@ shortest-round-trip, so numeric fields reload bit-exact.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -125,29 +130,202 @@ def read_csv(path) -> DataMatrix:
     return DataMatrix._adopt(table, labels, finite_checked=True)
 
 
+_BLOCK_CELLS = 8192  # cells formatted at once; TestCsvMemory bounds the peak this sets
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's constant for splitting a double in halves
+
+
+@functools.cache
+def _cell_tables() -> SimpleNamespace:
+    """Lookup tables of the ``%.17g`` kernel, built on first use.
+
+    A cell's layout depends on its pattern: the decimal exponent ``X`` in
+    -6..16, the index ``last`` (0..16) of its last nonzero digit, its sign and
+    whether it ends the row. The body tables are indexed by
+    ``(X + 6) * 17 + last``, the affix tables by four times that plus
+    ``2 * negative + row_end``. A text of up to 24 bytes is held as three
+    little-endian 64-bit words, byte ``j`` in bits ``8 * (j % 8)`` of word
+    ``j // 8``, so a table entry is three words, one table row per word.
+    """
+    group = np.arange(10000)
+    digits = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    digit4 = digits.view("<u4").ravel().astype(np.uint64)  # "0000".."9999"
+    zeros4 = sum(group % 10**k == 0 for k in range(1, 5)).astype(np.intp)  # trailing zeros
+
+    # Body: the digits up to ``last``, but at least the integer digits, with
+    # the point after ``point`` digits when a fraction remains. It is cut out
+    # of the digits at bytes 0..16 (``from_digits``) and of the same digits
+    # one byte on (``from_moved``); the point itself sits in the affixes.
+    # Affixes: the sign and "0.000" before the body, which shift it by
+    # ``shift`` bytes, and "e-0X" plus the delimiter after it.
+    last = np.arange(17)
+    byte = np.arange(24)
+    from_digits = np.zeros((23, 17, 24), np.uint8)
+    from_moved = np.zeros((23, 17, 24), np.uint8)
+    affix = np.zeros((23, 17, 2, 2, 24), np.uint8)
+    shift = np.zeros((23, 17, 2, 2), np.uint64)
+    for row, exp10 in enumerate(range(-6, 17)):
+        if -4 <= exp10 < 0:  # fixed notation: "0.", -X - 1 zeros and the digits
+            lead, point, body = b"0." + b"0" * (-1 - exp10), 17, last + 1
+        else:  # X + 1 integer digits in fixed notation, one in exponent notation
+            lead, point = b"", max(exp10, 0) + 1
+            body = np.where(last >= point, last + 2, point)
+        exponent = b"e-0%d" % -exp10 if exp10 < -4 else b""
+        end = body[:, None]
+        from_digits[row] = (byte < np.minimum(point, end)) * 0xFF
+        from_moved[row] = ((byte > point) & (byte < end)) * 0xFF
+        for negative, sign in enumerate((b"", b"-")):
+            prefix = np.frombuffer(sign + lead, np.uint8)
+            for row_end, delimiter in enumerate((b",", b"\n")):
+                suffix = np.frombuffer(exponent + delimiter, np.uint8)
+                cells = affix[row, :, negative, row_end]
+                cells[:, :prefix.size] = prefix
+                cells[last[:, None], prefix.size + end + np.arange(suffix.size)] = suffix
+                cells[body > point, prefix.size + point] = ord(".")
+                shift[row, :, negative, row_end] = 8 * prefix.size
+
+    def words(table):
+        return np.moveaxis(table.view("<u8"), -1, 0).reshape(3, -1).astype(np.uint64)
+
+    pow10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+    big = pow10 * _SPLIT
+    pow10_hi = big - (big - pow10)
+    return SimpleNamespace(
+        digit4=digit4, digit4_hi=digit4 << np.uint64(32), zeros4=zeros4,
+        from_digits=words(from_digits), from_moved=words(from_moved), affix=words(affix),
+        shift=shift.ravel(), pow10=pow10, pow10_hi=pow10_hi, pow10_lo=pow10 - pow10_hi)
+
+
+def _scaled(a, s, tables):
+    """``(p, e)`` with ``p + e == a * 10**s`` exactly (Dekker's TwoProduct).
+
+    ``10**s`` and its halves come from the tables, so only ``a`` is split.
+    """
+    big = a * _SPLIT
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    t_hi, t_lo = tables.pow10_hi[s], tables.pow10_lo[s]
+    p = a * tables.pow10[s]
+    e = ((a_hi * t_hi - p) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+    return p, e
+
+
+def _format_cells(x, row_end, words) -> np.ndarray:
+    """Write ``'%.17g' % v`` plus its delimiter into ``words`` for each ``v`` of ``x``.
+
+    ``x`` is flat; ``row_end`` is 1 where a cell ends its row (a newline
+    follows) and 0 elsewhere (a comma follows); ``words[..., :3]`` receives
+    each text as three NUL-padded little-endian words. Returns the flat
+    indices of the cells outside the kernel's window ``10**-6 <= |v| <
+    10**17`` other than zeros (nan and inf among them); what the kernel wrote
+    there is not their text.
+    """
+    t = _cell_tables()
+    a = np.abs(x)
+    # 10**-6 <= |v| < 10**17; the double nearest 1e-6 lies just below 10**-6
+    inside = (a > 1e-6) & (a < 1e17)
+    np.copyto(a, 1.0, where=~inside)  # a placeholder, overwritten at the end
+    # 17 significant digits: N = round(|v| * 10**s) with 10**16 <= N < 10**17,
+    # where s in 0..22 keeps 10**s an exact double
+    s = (16 - np.floor(np.log10(a))).astype(np.intp)
+    np.clip(s, 0, 22, out=s)
+    p, e = _scaled(a, s, t)
+    # log10 can miss by one next to a power of ten; p + e is on the same side
+    # of 1e16 (1e17) as p unless p is that bound, as |e| is at most 1 (8) there
+    below = (p < 1e16) | ((p == 1e16) & (e < 0))
+    above = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    fix = np.flatnonzero(below | above)
+    if fix.size:
+        s[fix] += below[fix]
+        s[fix] -= above[fix]
+        p[fix], e[fix] = _scaled(a[fix], s[fix], t)
+    # p is an even integer, so rint's ties-to-even on e rounds p + e half-even.
+    # N stays below 10**17: the double in the window closest under a power of
+    # ten, the one nearest 1e-6, is 4.5e-17 under it, ten times too far to round up.
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    n *= inside  # zeros and fallback cells print as "0"
+    pattern = 22 - s  # X + 6
+    # N is one digit and four groups of four: lo spells groups 1-2, hi 3-4
+    q = n // 10**4
+    g = n - q * 10**4
+    last = 16 - t.zeros4[g]  # index of the last nonzero digit
+    more = np.flatnonzero(g == 0)
+    if more.size:
+        last[more] -= sum(q[more] % 10**k == 0 for k in range(1, 13))
+    hi = t.digit4_hi[g]
+    n = q // 10**4
+    hi |= t.digit4[q - n * 10**4]
+    q = n // 10**4
+    lo = t.digit4_hi[n - q * 10**4]
+    n = q // 10**4
+    lo |= t.digit4[q - n * 10**4]
+    first = n.astype(np.uint64) + np.uint64(ord("0"))
+    b8, b56 = np.uint64(8), np.uint64(56)
+    digits = (first | (lo << b8), (lo >> b56) | (hi << b8), hi >> b56)
+    moved = (digits[0] << b8, (digits[1] << b8) | (digits[0] >> b56),
+             (digits[2] << b8) | (digits[1] >> b56))
+    pattern *= 17
+    pattern += last
+    body = [(d & fd[pattern]) | (m & fm[pattern])
+            for d, m, fd, fm in zip(digits, moved, t.from_digits, t.from_moved)]
+    pattern *= 4
+    pattern += 2 * np.signbit(x) + row_end
+    left = t.shift[pattern]
+    right = np.uint64(64) - left  # a shift by 64 gives 0
+    shape = words.shape[:-1]
+    words[..., 0] = (t.affix[0][pattern] | (body[0] << left)).reshape(shape)
+    words[..., 1] = (t.affix[1][pattern] | (body[1] << left) | (body[0] >> right)).reshape(shape)
+    words[..., 2] = (t.affix[2][pattern] | (body[2] << left) | (body[1] >> right)).reshape(shape)
+    return np.flatnonzero(~inside & (x != 0))
+
+
+def _format_block(values: np.ndarray, labels: np.ndarray | None) -> np.ndarray:
+    """The rows of ``values`` (``labels`` last) as CSV text, in a uint8 array."""
+    rows, cols = values.shape
+    width = cols + (labels is not None)
+    x = np.empty((rows, width))
+    x[:, :cols] = values
+    if labels is not None:
+        # '%.17g' of an integer up to 2**53 is its '%d'; larger ones fall back
+        x[:, cols] = np.where((labels >= -2**53) & (labels <= 2**53), labels, np.nan)
+    row_end = np.zeros((rows, width), np.intp)
+    row_end[:, -1] = 1
+    words = np.zeros((rows, width, 4), np.uint64)  # a fallback text takes up to 25 bytes
+    fallback = _format_cells(x.ravel(), row_end.ravel(), words[..., :3])
+    if fallback.size:
+        texts = []
+        for cell in fallback.tolist():
+            row, col = divmod(cell, width)
+            text = "%d" % labels[row] if col == cols else "%.17g" % values[row, col]
+            texts.append(text.encode("ascii") + (b"\n" if col == width - 1 else b","))
+        words.reshape(-1, 4)[fallback] = np.array(texts, "S32").view("<u8").reshape(-1, 4)
+    chars = words.astype("<u8", copy=False).view(np.uint8).ravel()
+    return chars[chars != 0]
+
+
 def _write_table(path, values: np.ndarray, labels, header: list[str]) -> None:
     """Write a header line, then one ``%.17g`` row per sample (``%d`` label last).
 
-    Rows are formatted a block of about 64k cells at a time, so the Python
-    floats behind the text never outgrow a small fixed buffer; the bytes are
-    the same as formatting the whole table at once.
+    The bytes are those of ``'%.17g' % v`` per value and ``'%d' % label``,
+    joined by commas and newlines, but numpy forms them a block of about
+    8k cells at a time (the bound of ``TestCsvMemory``):
+
+    - the 17 significant digits are ``N = round(|v| * 10**s)`` with
+      ``s = 16 - floor(log10 |v|)``; ``|v| * 10**s`` is formed exactly as
+      ``p + e`` by Dekker's TwoProduct, so N is rounded half-even as
+      CPython's ``dtoa`` does, and a 4-digit table spells it out;
+    - ``%g`` layout: fixed notation for decimal exponents -4..16, ``e-05``
+      and ``e-06`` below, trailing zeros and a bare point dropped; ``-0.0``
+      writes ``-0``;
+    - a value outside ``10**-6 <= |v| < 10**17`` (nan and inf too) and a
+      label beyond ``2**53`` are formatted per cell by ``%`` itself.
     """
-    fmt = ",".join(["%.17g"] * values.shape[1])
-    if labels is not None:
-        fmt += ",%d"
-        labels = np.asarray(labels)
-    fmt += "\n"
-    block = max(1, 65536 // (values.shape[1] + (labels is not None)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # each block's rows are freed by the time the next block's are built
+    labels = None if labels is None else np.asarray(labels, dtype=np.int64)
+    block = max(1, _BLOCK_CELLS // (values.shape[1] + (labels is not None)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for lo in range(0, values.shape[0], block):
-            hi = lo + block
-            if labels is None:
-                fh.writelines(fmt % tuple(row) for row in values[lo:hi].tolist())
-            else:
-                fh.writelines(fmt % (*row, label) for row, label
-                              in zip(values[lo:hi].tolist(), labels[lo:hi].tolist()))
+            fh.write(_format_block(values[lo:lo + block],
+                                   None if labels is None else labels[lo:lo + block]))
 
 
 def write_data_csv(path, data: DataMatrix) -> None:

@@ -20,6 +20,17 @@ def random_spd(rng, dim, eig_lo=0.1, eig_hi=10.0):
     return (q * eigs) @ q.T
 
 
+def reference_table(values, labels, header):
+    """The table as text, one ``format(v, '.17g')`` per cell."""
+    lines = [",".join(header)]
+    for i, row in enumerate(values):
+        cells = [format(float(v), ".17g") for v in row]
+        if labels is not None:
+            cells.append(str(int(labels[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import dpca
-from dpca import cli, fileio, methods
+from dpca import cli, fileio, methods, synthgen
 from dpca import eigencore as ec
 from dpca.cli import main, parse_grid
 from dpca.datamodel import DataMatrix
+
+from conftest import reference_table
 
 
 def run(*argv):
@@ -231,6 +233,36 @@ class TestCompareMatchesFit:
             emb = tmp_path / f"{name}.csv"
             assert run("transform", tmp_path / f"{name}.json", target, "--out", emb) == 0
             assert emb.read_bytes() == (tmp_path / f"cmp_{name}.csv").read_bytes(), name
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e16])
+    def test_synth_and_transform_write_reference_bytes(self, tmp_path, scale):
+        # every cell is '%.17g' of the array behind it, rebuilt here from
+        # synthgen and the model; at 1e-7 and 1e16 the values straddle the
+        # edges of the writer's window 1e-6 <= |v| < 1e17
+        stds = ["--shared-std", 10 * scale, "--background-std", 15 * scale,
+                "--specific-std", scale, "--noise-std", scale, "--separation", 6 * scale]
+        prefix = tmp_path / "exp"
+        assert run("synth", "--features", 6, "--shared", 1, "-m", 40, "-n", 50, "--seed", 7,
+                   *stds, "--out", prefix) == 0
+        spec = synthgen.random_spec(6, 1, 1, background_coeff_std=np.full(1, 15 * scale),
+                                    shared_coeff_std=np.full(1, 10 * scale),
+                                    specific_coeff_std=scale, noise_std=scale, seed=7)
+        pair = synthgen.gen_pair(spec, 40, 50, synthgen.spread_offsets(2, 1, 6 * scale))
+        features = [f"f{j + 1}" for j in range(6)]
+        target, background = Path(f"{prefix}_target.csv"), Path(f"{prefix}_background.csv")
+        assert target.read_bytes() == reference_table(
+            pair.target.values, pair.target.labels, features + ["label"]).encode()
+        assert background.read_bytes() == reference_table(
+            pair.background.values, None, features).encode()
+
+        model, emb = tmp_path / "model.json", tmp_path / "emb.csv"
+        assert run("fit", "dpca", target, background, "-d", 2, "--out", model) == 0
+        assert run("transform", model, target, "--out", emb) == 0
+        coords = methods.transform(fileio.load_model(model).model, pair.target).coordinates
+        assert emb.read_bytes() == reference_table(
+            coords, pair.target.labels, ["component_1", "component_2", "label"]).encode()
 
 
 class TestWideData:

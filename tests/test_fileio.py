@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dpca import fileio, methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix
 from dpca.errors import InvalidInputError
 
-from conftest import random_spd
+from conftest import random_spd, reference_table
 
 
 class TestCsvRoundTrip:
@@ -225,17 +226,6 @@ class TestCsvErrorRows:
             read_text(tmp_path, "f1,f2\n\n\n")
 
 
-def reference_table(values, labels, header):
-    """The table as text, one ``format(v, '.17g')`` per cell."""
-    lines = [",".join(header)]
-    for i, row in enumerate(values):
-        cells = [format(float(v), ".17g") for v in row]
-        if labels is not None:
-            cells.append(str(int(labels[i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 EDGE_VALUES = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
                         [3.0, -2.0, 1e16],
                         [0.1, -1.7976931348623157e308, -5e-324],
@@ -353,6 +343,98 @@ def test_write_read_round_trip(tmp_path_factory, values, data):
     back = fileio.read_csv(path)
     assert back.values.tobytes() == np.ascontiguousarray(values).tobytes()
     assert np.array_equal(back.labels, labels)
+
+
+def written_and_reference(path, values, labels=None):
+    """Write ``values`` as an embedding; return its lines and the reference's."""
+    values = np.asarray(values, dtype=np.float64)
+    fileio.write_embedding_csv(path, values, labels=labels)
+    header = [f"component_{j + 1}" for j in range(values.shape[1])]
+    if labels is not None:
+        header.append("label")
+    want = reference_table(values, labels, header).encode()
+    return path.read_bytes().split(b"\n"), want.split(b"\n")
+
+
+# any double, nan and inf included (a projection can overflow), and doubles
+# inside the vectorised writer's window 1e-6 <= |v| < 1e17, of either sign
+table_floats = st.one_of(st.floats(), st.floats(1e-6, 1e17), st.floats(-1e17, -1e-6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                         elements=table_floats),
+       data=st.data())
+def test_embedding_bytes_match_reference(tmp_path_factory, values, data):
+    labels = data.draw(st.none() | hnp.arrays(np.int64, values.shape[0]))
+    got, want = written_and_reference(tmp_path_factory.mktemp("emb") / "emb.csv", values, labels)
+    assert got == want
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-8, 19)])
+
+
+def with_neighbours(values, k):
+    """``values`` and the ``k`` nearest doubles on either side of each."""
+    cells, lower, upper = [values], values, values
+    for _ in range(k):
+        lower, upper = np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)
+        cells += [lower, upper]
+    return np.concatenate(cells)
+
+
+def signed(cells):
+    """``cells`` and their negatives as the two columns of a table."""
+    cells = np.asarray(cells, dtype=np.float64)
+    return np.stack([cells, -cells], axis=1)
+
+
+class TestCellKernel:
+    """The writer's edge cases, each against ``format(v, '.17g')``."""
+
+    def test_signed_zeros(self, tmp_path):
+        fileio.write_embedding_csv(tmp_path / "z.csv", [[0.0, -0.0], [-0.0, 0.0]])
+        assert (tmp_path / "z.csv").read_bytes() == b"component_1,component_2\n0,-0\n-0,0\n"
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        # 1e-8 to 1e18 and 8 doubles either side: just under a power of ten
+        # the 17-digit rounding comes closest to carrying into an 18th digit
+        cells = signed(with_neighbours(POWERS_OF_TEN, 8))
+        got, want = written_and_reference(tmp_path / "e.csv", cells)
+        assert got == want
+
+    def test_window_edges_and_neighbours(self, tmp_path):
+        got, want = written_and_reference(tmp_path / "e.csv",
+                                          signed(with_neighbours(np.array([1e-6, 1e17]), 3)))
+        assert got == want
+
+    def test_half_way_cases_round_to_even(self, tmp_path):
+        # 18 significant digits, the last a 5: exact ties at 17 digits
+        odd = np.arange(1, 2**12, 2)
+        ties = np.concatenate([1 + odd * 2.0**-17, 123 + odd * 2.0**-15])
+        got, want = written_and_reference(tmp_path / "e.csv", signed(ties))
+        assert got == want
+        assert got[1] == b"1.0000076293945312,-1.0000076293945312"  # ...3125 to even
+
+    def test_labels_at_the_int64_extremes(self, tmp_path):
+        labels = np.array([-2**63, 2**63 - 1, -2**53 - 1, 2**53 + 1, -2**53, 2**53, 0, -1])
+        got, want = written_and_reference(tmp_path / "e.csv", np.ones((labels.size, 1)), labels)
+        assert got == want
+        assert [line.split(b",")[-1] for line in got[1:-1]] == [b"%d" % v for v in labels]
+
+    def test_fallback_cells_are_those_outside_the_window(self):
+        # what the kernel leaves to '%.17g': exactly the cells outside
+        # 10**-6 <= |v| < 10**17, zeros aside; so is 1e-6, a double under 10**-6
+        x = np.concatenate([with_neighbours(np.array([1e-6, 1e17]), 3),
+                            [0.0, 5e-324, 1e-300, 1e300, np.nan, np.inf, 1.5]])
+        x = np.concatenate([x, -x])
+        window = (Fraction(1, 10**6), 10**17)
+        outside = [not (np.isfinite(v) and (v == 0 or window[0] <= abs(Fraction(v)) < window[1]))
+                   for v in x]
+        words = np.zeros((x.size, 4), np.uint64)
+        fallback = fileio._format_cells(x, np.zeros(x.size, np.intp), words[:, :3])
+        assert fallback.tolist() == np.flatnonzero(outside).tolist()
+        assert x[fallback[0]] == 1e-6
 
 
 def make_models(rng):
