@@ -64,19 +64,6 @@ CHOLESKY_RCOND_MARGIN = 1e3
 # one library and never hand work from one pool to the other.
 TOP_D_MIN_DIM = 256
 
-# Count of pencil solves performed, for runtime instrumentation. Reset with
-# reset_pencil_solve_count() before a measured section.
-_pencil_solves = 0
-
-
-def pencil_solve_count() -> int:
-    return _pencil_solves
-
-
-def reset_pencil_solve_count() -> None:
-    global _pencil_solves
-    _pencil_solves = 0
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -296,7 +283,6 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     RankZeroError
         If ``mat_b`` is identically zero.
     """
-    global _pencil_solves
     a = check_symmetric(mat_a, "pencil matrix A")
     b = check_symmetric(mat_b, "pencil matrix B")
     if a.shape != b.shape:
@@ -325,7 +311,6 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
 
     values = np.maximum(values, 0.0)
     vectors = apply_sign_convention(vectors / np.linalg.norm(vectors, axis=0))
-    _pencil_solves += 1
     return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors,
                                  floor_applied=floor_applied)
 

@@ -34,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .datamodel import DataMatrix
-from .errors import InvalidInputError
+from .errors import DimensionError, InvalidInputError
 from .methods import ComponentModel
 
 MODEL_FORMAT_VERSION = 1
@@ -319,6 +319,8 @@ def _write_table(path, values: np.ndarray, labels, header: list[str]) -> None:
     - a value outside ``10**-6 <= |v| < 10**17`` (nan and inf too) and a
       label beyond ``2**53`` are formatted per cell by ``%`` itself.
     """
+    if values.shape[1] == 0:
+        raise DimensionError(f"cannot write a table with no value columns: {path}")
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     block = max(1, _BLOCK_CELLS // (values.shape[1] + (labels is not None)))
     with open(path, "wb") as fh:

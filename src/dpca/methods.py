@@ -17,8 +17,8 @@ directions and their associated eigenvalues:
 
 On wide data (far fewer samples than features) the three fits solve exactly
 the same problem at the order of the sample count instead of the feature
-count; see ``_reduce_to_data_span``. Every fit takes one path: validate and
-reduce (``_reduce``), solve, lift back to feature space
+count. Every fit takes one path: validate and reduce
+(``_reduce_to_data_span``), solve, lift back to feature space
 (``eigencore._lift``) and build the model (``_model``).
 """
 
@@ -128,7 +128,7 @@ class AlphaSelection:
 
 def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
                          d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
-    """The fit's covariances, restricted to a basis of their data's span when that pays.
+    """Validate a fit's covariances and ``d``; restrict them to their data's span when that pays.
 
     A covariance built from centered data ``X`` (``m`` rows) is
     ``C = X^T X / m + r I``. Let ``Q`` (``D x K``, ``K = k + d`` with ``k`` the
@@ -153,21 +153,15 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     the cheapest dense fit, breaks even near it; beyond it the QR costs more
     than it saves for PCA.
     """
-    total = sum(c.sample_count for c in covs) + d
-    if 2 * total > covs[0].dim or any(c.data is None for c in covs):
-        return None, [c.matrix for c in covs]
-    return eigencore._reduce_to_span([(c.data, c.sample_count, c.ridge_applied) for c in covs], d)
-
-
-def _reduce(covs: Sequence[CovarianceEstimate],
-            d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
-    """Validate a fit's covariances and ``d``, then reduce them (``_reduce_to_data_span``)."""
     dim = covs[0].dim
     if covs[-1].dim != dim:  # the background's, when there is one
         raise DimensionError(f"covariance dims disagree: {dim} vs {covs[-1].dim}")
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} components from {dim} features")
-    return _reduce_to_data_span(covs, d)
+    total = sum(c.sample_count for c in covs) + d
+    if 2 * total > dim or any(c.data is None for c in covs):
+        return None, [c.matrix for c in covs]
+    return eigencore._reduce_to_span([(c.data, c.sample_count, c.ridge_applied) for c in covs], d)
 
 
 def _model(method: str, covs: Sequence[CovarianceEstimate], components: np.ndarray,
@@ -197,7 +191,7 @@ def pca_fit(cxx: CovarianceEstimate, d: int,
     On wide data the eigenproblem is solved in the span of the target samples
     (see the module docstring); the result is the same.
     """
-    basis, (a,) = _reduce([cxx], d)
+    basis, (a,) = _reduce_to_data_span([cxx], d)
     eig = eigencore.sym_eigendecompose(a, d)
     return _model("pca", [cxx], eigencore._lift(basis, eig.eigenvectors), eig.eigenvalues,
                   target_mean)
@@ -209,7 +203,7 @@ def _cpca_reduce(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alphas: np.nd
     bad = alphas[~(np.isfinite(alphas) & (alphas >= 0))]
     if bad.size:
         raise InvalidInputError(f"alpha must be finite and nonnegative, got {bad[0]}")
-    return _reduce([cxx, cyy], d)
+    return _reduce_to_data_span([cxx, cyy], d)
 
 
 def _cpca_top(basis: eigencore._Basis, a: np.ndarray, b: np.ndarray, alpha: float,
@@ -255,7 +249,7 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
     was applied to the background covariance, because the floor then
     determines the result; a ridge on the background covariance avoids it.
     """
-    basis, (a, b) = _reduce([cxx, cyy], d)
+    basis, (a, b) = _reduce_to_data_span([cxx, cyy], d)
     pairs = eigencore.generalized_eig(a, b, d, floor_rel)
     if pairs.floor_applied:
         warnings.warn(

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dpca import eigencore
+
 # Property tests draw the same examples on every run, so a failure always
 # reproduces; each test keeps its own max_examples.
 settings.register_profile("deterministic", derandomize=True)
@@ -34,3 +36,17 @@ def reference_table(values, labels, header):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def pencil_solves(monkeypatch):
+    """A list that gains the arguments of every real ``eigencore.generalized_eig`` call."""
+    calls = []
+    real = eigencore.generalized_eig
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigencore, "generalized_eig", counted)
+    return calls

@@ -153,12 +153,13 @@ class TestPipeline:
 
 
 class TestCompare:
-    def test_report_and_metrics(self, tmp_path):
+    def test_report_and_metrics(self, tmp_path, pencil_solves):
         prefix = tmp_path / "exp"
         run("synth", "--features", 40, "-m", 800, "-n", 1200, "--seed", 1, "--out", prefix)
         out = tmp_path / "cmp"
         assert run("compare", f"{prefix}_target.csv", f"{prefix}_background.csv",
                    "-d", 2, "--out", out) == 0
+        assert len(pencil_solves) == 1  # the whole command makes one pencil solve
         report = json.loads((tmp_path / "cmp_report.json").read_text())
         assert report["methods"]["dpca"]["pencil_solves"] == 1
         assert report["methods"]["dpca"]["kmeans_accuracy"] >= 0.9
@@ -266,7 +267,7 @@ class TestCsvBytes:
 
 
 class TestWideData:
-    def test_fit_and_compare_match_dense_reference(self, tmp_path, rng):
+    def test_fit_and_compare_match_dense_reference(self, tmp_path, rng, pencil_solves):
         # 40 + 60 samples in 300 features: the fits take the reduced route
         dim, m, n = 300, 40, 60
         labels = np.repeat([0, 1], m // 2)
@@ -277,8 +278,10 @@ class TestWideData:
         fileio.write_data_csv(tmp_path / "b.csv", DataMatrix(xb))
         assert run("fit", "dpca", tmp_path / "t.csv", tmp_path / "b.csv", "-d", 2,
                    "--ridge", 1, "--out", tmp_path / "m.json") == 0
+        assert len(pencil_solves) == 1
         assert run("compare", tmp_path / "t.csv", tmp_path / "b.csv", "-d", 2,
                    "--ridge", 1, "--out", tmp_path / "cmp") == 0
+        assert len(pencil_solves) == 2  # one more for the whole compare command
 
         def covariance(x):
             x = x - x.mean(axis=0)
@@ -377,14 +380,41 @@ class TestExitCodes:
         (("fit", "cpca"), ("--auto-alpha", "--grid", "nan:1:3"), "nan:1:3"),
         (("fit", "cpca"), ("--auto-alpha", "--grid", "1:inf:3"), "1:inf:3"),
         (("compare",), ("--ridge", "inf"), "--ridge"),
+        (("fit", "dpca"), ("--ridge", "-1"), "--ridge"),
+        (("fit", "dpca"), ("--floor", "-1"), "--floor"),
+        (("fit", "cpca"), ("--alpha", "-1"), "--alpha"),
+        (("fit", "dpca"), ("-d", "0"), "-d"),
+        (("compare",), ("-d", "0"), "-d"),
+        (("fit", "cpca"), ("--auto-alpha", "--select", "20"), "--select"),
+        (("compare",), ("--select", "0"), "--select"),
+        (("compare",), ("--grid", "1:2:3", "--select", "4"), "--select"),
+        (("fit", "cpca"), ("--auto-alpha", "--seed", "-1"), "--seed"),
+        (("compare",), ("--seed", "-1"), "--seed"),
     ], ids=["ridge-nan", "floor-nan", "alpha-nan", "alpha-inf", "grid-lo-nan", "grid-hi-inf",
-            "compare-ridge-inf"])
-    def test_usage_non_finite_parameter(self, tmp_path, rng, capsys, command, flags, named):
-        target = write_gaussian_csv(tmp_path / "t.csv", rng, 20, [1.0, 1.0])
-        background = write_gaussian_csv(tmp_path / "b.csv", rng, 20, [1.0, 1.0])
-        assert run(*command, target, background, *flags, "--out", tmp_path / "m.json") == 2
+            "compare-ridge-inf", "ridge-negative", "floor-negative", "alpha-negative", "d-zero",
+            "compare-d-zero", "select-above-grid", "compare-select-zero",
+            "compare-select-above-grid", "seed-negative", "compare-seed-negative"])
+    def test_usage_non_finite_parameter(self, tmp_path, capsys, command, flags, named):
+        # the inputs do not exist: reading them first would be a data error (exit 3)
+        assert run(*command, tmp_path / "t.csv", tmp_path / "b.csv", *flags,
+                   "--out", tmp_path / "m.json") == 2
         assert named in capsys.readouterr().err
-        assert not list(tmp_path.glob("m*"))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags,named", [
+        (("-m", "0"), "-m"), (("-n", "0"), "-n"), (("--clusters", "0"), "--clusters"),
+        (("--clusters", "600", "-m", "50"), "--clusters"), (("--noise-std", "-1"), "--noise-std"),
+        (("--noise-std", "nan"), "--noise-std"), (("--shared-std", "-1"), "--shared-std"),
+        (("--background-std", "inf"), "--background-std"),
+        (("--specific-std", "-1"), "--specific-std"), (("--separation", "nan"), "--separation"),
+        (("--seed", "-1"), "--seed"),
+    ], ids=["m-zero", "n-zero", "clusters-zero", "clusters-above-m", "noise-std-negative",
+            "noise-std-nan", "shared-std-negative", "background-std-inf", "specific-std-negative",
+            "separation-nan", "seed-negative"])
+    def test_usage_synth_parameter(self, tmp_path, capsys, flags, named):
+        assert run("synth", "--features", 10, *flags, "--out", tmp_path / "s") == 2
+        assert f"{named} must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("doc", [[1, 2], None])
     def test_data_model_file_not_an_object(self, tmp_path, rng, capsys, doc):

@@ -243,10 +243,3 @@ class TestGeneralizedEig:
             ec.generalized_eig(a, np.zeros((4, 4)), 2)
         with pytest.raises(DimensionError):
             ec.generalized_eig(a, random_spd(rng, 5), 2)
-
-    def test_solve_counter(self, rng):
-        a, b = random_spd(rng, 5), random_spd(rng, 5)
-        ec.reset_pencil_solve_count()
-        ec.generalized_eig(a, b, 2)
-        ec.generalized_eig(a, b, 2)
-        assert ec.pencil_solve_count() == 2

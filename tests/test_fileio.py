@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from dpca import fileio, methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix
-from dpca.errors import InvalidInputError
+from dpca.errors import DimensionError, InvalidInputError
 
 from conftest import random_spd, reference_table
 
@@ -258,6 +258,14 @@ class TestCsvWriterBytes:
         path = tmp_path / "data.csv"
         fileio.write_data_csv(path, DataMatrix(EDGE_VALUES))
         assert fileio.read_csv(path).values.tobytes() == EDGE_VALUES.tobytes()
+
+    @pytest.mark.parametrize("labels", [None, [1, 2]])
+    def test_no_value_columns_rejected(self, tmp_path, labels):
+        # a labels-only table would read back with the labels as its values
+        path = tmp_path / "emb.csv"
+        with pytest.raises(DimensionError, match="no value columns"):
+            fileio.write_embedding_csv(path, np.zeros((2, 0)), labels=labels)
+        assert not path.exists()
 
 
 def whole_table(path, values, labels, header):
