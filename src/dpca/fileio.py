@@ -2,15 +2,18 @@
 
 CSV tables are UTF-8, with or without a leading byte-order mark, and
 comma-separated with an optional single header row; a final integer column
-named ``label`` (by header name) is read as labels. The first non-empty line
-is the header when fewer than half of its cells parse with ``float()``;
-otherwise it is the first data row, and a bad cell there is an error like one
-in any other row. The data rows go
-through numpy's C parser in one call, so no step runs per cell in Python:
-cells may be quoted with ``"`` and padded with spaces, empty lines are
-skipped, CRLF and CR endings are read as LF (universal newlines), and there
-are no comment lines (``#`` is a non-numeric cell). Every error names the file
-and the 1-based data row.
+named ``label`` (by header name) is read as labels, a plain integer label
+exactly. The first non-empty line is the header when fewer than half of its
+cells parse with ``float()``; otherwise it is the first data row, and a bad
+cell there is an error like one in any other row. No step runs per cell in
+Python. A file in the grammar the writers produce (ASCII numbers, commas, LF
+row ends) is parsed by a numpy kernel a block of rows at a time, each value
+the double ``float()`` gives (see :mod:`dpca.csvparse`). Any other file goes
+through numpy's C parser (``np.loadtxt``) in one call: cells may be quoted
+with ``"`` and padded with spaces, empty lines are skipped, CRLF and CR
+endings are read as LF (universal newlines), and there are no comment lines
+(``#`` is a non-numeric cell). Every error names the file and the 1-based
+data row.
 Numbers are written as ``'%.17g' % v`` (17 significant digits, so values
 survive a round trip exactly) and labels as ``'%d'``. Those bytes are formed
 by a numpy kernel, a block of cells at a time, with exact integer digits;
@@ -23,6 +26,7 @@ shortest-round-trip, so numeric fields reload bit-exact.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import json
@@ -33,6 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .csvparse import label_value, read_rows
 from .datamodel import DataMatrix
 from .errors import DimensionError, InvalidInputError
 from .methods import ComponentModel
@@ -64,6 +69,20 @@ def _parses_as_float(cell: str) -> bool:
         return False
 
 
+def _header(cells: list[str]) -> list[str] | None:
+    """The stripped names of a header row, or None when ``cells`` is data.
+
+    A row is a header when fewer than half of its cells parse with ``float()``.
+    """
+    if 2 * sum(_parses_as_float(c) for c in cells) < len(cells):
+        return [c.strip() for c in cells]
+    return None
+
+
+def _has_label(header: list[str] | None, width: int) -> bool:
+    return header is not None and width >= 2 and header[-1].lower() == "label"
+
+
 _RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
 _NOT_NUMERIC = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)",
                           re.DOTALL)
@@ -84,50 +103,105 @@ def _parse_error(path, exc: ValueError) -> InvalidInputError:
     return InvalidInputError(f"{path}: {text}")
 
 
+def _label_error(path, row: int, value) -> InvalidInputError:
+    return InvalidInputError(f"{path}: row {row + 1}: label {value!r} is not a 64-bit integer")
+
+
 def read_csv(path) -> DataMatrix:
     """Read a data table; returns values and, when present, labels.
 
-    The returned DataMatrix adopts the parsed table, so an unlabelled file
-    is held once. A labelled one gets one C-contiguous copy of its value
-    columns, the layout every later product expects.
+    A file in the grammar the writers produce (ASCII numbers
+    ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``, commas, LF row
+    ends) is parsed by a numpy kernel, a block of rows at a time, into the
+    values and labels arrays themselves; every value is the double that
+    ``float()`` gives for its cell. Any other file goes through
+    ``np.loadtxt``, which keeps the whole dialect of the module docstring
+    and its error messages. A label cell that is a plain integer is read
+    exactly, on both routes. The returned DataMatrix adopts the arrays.
+    """
+    with open(path, "rb") as fh:
+        table = _read_numbers(fh, path)
+    values, labels = _read_dialect(path) if table is None else table
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise InvalidInputError(f"{path}: row {bad[0] + 1} contains a non-finite value")
+    return DataMatrix._adopt(values, labels, finite_checked=True)
+
+
+_DIALECT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _read_dialect(path):
+    """Values and labels of any CSV file in the dialect, through ``np.loadtxt``.
+
+    The label column, when there is one, is read a second time as text, so
+    that a plain integer label is exact.
     """
     # utf-8-sig drops a leading byte-order mark, which would otherwise make
     # the first cell non-numeric and turn a data row into a header
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        first = _next_row(fh)
-        if first is None:
-            raise InvalidInputError(f"{path}: file contains no data")
-        start, cells = first
-        header = None
-        if 2 * sum(_parses_as_float(c) for c in cells) < len(cells):
-            header = [c.strip() for c in cells]
-            first_data = _next_row(fh)
-            if first_data is None:
-                raise InvalidInputError(f"{path}: header but no data rows")
-            start = first_data[0]
-        fh.seek(start)
-        try:
-            table = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
-                               quotechar='"', ndmin=2)
-        except ValueError as exc:
-            raise _parse_error(path, exc) from exc
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            first = _next_row(fh)
+            if first is None:
+                raise InvalidInputError(f"{path}: file contains no data")
+            start, cells = first
+            header = _header(cells)
+            if header is not None:
+                first_data = _next_row(fh)
+                if first_data is None:
+                    raise InvalidInputError(f"{path}: header but no data rows")
+                start = first_data[0]
+            fh.seek(start)
+            try:
+                table = np.loadtxt(fh, dtype=np.float64, **_DIALECT)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise _parse_error(path, exc) from exc
+            if not _has_label(header, table.shape[1]):
+                return table, None
+            fh.seek(start)
+            cells = np.loadtxt(fh, dtype=object, usecols=-1, **_DIALECT)[:, 0]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
+    labels = np.empty(cells.size, np.int64)
+    for row, cell in enumerate(cells.tolist()):
+        ok, value = label_value(cell)
+        if not ok:
+            raise _label_error(path, row, value)
+        labels[row] = value
+    return np.ascontiguousarray(table[:, :-1]), labels
 
-    has_label = (header is not None and table.shape[1] >= 2
-                 and header[-1].lower() == "label")
-    labels = None
-    if has_label:
-        column = table[:, -1]
-        # the range test is False for nan and inf too
-        bad = np.flatnonzero(~(np.abs(column) < 2.0**63) | (column != np.floor(column)))
-        if bad.size:
-            raise InvalidInputError(f"{path}: row {bad[0] + 1}: label "
-                                    f"{float(column[bad[0]])!r} is not a 64-bit integer")
-        labels = column.astype(np.int64)
-        table = np.ascontiguousarray(table[:, :-1])
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise InvalidInputError(f"{path}: row {bad[0] + 1} contains a non-finite value")
-    return DataMatrix._adopt(table, labels, finite_checked=True)
+
+
+
+def _read_numbers(fh, path):
+    """Values and labels of a file in the kernel's grammar, or None for any other file.
+
+    A label that is not a 64-bit integer is an error once the whole file is
+    known to be in the grammar, as it is after ``np.loadtxt``.
+    """
+    line = fh.readline()
+    bom = len(codecs.BOM_UTF8) if line.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = line[bom:].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if text in ("", "\n") or "\r" in text:  # blank lines and CR endings are the dialect's
+        return None
+    header = _header(next(csv.reader([text])))
+    start = fh.tell() if header is not None else bom
+    fh.seek(start)
+    width = fh.readline().count(b",") + 1
+    label = _has_label(header, width)
+    fh.seek(start)
+    parsed = read_rows(fh, width, label)
+    if parsed is None:
+        return None
+    values, labels, bad = parsed
+    if bad is not None:
+        raise _label_error(path, *bad)
+    return values, labels
 
 
 _BLOCK_CELLS = 8192  # cells formatted at once; TestCsvMemory bounds the peak this sets

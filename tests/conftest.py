@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -31,6 +33,28 @@ def reference_table(values, labels, header):
             cells.append(str(int(labels[i])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def reference_read(path):
+    """The data rows at ``path`` with each cell parsed by ``csv`` and ``float()``.
+
+    The first row is skipped when fewer than half of its cells are numbers,
+    as ``fileio.read_csv`` skips a header. Returns every column, a label
+    column included, as float64.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+
+    def number(cell):
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    if 2 * sum(map(number, rows[0])) < len(rows[0]):
+        rows = rows[1:]
+    return np.array([[float(cell) for cell in row] for row in rows])
 
 
 @pytest.fixture

@@ -266,6 +266,52 @@ class TestCsvBytes:
             coords, pair.target.labels, ["component_1", "component_2", "label"]).encode()
 
 
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """A list that gains the arguments of every ``np.loadtxt`` call."""
+    calls = []
+    real = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+class TestReadRoute:
+    """What the package writes is read by the kernel; other files by np.loadtxt."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e16])
+    def test_package_output_never_reaches_loadtxt(self, tmp_path, loadtxt_calls, scale):
+        stds = ["--shared-std", 10 * scale, "--background-std", 15 * scale,
+                "--specific-std", scale, "--noise-std", scale, "--separation", 6 * scale]
+        prefix = tmp_path / "exp"
+        assert run("synth", "--features", 6, "--shared", 1, "-m", 40, "-n", 50, "--seed", 7,
+                   *stds, "--out", prefix) == 0
+        target, background = f"{prefix}_target.csv", f"{prefix}_background.csv"
+        model, emb = tmp_path / "model.json", tmp_path / "emb.csv"
+        assert run("fit", "dpca", target, background, "-d", 2, "--out", model) == 0
+        assert run("transform", model, target, "--out", emb) == 0
+        assert run("compare", target, background, "-d", 2, "--out", tmp_path / "cmp") == 0
+        assert run("plot", emb, "--out", tmp_path / "emb.svg") == 0
+        embeddings = sorted(tmp_path.glob("cmp_*.csv"))
+        assert embeddings
+        for path in [emb, *embeddings]:
+            fileio.read_csv(path)
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("text", ['"f1","f2"\n"1","2"\n', "f1,f2\r\n1,2\r\n",
+                                      "f1,f2\n1,2\n\n3,4\n"],
+                             ids=["quoted", "crlf", "blank-line"])
+    def test_other_files_go_through_loadtxt(self, tmp_path, loadtxt_calls, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        assert fileio.read_csv(path).values[0].tolist() == [1.0, 2.0]
+        assert loadtxt_calls
+
+
 class TestWideData:
     def test_fit_and_compare_match_dense_reference(self, tmp_path, rng, pencil_solves):
         # 40 + 60 samples in 300 features: the fits take the reduced route
@@ -451,3 +497,20 @@ class TestExitCodes:
         other = write_gaussian_csv(tmp_path / "other.csv", rng, 5, [1.0] * width)
         assert run("transform", model, other, "--out", tmp_path / "e.csv") == 3
         assert f"data has {width} features, model expects 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+    @pytest.mark.parametrize("command", ["fit", "transform", "plot"])
+    def test_data_not_utf8(self, tmp_path, rng, capsys, command, encoding):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("f1,f2\n1.5,2\n3,4\n5,\xe96\n".encode(encoding))
+        if command == "fit":
+            argv = ("fit", "pca", bad, "--out", tmp_path / "m.json")
+        elif command == "transform":
+            target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+            assert run("fit", "pca", target, "--out", tmp_path / "m.json") == 0
+            argv = ("transform", tmp_path / "m.json", bad, "--out", tmp_path / "e.csv")
+        else:
+            argv = ("plot", bad, "--out", tmp_path / "e.svg")
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from dpca import fileio, methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix
 from dpca.errors import DimensionError, InvalidInputError
 
-from conftest import random_spd, reference_table
+from conftest import random_spd, reference_read, reference_table
 
 
 class TestCsvRoundTrip:
@@ -332,6 +332,14 @@ class TestCsvMemory:
         peak = traced_peak(lambda: fileio.read_csv(tmp_path / "d.csv"))
         assert peak < 1.25 * data.values.nbytes
 
+    def test_labelled_read_fills_its_own_arrays(self, tmp_path, rng):
+        # values and labels are written straight into their own arrays, with
+        # no table of all the columns to copy the values out of
+        data = DataMatrix(rng.standard_normal((10000, 50)), labels=rng.integers(0, 3, 10000))
+        fileio.write_data_csv(tmp_path / "d.csv", data)
+        peak = traced_peak(lambda: fileio.read_csv(tmp_path / "d.csv"))
+        assert peak < 1.25 * (data.values.nbytes + data.labels.nbytes)
+
 
 finite_tables = hnp.arrays(
     np.float64,
@@ -443,6 +451,157 @@ class TestCellKernel:
         fallback = fileio._format_cells(x, np.zeros(x.size, np.intp), words[:, :3])
         assert fallback.tolist() == np.flatnonzero(outside).tolist()
         assert x[fallback[0]] == 1e-6
+
+
+def kernel_read(path):
+    """The values the reader's kernel gives for the cells at ``path``, in one flat array."""
+    with open(path, "rb") as fh:
+        table = fileio._read_numbers(fh, path)
+    assert table is not None, "the file left the kernel's route"
+    return table[0].ravel()
+
+
+def assert_reads_as_float(tmp_path, cells, width=1):
+    """Read ``cells`` as headerless rows of ``width``; each must be ``float()`` bit for bit."""
+    path = tmp_path / "cells.csv"
+    rows = [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    path.write_text("\n".join(rows) + "\n")
+    got = kernel_read(path)
+    want = reference_read(path).ravel()
+    assert want.tolist() == [float(cell) for cell in cells]
+    wrong = [(cell, g, w) for cell, g, w in zip(cells, got.tolist(), want.tolist())
+             if np.float64(g).tobytes() != np.float64(w).tobytes()]
+    assert wrong == []
+
+
+@st.composite
+def digit_cells(draw):
+    """A cell of the grammar from random digits: leading zeros, any point, any exponent."""
+    digits = draw(st.text("0", max_size=4)) + draw(st.text("0123456789", min_size=1,
+                                                           max_size=25))
+    digits = digits[:25]
+    point = draw(st.none() | st.integers(0, len(digits)))
+    text = digits if point is None else digits[:point] + "." + digits[point:]
+    text = draw(st.sampled_from(["", "-"])) + text
+    exponent = draw(st.none() | st.integers(-400, 400))
+    if exponent is not None:
+        sign = "+" if exponent >= 0 and draw(st.booleans()) else ""
+        text += draw(st.sampled_from("eE")) + sign + str(exponent).zfill(draw(st.integers(1, 4)))
+    return text
+
+
+any_double = st.floats(allow_nan=False, allow_infinity=False)
+grammar_cells = st.one_of(
+    any_double.map(lambda v: "%.17g" % v),
+    any_double.map(repr),
+    st.tuples(st.integers(0, 20), any_double).map(lambda a: "%.*e" % a),
+    digit_cells(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(grammar_cells, min_size=1, max_size=40), width=st.sampled_from([1, 2, 5]))
+def test_kernel_reads_every_cell_as_float(tmp_path_factory, cells, width):
+    cells = cells[:len(cells) // width * width] or cells[:1] * width
+    assert_reads_as_float(tmp_path_factory.mktemp("cells"), cells, width)
+
+
+def exact_text(value: Fraction) -> str:
+    """``value`` in positional decimal notation, every digit exact."""
+    digits = 0
+    while (value * 10**digits).denominator != 1:
+        digits += 1
+    whole, part = divmod(abs(value.numerator) * 10**digits // value.denominator, 10**digits)
+    text = str(whole) + (f".{part:0{digits}d}" if digits else "")
+    return "-" + text if value < 0 else text
+
+
+class TestReadKernel:
+    """The reader's kernel on its edge cases, each against ``float()``."""
+
+    def test_signed_zeros(self, tmp_path):
+        cells = ["0", "-0", "0.0", "-0.0", "-.0", "0.", "0e400", "-0e-400", "0000", "-000.000e-5"]
+        assert_reads_as_float(tmp_path, cells, 2)
+        assert np.signbit(kernel_read(tmp_path / "cells.csv")).tolist() == [
+            c.startswith("-") for c in cells]
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        # 1e-30 to 1e30 and 3 doubles either side, as %.17g, as repr and with 20 digits
+        values = with_neighbours(np.array([float(f"1e{k}") for k in range(-30, 31)]), 3)
+        cells = [f % v for v in values.tolist() for f in ("%.17g", "%r", "%.19e")]
+        assert_reads_as_float(tmp_path, cells + ["-" + c for c in cells], 6)
+
+    def test_every_power_of_ten_in_and_beyond_the_table(self, tmp_path):
+        # the table of powers of five covers 1e-342..1e308; past it, and for
+        # subnormal or infinite results, the cell goes to float()
+        assert_reads_as_float(tmp_path, [f"1e{k}" for k in range(-346, 312)], 2)
+
+    def test_half_way_cases_round_to_even(self, tmp_path):
+        # decimals exactly half-way between two doubles: odd multiples of half
+        # the spacing at 2**52..2**62, and 2**53 + 1 as in the issue
+        cells = ["9007199254740993", "9007199254740995", "-9007199254740993"]
+        for spacing in range(-2, 11):
+            base = Fraction(2) ** (52 + spacing)
+            for odd in (1, 3, 5, 7, 2**20 + 1):
+                cells.append(exact_text(base + odd * Fraction(2) ** spacing / 2))
+        assert_reads_as_float(tmp_path, cells, 1)
+        assert kernel_read(tmp_path / "cells.csv")[:2].tolist() == [2.0**53, 2.0**53 + 4]
+
+    def test_window_edges(self, tmp_path):
+        # 19 digits fit the 64-bit mantissa, 20 do not; leading zeros do not
+        # count, but a cell has at most 23 mantissa digits; exponents have at
+        # most 8 digits; the smallest normal double and its neighbours
+        cells = ["9999999999999999999", "10000000000000000000", "1234567890123456789",
+                 "12345678901234567890", "0.1234567890123456789", "0.12345678901234567891",
+                 "123456789012345678901234", "00000000000000000000001",
+                 "000000000000000000000001", "0000000000000000000000.1", "1" + "0" * 24,
+                 "0." + "0" * 30 + "1", "18446744073709551615", "18446744073709551616",
+                 "1e00000005", "1e000000005", "1e-00000005", "1e100000000", "1e-100000000",
+                 "1e00000308", "1e-0000400", "1.7976931348623157e308",
+                 "1.7976931348623159e308", "2.2250738585072014e-308",
+                 "2.2250738585072011e-308", "4.9406564584124654e-324", "2.4703282292062328e-324"]
+        assert_reads_as_float(tmp_path, cells + ["-" + c for c in cells], 2)
+
+    def test_products_that_need_the_low_word(self, tmp_path):
+        # mantissas whose product with the high word of 5**q ends in nine
+        # one bits, and whose double is off by one without the low word
+        cells = ["5.1500732148666214e238", "8.830485767220008334e103", "6.5228426066864580e-198",
+                 "4.458507885468484486e-69", "5.3908525236264381e-109", "9.9954756621679206e-134",
+                 "1.537602439221021511e143", "1.03241336089554387e145", "2.62050547177916126e124",
+                 "5.5511517529263950e96", "8.322090532278530810e-283", "5.72867937265040252e103"]
+        assert_reads_as_float(tmp_path, cells, 3)
+
+    def test_rows_longer_than_a_block(self, tmp_path, rng):
+        values = rng.standard_normal((3, 20000)) * 10.0 ** rng.integers(-30, 30, (3, 20000))
+        fileio.write_embedding_csv(tmp_path / "wide.csv", values, labels=[4, -5, 6])
+        back = fileio.read_csv(tmp_path / "wide.csv")
+        assert back.values.tobytes() == values.tobytes()
+        assert back.labels.tolist() == [4, -5, 6]
+
+
+INT64_EXTREMES = [-2**63, 2**63 - 1, -2**53 - 1, 2**53 + 1, -2**53, 2**53, 0, -1, 2**62 + 1,
+                  -2**63 + 1]
+
+
+class TestLabelsExact:
+    """A plain integer label is read as the integer it spells, on both routes."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["kernel", "loadtxt"])
+    def test_labels_at_the_int64_extremes(self, tmp_path, ending):
+        path = tmp_path / "emb.csv"
+        fileio.write_embedding_csv(path, np.ones((len(INT64_EXTREMES), 1)), INT64_EXTREMES)
+        path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+        assert fileio.read_csv(path).labels.tolist() == INT64_EXTREMES
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["kernel", "loadtxt"])
+    @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
+                                      "99999999999999999999999"])
+    def test_integers_beyond_int64_rejected(self, tmp_path, ending, cell):
+        path = tmp_path / "in.csv"
+        path.write_bytes(f"f1,label\n1,0\n2,{cell}\n".replace("\n", ending).encode())
+        with pytest.raises(InvalidInputError,
+                           match=rf"in\.csv: row 2: label {cell} is not a 64-bit integer"):
+            fileio.read_csv(path)
 
 
 def make_models(rng):
