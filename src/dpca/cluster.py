@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError
 
 
-# Distance rows formed at once by silhouette_score: 1 MiB of float64, so each
+# Distances formed at once by silhouette_score: 1 MiB of float64, so each
 # block and the in-place passes over it stay in a core's L2 cache.
 _SILHOUETTE_BLOCK_BYTES = 2**20
 
@@ -140,52 +140,73 @@ def spectral_cluster(affinity: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return kmeans(embedding, k, seed=seed)
 
 
+def _points_and_labels(points, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` as a finite float64 ``(m, dim)`` array and ``labels`` as one label per row."""
+    pts = np.asarray(points, dtype=np.float64)
+    labs = np.asarray(labels)
+    if pts.ndim != 2:
+        raise DimensionError(f"points must be 2-D, got {pts.ndim}-D")
+    if labs.shape != (pts.shape[0],):
+        raise DimensionError(f"labels must have shape ({pts.shape[0]},), got {labs.shape}")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("points contain a non-finite value")
+    return pts, labs
+
+
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette coefficient over all samples.
 
     For sample ``i`` with intra-cluster mean distance ``a`` (self excluded)
     and smallest other-cluster mean distance ``b``, the coefficient is
     ``(b - a) / max(a, b)``, or 0 when both are 0; singleton clusters
-    contribute 0. Distances are formed for a block of rows at a time and
-    summed per cluster by a product with the one-hot label matrix, so extra
+    contribute 0. Each distance is formed once, on points centred on their
+    mean, so the score does not lose digits when the points lie far from
+    the origin. Rows ``lo:hi`` are paired with rows ``lo:`` in blocks of
+    about 1 MiB of distances, and each block's sums per cluster (a product
+    with the one-hot label matrix) go to both of its row sets, so extra
     memory is about 1 MiB rather than ``m * m`` doubles; a block that small
     stays in cache through its in-place passes.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    uniq, cluster = np.unique(np.asarray(labels), return_inverse=True)
+    pts, labs = _points_and_labels(points, labels)
+    m = pts.shape[0]
+    uniq, cluster = np.unique(labs, return_inverse=True)
     if uniq.size < 2:
         raise InvalidInputError("silhouette needs at least two clusters")
-    if uniq.size >= pts.shape[0]:
+    if uniq.size >= m:
         raise InvalidInputError("silhouette needs at least one non-singleton cluster")
-    m = pts.shape[0]
     sizes = np.bincount(cluster).astype(np.float64)
     one_hot = np.zeros((m, uniq.size))
     one_hot[np.arange(m), cluster] = 1.0
-    sq_norms = np.einsum("ij,ij->i", pts, pts)
-    block = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * m))
-    scores = np.zeros(m)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        local = np.arange(hi - lo)
-        # squared distances, in place: |p|^2 + |q|^2 - 2 p.q, clipped at 0
-        dist = pts[lo:hi] @ pts.T
-        dist *= -2.0
-        dist += sq_norms[lo:hi, None]
-        dist += sq_norms[None, :]
+    # |p - q|^2 = [-2p, 1, |p|^2] . [q, |q|^2, 1], one product per block
+    centred = pts - pts.mean(axis=0)
+    sq_norms = np.einsum("ij,ij->i", centred, centred)
+    left = np.column_stack([-2.0 * centred, np.ones(m), sq_norms])
+    right = np.vstack([centred.T, sq_norms, np.ones(m)])
+    sums = np.zeros((m, uniq.size))
+    # one buffer for every block: a fresh 1 MiB array per block would be
+    # page-faulted in again, which costs more than the product itself
+    budget = _SILHOUETTE_BLOCK_BYTES // 8
+    buffer = np.empty(max(budget, m))
+    lo = 0
+    while lo < m:
+        hi = min(lo + max(1, budget // (m - lo)), m)
+        dist = buffer[:(hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
+        np.matmul(left[lo:hi], right[:, lo:], out=dist)
         np.maximum(dist, 0.0, out=dist)
         np.sqrt(dist, out=dist)
-        dist[local, lo + local] = 0.0  # the formula leaves a rounding residual here
-        sums = dist @ one_hot
-        del dist  # free this block before the next one is allocated
-        own = cluster[lo:hi]
-        n_own = sizes[own]
-        a = sums[local, own] / np.maximum(n_own - 1.0, 1.0)
-        means = sums / sizes
-        means[local, own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        safe = (n_own > 1) & (denom > 0)
-        scores[lo:hi] = np.where(safe, (b - a) / np.where(safe, denom, 1.0), 0.0)
+        np.fill_diagonal(dist, 0.0)  # the formula leaves a rounding residual here
+        sums[lo:hi] += dist @ one_hot[lo:]
+        sums[hi:] += dist[:, hi - lo:].T @ one_hot[lo:hi]  # the mirrored pairs
+        lo = hi
+    rows = np.arange(m)
+    n_own = sizes[cluster]
+    a = sums[rows, cluster] / np.maximum(n_own - 1.0, 1.0)
+    means = sums / sizes
+    means[rows, cluster] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    safe = (n_own > 1) & (denom > 0)
+    scores = np.where(safe, (b - a) / np.where(safe, denom, 1.0), 0.0)
     return float(np.mean(scores))
 
 
@@ -196,14 +217,14 @@ def cluster_label_accuracy(points: np.ndarray, labels: np.ndarray, seed: int = 0
     This quantifies how well the point cloud separates into its labeled
     groups; with two balanced classes, chance level is about 0.5.
     """
-    labs = np.asarray(labels)
+    pts, labs = _points_and_labels(points, labels)
     classes = np.unique(labs)
     k = classes.size
     if k < 2:
         raise InvalidInputError("need at least two distinct labels")
     if k > 6:
         raise InvalidInputError("accuracy-by-permutation supports at most 6 classes")
-    assigned = kmeans(np.asarray(points, dtype=np.float64), k, seed=seed)
+    assigned = kmeans(pts, k, seed=seed)
     best = 0.0
     for perm in itertools.permutations(range(k)):
         mapped = classes[np.asarray(perm)][assigned]

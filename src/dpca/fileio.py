@@ -103,6 +103,12 @@ def _parse_error(path, exc: ValueError) -> InvalidInputError:
     return InvalidInputError(f"{path}: {text}")
 
 
+def _check_header_width(path, header: list[str] | None, width: int) -> None:
+    if header is not None and len(header) != width:
+        raise InvalidInputError(
+            f"{path}: header has {len(header)} columns, the first data row has {width}")
+
+
 def _label_error(path, row: int, value) -> InvalidInputError:
     return InvalidInputError(f"{path}: row {row + 1}: label {value!r} is not a 64-bit integer")
 
@@ -150,7 +156,8 @@ def _read_dialect(path):
                 first_data = _next_row(fh)
                 if first_data is None:
                     raise InvalidInputError(f"{path}: header but no data rows")
-                start = first_data[0]
+                start, cells = first_data
+                _check_header_width(path, header, len(cells))
             fh.seek(start)
             try:
                 table = np.loadtxt(fh, dtype=np.float64, **_DIALECT)
@@ -198,6 +205,9 @@ def _read_numbers(fh, path):
     parsed = read_rows(fh, width, label)
     if parsed is None:
         return None
+    # checked only now: a blank or quoted first row leaves the kernel's route
+    # and its comma count is not its width
+    _check_header_width(path, header, width)
     values, labels, bad = parsed
     if bad is not None:
         raise _label_error(path, *bad)

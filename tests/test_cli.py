@@ -397,6 +397,12 @@ class TestExitCodes:
         bad.write_text("1,2\n3\n")
         assert run("fit", "pca", bad, "--out", tmp_path / "m.json") == 3
 
+    def test_data_header_wider_than_rows(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f1,f2,label\n1.5,2\n3,4\n")
+        assert run("fit", "pca", bad, "--out", tmp_path / "m.json") == 3
+        assert "bad.csv: header has 3 columns, the first data row has 2" in capsys.readouterr().err
+
     def test_data_dimension_mismatch(self, tmp_path, rng):
         target = write_gaussian_csv(tmp_path / "t.csv", rng, 20, [1.0, 1.0])
         background = write_gaussian_csv(tmp_path / "b.csv", rng, 20, [1.0, 1.0, 1.0])

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dpca import cluster
 from dpca.cluster import cluster_label_accuracy, kmeans, silhouette_score, spectral_cluster
-from dpca.errors import InvalidInputError
+from dpca.errors import DimensionError, InvalidInputError
 
 MIB = 2**20
 
@@ -36,6 +37,23 @@ def kmeans_cases(draw):
                   max_iter=draw(st.sampled_from([1, 2, 5, 100]), label="max_iter"),
                   tol=draw(st.sampled_from([0.0, 1e-12, 0.05, 0.5]), label="tol"))
     return points, k, kwargs
+
+
+@st.composite
+def silhouette_cases(draw):
+    """Points, labels with one singleton cluster, and a distance budget in bytes."""
+    m = draw(st.integers(3, 300), label="m")
+    k = draw(st.integers(2, min(6, m - 1)), label="k")
+    dim = draw(st.integers(1, 3), label="dim")
+    offset = draw(st.floats(-1e6, 1e6), label="offset")
+    # from one distance per block to the whole triangle in one
+    budget = draw(st.integers(1, m * (m + 1) // 2), label="budget")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, k - 1, size=m)
+    labels[rng.integers(m)] = k - 1  # the singleton
+    centers = rng.standard_normal((k, dim)) * draw(st.sampled_from([0.5, 4.0]), label="spread")
+    points = centers[labels] + rng.standard_normal((m, dim)) + offset
+    return points, labels, 8 * budget
 
 
 class TestKmeans:
@@ -178,6 +196,21 @@ class TestSilhouette:
         assert silhouette_score(points, labels) == pytest.approx(
             silhouette_loop(points, labels), abs=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=silhouette_cases())
+    def test_matches_loop_property(self, case):
+        points, labels, block_bytes = case
+        with mock.patch.object(cluster, "_SILHOUETTE_BLOCK_BYTES", block_bytes):
+            ours = silhouette_score(points, labels)
+        assert ours == pytest.approx(silhouette_loop(points, labels), abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e7])
+    def test_translation_invariant(self, rng, offset):
+        labels = rng.integers(0, 3, size=400)
+        points = labels[:, None] * 1.5 + rng.standard_normal((400, 2)) + offset
+        assert silhouette_score(points, labels) == pytest.approx(
+            silhouette_loop(points, labels), abs=1e-12)
+
     def test_duplicate_points_score_zero(self):
         # a = b = 0 for every sample: a zero denominator scores 0
         points = np.zeros((6, 2))
@@ -224,6 +257,26 @@ class TestSilhouette:
     def test_needs_two_clusters(self, rng):
         with pytest.raises(InvalidInputError):
             silhouette_score(rng.standard_normal((5, 2)), np.zeros(5))
+
+
+@pytest.mark.parametrize("metric", [silhouette_score, cluster_label_accuracy])
+class TestMetricInputs:
+    def test_points_not_2d(self, rng, metric):
+        with pytest.raises(DimensionError):
+            metric(rng.standard_normal(6), np.array([0, 0, 0, 1, 1, 1]))
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_labels_wrong_length(self, rng, metric, m):
+        with pytest.raises(DimensionError):
+            metric(rng.standard_normal((6, 2)), np.arange(m) % 2)
+
+    @pytest.mark.parametrize("cell, value", [((4, 1), np.inf), ((4, 1), np.nan), (..., np.nan)],
+                             ids=["one_inf", "one_nan", "all_nan"])
+    def test_non_finite_points(self, rng, metric, cell, value):
+        points = rng.standard_normal((6, 2))
+        points[cell] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            metric(points, np.array([0, 0, 0, 1, 1, 1]))
 
 
 class TestClusterLabelAccuracy:

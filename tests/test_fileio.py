@@ -604,6 +604,31 @@ class TestLabelsExact:
             fileio.read_csv(path)
 
 
+class TestHeaderWidth:
+    """A header must have as many names as the first data row has cells, on both routes."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["kernel", "loadtxt"])
+    @pytest.mark.parametrize("text, header, row", [
+        ("f1,f2,label\n1.5,2\n3,4\n", 3, 2),  # would read the second column as labels
+        ("a,b,c,d\n1,2\n3,4\n", 4, 2),
+        ("a\n1,2\n3,4\n", 1, 2),
+    ], ids=["label_over_2", "4_over_2", "1_over_2"])
+    def test_width_mismatch_rejected(self, tmp_path, ending, text, header, row):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.replace("\n", ending).encode())
+        with pytest.raises(InvalidInputError,
+                           match=rf"in\.csv: header has {header} columns, "
+                                 rf"the first data row has {row}"):
+            fileio.read_csv(path)
+
+    def test_quoted_first_row_counted_as_cells(self, tmp_path):
+        # the comma inside the quotes is not a separator; the row has 2 cells
+        path = tmp_path / "in.csv"
+        path.write_text('f1,f2,f3\n"1,5",2\n')
+        with pytest.raises(InvalidInputError, match="header has 3 columns, the first data row has 2"):
+            fileio.read_csv(path)
+
+
 def make_models(rng):
     cov_a = CovarianceEstimate(random_spd(rng, 5), 10, 0.1)
     cov_b = CovarianceEstimate(random_spd(rng, 5), 20, 0.0)
