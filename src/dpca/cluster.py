@@ -65,11 +65,13 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 8,
     identical) still terminate with a valid labeling. The restarts iterate
     together, each stopping at its own convergence, and return the same
     labels as running them one at a time; the lowest inertia wins, the
-    earliest restart on a tie.
+    earliest restart on a tie. Non-finite points raise ``InvalidInputError``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DimensionError("points must be 2-D")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("points contain a non-finite value")
     m = pts.shape[0]
     if not 1 <= k <= m:
         raise InvalidInputError(f"k must be in [1, {m}], got {k}")

@@ -132,11 +132,14 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
 
     A covariance built from centered data ``X`` (``m`` rows) is
     ``C = X^T X / m + r I``. Let ``Q`` (``D x K``, ``K = k + d`` with ``k`` the
-    total row count) be the Householder QR basis of ``[X_1^T, ..., X_p^T, 0]``:
-    its first ``k`` columns contain every row of every ``X`` and its last ``d``
-    are orthonormal to them. Every ``C`` maps ``span(Q)`` into itself and acts
-    as ``r I`` on the orthogonal complement, so each fit's matrix or pencil is
-    block-diagonal in ``[Q, Q_perp]`` and every complement vector is an
+    total row count) be the Householder QR basis of ``[X_p^T, ..., X_1^T, 0]``,
+    the background's rows first: its first ``k`` columns contain every row of
+    every ``X`` and its last ``d`` are orthonormal to them. The reduced
+    background is then ``blockdiag(B11, r_b I)`` with ``B11`` of the order of
+    its own row count, and the pencil solve factors only ``B11``. Every ``C``
+    maps ``span(Q)`` into itself and acts as ``r I`` on the orthogonal
+    complement, so each fit's matrix or pencil is block-diagonal in
+    ``[Q, Q_perp]`` and every complement vector is an
     eigenvector with a known value: ``r_t`` (PCA), ``r_t - alpha r_b`` (cPCA)
     or ``r_t / max(r_b, floor)`` (dPCA; the background's largest eigenvalue,
     and so the floor, is the same in both blocks). The ``d`` extra columns put

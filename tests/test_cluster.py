@@ -78,6 +78,15 @@ class TestKmeans:
         with pytest.raises(InvalidInputError):
             kmeans(rng.standard_normal((4, 2)), 5)
 
+    @pytest.mark.parametrize("cell, value", [((4, 1), np.inf), ((4, 1), np.nan), (..., np.nan)],
+                             ids=["one_inf", "one_nan", "all_nan"])
+    def test_non_finite_points(self, rng, cell, value):
+        # no distance to a NaN point compares below the best inertia, so no labels exist
+        points = rng.standard_normal((20, 2))
+        points[cell] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            kmeans(points, 2)
+
     @settings(max_examples=150, deadline=None)
     @given(case=kmeans_cases())
     # one column summed in a different order flips a tied label here

@@ -6,6 +6,8 @@ eigendecomposition of B^{-1} A, which never goes through the whitening path.
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from dpca import eigencore as ec
 from dpca.errors import DimensionError, InvalidInputError, RankZeroError, SymmetryError
@@ -243,3 +245,134 @@ class TestGeneralizedEig:
             ec.generalized_eig(a, np.zeros((4, 4)), 2)
         with pytest.raises(DimensionError):
             ec.generalized_eig(a, random_spd(rng, 5), 2)
+
+
+class TestLeadingBlockBackground:
+    """The Cholesky route on backgrounds ``blockdiag(B11, r I)``: only ``B11`` is factored.
+
+    A reduced dPCA background has this shape. Every case is checked against
+    scipy's dense solve of the same pencil.
+    """
+
+    DIM = 300
+
+    @staticmethod
+    def route_spies(monkeypatch):
+        """Record the order of every Cholesky factorization and every whitening."""
+        factored, whitened = [], []
+        real_cho, real_white = scipy.linalg.cho_factor, ec.whitening_factor
+
+        def cho(mat, *args, **kwargs):
+            factored.append(np.shape(mat)[0])
+            return real_cho(mat, *args, **kwargs)
+
+        def white(mat, *args, **kwargs):
+            whitened.append(np.shape(mat)[0])
+            return real_white(mat, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", cho)
+        monkeypatch.setattr(ec, "whitening_factor", white)
+        return factored, whitened
+
+    def check_against_dense(self, rng, monkeypatch, b, lead):
+        dim, d = b.shape[0], 4
+        a = random_spd(rng, dim)
+        factored, whitened = self.route_spies(monkeypatch)
+        pairs = ec.generalized_eig(a, b, d)
+        monkeypatch.undo()
+        assert (factored, whitened) == ([lead], [])
+        vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[dim - d, dim - 1])
+        np.testing.assert_allclose(pairs.eigenvalues, vals[::-1], rtol=1e-12)
+        vecs = vecs[:, ::-1] / np.linalg.norm(vecs, axis=0)[::-1]
+        for j in range(d):
+            assert abs(pairs.eigenvectors[:, j] @ vecs[:, j]) >= 1 - 1e-10
+
+    def block_background(self, rng, lead, ridge=2.5):
+        b = np.diag(np.full(self.DIM, ridge))
+        b[:lead, :lead] = random_spd(rng, lead)
+        return b
+
+    @pytest.mark.parametrize("tail", [0, 1, DIM - 1])
+    def test_tail_orders(self, rng, monkeypatch, tail):
+        lead = self.DIM - tail
+        b = self.block_background(rng, lead)
+        assert ec._leading_order(b) == lead
+        self.check_against_dense(rng, monkeypatch, b, lead)
+
+    def test_scalar_background_factors_one_entry(self, rng, monkeypatch):
+        b = 2.5 * np.eye(self.DIM)
+        self.check_against_dense(rng, monkeypatch, b, 1)
+
+    @pytest.mark.parametrize("case, lead", [("unequal_diagonal", 251), ("coupled_inside", 251),
+                                            ("coupled_last_column", DIM)])
+    def test_not_a_tail(self, rng, monkeypatch, case, lead):
+        # B11 of order 200; one entry beyond it breaks the r I pattern
+        b = self.block_background(rng, 200)
+        if case == "unequal_diagonal":
+            b[250, 250] = 3.0
+        elif case == "coupled_inside":
+            b[250, 10] = b[10, 250] = 0.1
+        else:
+            b[-1, 5] = b[5, -1] = 0.1
+        assert ec._leading_order(b) == lead
+        self.check_against_dense(rng, monkeypatch, b, lead)
+
+    @pytest.mark.parametrize("ridge", [1e-8, 1e8])
+    def test_condition_combines_both_blocks(self, rng, monkeypatch, ridge):
+        # B11's spectrum lies in [0.1, 10], so B11 alone clears the margin, but
+        # cond(B) is about 1e9 with either tail: the whitening route, unfloored
+        b = self.block_background(rng, 200, ridge)
+        a = random_spd(rng, self.DIM)
+        factored, whitened = self.route_spies(monkeypatch)
+        pairs = ec.generalized_eig(a, b, 3)
+        monkeypatch.undo()
+        assert (factored, whitened) == ([200], [self.DIM])
+        assert not pairs.floor_applied
+        dense = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[self.DIM - 3, self.DIM - 1])
+        rtol = 100 * np.finfo(float).eps * np.linalg.cond(b)
+        np.testing.assert_allclose(pairs.eigenvalues, dense[::-1], rtol=rtol)
+
+    def test_zero_tail_takes_the_whitening_route(self, rng, monkeypatch):
+        # r = 0: B is singular, so no factor; the floor decides, as before
+        b = self.block_background(rng, 200, ridge=0.0)
+        assert ec._leading_order(b) == self.DIM
+        factored, whitened = self.route_spies(monkeypatch)
+        pairs = ec.generalized_eig(random_spd(rng, self.DIM), b, 3)
+        monkeypatch.undo()
+        assert (factored, whitened) == ([self.DIM], [self.DIM])
+        assert pairs.floor_applied
+
+
+class TestReduceToSpan:
+    @pytest.mark.parametrize("order", [1, 63, 64, 65, 130, 300])
+    def test_mirror_equals_triu_expression(self, rng, order):
+        # the syrk output with a zero lower triangle, and with garbage in it
+        upper = blas.dsyrk(1.0, np.asfortranarray(rng.standard_normal((order, 7))))
+        expected = upper + np.triu(upper, 1).T
+        assert np.array_equal(ec._mirror_upper(upper.copy(order="F")), expected)
+        garbage = upper.copy(order="F")
+        garbage[np.tril_indices(order, -1)] = rng.standard_normal(order * (order - 1) // 2)
+        assert np.array_equal(ec._mirror_upper(garbage), expected)
+
+    # K = 103 in numpy; K = 263 in scipy, from reflectors
+    @pytest.mark.parametrize("dim,m,n", [(300, 40, 60), (700, 100, 160)])
+    def test_blocks_are_the_reduced_covariances(self, rng, dim, m, n):
+        d, ridges = 3, (0.5, 2.0)
+        target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
+        background = rng.standard_normal((n, dim))
+        basis, (a, b) = ec._reduce_to_span([(target, m, ridges[0]), (background, n, ridges[1])], d)
+        order = m + n + d
+        if isinstance(basis, np.ndarray):
+            q = basis
+        else:
+            q, _ = lapack.dgemqrt(basis.reflectors, basis.t, np.eye(dim, order, order="F"), "L", "N")
+        for block, x, count, ridge in ((a, target, m, ridges[0]), (b, background, n, ridges[1])):
+            cov = x.T @ x / count + ridge * np.eye(dim)
+            np.testing.assert_allclose(block, q.T @ cov @ q, rtol=0, atol=1e-12 * np.linalg.norm(cov))
+            assert np.array_equal(block, block.T)
+        # the background's rows come first: beyond its own n x n block it is exactly r_b I
+        assert np.array_equal(b[n:, n:], ridges[1] * np.eye(order - n))
+        assert not b[:n, n:].any()
+        assert not a[:n + m, n + m:].any()
+        assert np.array_equal(a[n + m:, n + m:], ridges[0] * np.eye(d))
+        assert ec._leading_order(b) == n

@@ -457,6 +457,42 @@ class TestWideDataReduction:
             dense = ec.sym_eigendecompose(cxx.matrix - alpha * cyy.matrix, d)
             assert_top_d_matches(model, dense.eigenvalues, dense.eigenvectors)
 
+    # K = 263 and 303, with 200 and 40 background rows: both in scipy
+    BLOCK_SHAPES = [(600, 60, 200), (700, 260, 40)]
+
+    @pytest.mark.parametrize("dim,m,n", BLOCK_SHAPES)
+    @pytest.mark.parametrize("ridge", [1e-6, 1e-3, 1.0, 100.0])
+    def test_dpca_block_route_matches_dense_eigh(self, rng, monkeypatch, dim, m, n, ridge):
+        cxx, cyy = self.wide_pair(rng, dim, m, n, (1.0, ridge))
+        d = 3
+        orders = self.solve_orders(monkeypatch)
+        dpc = methods.dpca_fit(cxx, cyy, d)
+        monkeypatch.undo()
+        assert [name for name, _ in orders].count("generalized_eig") == 1
+        assert {order for _, order in orders} == {m + n + d}
+        a, b = cxx.matrix, cyy.matrix
+        dense = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[dim - d, dim - 1])
+        rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(b))
+        np.testing.assert_allclose(dpc.eigenvalues, dense[::-1], rtol=rtol)
+        assert methods.pencil_residual(dpc, cxx, cyy) <= 1e-10
+
+    @pytest.mark.parametrize("dim,m,n,factored", [(700, 260, 40, 40), (600, 60, 200, 200),
+                                                  (300, 100, 60, 300)])
+    def test_cholesky_factors_the_background_block(self, rng, monkeypatch, dim, m, n, factored):
+        # reduced: the background's own n x n block; dense (163 > 300 / 2): all D features
+        cxx, cyy = self.wide_pair(rng, dim, m, n, (1.0, 1.0))
+        orders = []
+        real = scipy.linalg.cho_factor
+
+        def spy(mat, *args, **kwargs):
+            orders.append(np.shape(mat))
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+        methods.dpca_fit(cxx, cyy, 3)
+        monkeypatch.undo()
+        assert orders == [(factored, factored)]
+
     def test_complement_eigenvalue_in_top_d(self, rng, monkeypatch):
         # 20 background rows: every solve runs in numpy
         self.check_complement_eigenvalue_in_top_d(rng, monkeypatch, 300, 20)
