@@ -11,6 +11,7 @@ from .datamodel import (
     DataMatrix,
     center,
     concat_rows,
+    fit_inputs,
     sample_covariance,
 )
 from .eigencore import (
@@ -82,6 +83,7 @@ __all__ = [
     "cpca_select_alphas",
     "default_subgroup_spec",
     "dpca_fit",
+    "fit_inputs",
     "gen_background",
     "gen_pair",
     "gen_target",

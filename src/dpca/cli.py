@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from . import eigencore, fileio, methods, svgplot, synthgen
 from .cluster import cluster_label_accuracy, silhouette_score
-from .datamodel import CovarianceEstimate, DataMatrix, center, concat_rows, sample_covariance
-from .errors import DimensionError, DpcaError, InvalidInputError, NumericalError
+from .datamodel import FitInputs, fit_inputs
+from .errors import DpcaError, NumericalError
 
 DEFAULT_GRID = "0.001:1000:15log"
 
@@ -65,23 +64,8 @@ def _check_range(name: str, value, lo, hi=np.inf) -> None:
         raise UsageError(f"{name} must be a finite number {bound}, got {value}")
 
 
-def _apply_scale(data: DataMatrix, scale: np.ndarray) -> DataMatrix:
-    return DataMatrix._adopt(data.values / scale, data.labels)
-
-
-@dataclass(frozen=True)
-class _Prepared:
-    """A command's scaled inputs: ``covs`` and ``means`` list the target's first."""
-
-    target: DataMatrix
-    scale: np.ndarray | None
-    covs: list[CovarianceEstimate]
-    means: list[np.ndarray]
-    grid: np.ndarray | None  # the alpha grid, when the command selects alphas
-
-
-def _prepare(args, select: bool = False) -> _Prepared:
-    """Load the target and background CSVs, z-score, center, and form the covariances.
+def _prepare(args, select: bool = False) -> tuple[FitInputs, np.ndarray | None]:
+    """Load the target and background CSVs into fit inputs, with the alpha grid if ``select``.
 
     Out-of-range flags, and ``--grid`` and ``--select`` when the command
     ``select``s alphas, are usage errors raised before any file is read.
@@ -93,45 +77,30 @@ def _prepare(args, select: bool = False) -> _Prepared:
     if select:
         _check_range("--select", args.select, 1, grid.size)
         _check_range("--seed", args.seed, 0)
-    datasets = [fileio.read_csv(args.target)]
-    if args.background:
-        parts = [fileio.read_csv(p) for p in args.background]
-        datasets.append(parts[0] if len(parts) == 1 else concat_rows(parts))
-        if datasets[1].n_features != datasets[0].n_features:
-            raise InvalidInputError(
-                f"feature count mismatch: target has {datasets[0].n_features}, "
-                f"background has {datasets[1].n_features}")
-    scale = None
-    if args.zscore:
-        # One scale vector from the pooled rows, so target and background
-        # stay directly comparable after scaling.
-        scale = np.vstack([d.values for d in datasets]).std(axis=0)
-        scale[scale == 0] = 1.0
-        datasets = [_apply_scale(d, scale) for d in datasets]
-    centered = [center(d) for d in datasets]
-    return _Prepared(datasets[0], scale, [sample_covariance(c, ridge=args.ridge) for c in centered],
-                     [c.mean for c in centered], grid)
+    return fit_inputs(fileio.read_csv(args.target),
+                      [fileio.read_csv(p) for p in args.background or ()],
+                      ridge=args.ridge, zscore=args.zscore), grid
 
 
-def _fit(method: str, prep: _Prepared, args,
+def _fit(method: str, inputs: FitInputs, args,
          alpha: float | None = None) -> methods.ComponentModel:
     if method == "pca":
-        return methods.pca_fit(prep.covs[0], args.components, target_mean=prep.means[0])
-    means = {"target_mean": prep.means[0], "background_mean": prep.means[1]}
+        return methods.pca_fit(inputs.covs[0], args.components, target_mean=inputs.means[0])
+    means = {"target_mean": inputs.means[0], "background_mean": inputs.means[1]}
     if method == "cpca":
-        return methods.cpca_fit(*prep.covs, alpha, args.components, **means)
-    return methods.dpca_fit(*prep.covs, args.components, floor_rel=args.floor, **means)
+        return methods.cpca_fit(*inputs.covs, alpha, args.components, **means)
+    return methods.dpca_fit(*inputs.covs, args.components, floor_rel=args.floor, **means)
 
 
-def _auto_alpha(prep: _Prepared, args) -> list[methods.ComponentModel]:
-    """cPCA models at the alphas that auto-selection picks over ``--grid``.
+def _auto_alpha(inputs: FitInputs, grid: np.ndarray, args) -> list[methods.ComponentModel]:
+    """cPCA models at the alphas that auto-selection picks over ``grid``.
 
     The selection has already solved at each selected alpha; its pairs are
     the ones ``cpca_fit`` would return, so nothing is refitted.
     """
     selection = methods.cpca_select_alphas(
-        *prep.covs, prep.grid, args.components, args.select, seed=args.seed)
-    return [methods._model("cpca", prep.covs, components, values, *prep.means,
+        *inputs.covs, grid, args.components, args.select, seed=args.seed)
+    return [methods._model("cpca", inputs.covs, components, values, *inputs.means,
                            alpha=float(alpha))
             for alpha, components, values in zip(selection.selected, selection.components,
                                                  selection.eigenvalues)]
@@ -175,24 +144,24 @@ def cmd_fit(args) -> int:
     elif args.alpha is not None or args.auto_alpha:
         raise UsageError("--alpha/--auto-alpha apply to cpca only")
 
-    prep = _prepare(args, select=args.auto_alpha)
+    inputs, grid = _prepare(args, select=args.auto_alpha)
     started = time.perf_counter()
 
     if args.method == "cpca" and args.auto_alpha:
-        models = _auto_alpha(prep, args)
+        models = _auto_alpha(inputs, grid, args)
         out = Path(args.out)
         for i, model in enumerate(models, start=1):
             path = out.with_name(f"{out.stem}_a{i}{out.suffix or '.json'}")
             fileio.save_model(fileio.ensure_parent(path), model,
-                              feature_scale=prep.scale, provenance=_provenance(args, prep.scale))
+                              feature_scale=inputs.scale, provenance=_provenance(args, inputs.scale))
             print(f"alpha={model.alpha:.6g} eigenvalues: {_eigs_str(model.eigenvalues)} -> {path}")
         print(f"selected alphas: {_eigs_str([m.alpha for m in models])} "
               f"({time.perf_counter() - started:.3f} s)")
         return 0
 
-    model = _fit(args.method, prep, args, args.alpha)
+    model = _fit(args.method, inputs, args, args.alpha)
     fileio.save_model(fileio.ensure_parent(args.out), model,
-                      feature_scale=prep.scale, provenance=_provenance(args, prep.scale))
+                      feature_scale=inputs.scale, provenance=_provenance(args, inputs.scale))
     print(f"{args.method} d={args.components} eigenvalues: {_eigs_str(model.eigenvalues)} "
           f"({time.perf_counter() - started:.3f} s) -> {args.out}")
     return 0
@@ -201,11 +170,9 @@ def cmd_fit(args) -> int:
 def cmd_transform(args) -> int:
     stored = fileio.load_model(args.model)
     data = fileio.read_csv(args.data)
-    if stored.feature_scale is not None:
-        if data.n_features != stored.model.n_features:  # before the scale can broadcast
-            raise DimensionError(f"data has {data.n_features} features, "
-                                 f"model expects {stored.model.n_features}")
-        data = _apply_scale(data, stored.feature_scale)
+    # data of another width is left unscaled, for transform's DimensionError
+    if stored.feature_scale is not None and data.n_features == stored.model.n_features:
+        data = data.scaled(stored.feature_scale)
     emb = methods.transform(stored.model, data)
     fileio.write_embedding_csv(fileio.ensure_parent(args.out), emb.coordinates, emb.labels)
     print(f"wrote {emb.coordinates.shape[0]}x{emb.coordinates.shape[1]} embedding -> {args.out}")
@@ -225,27 +192,27 @@ def _metrics(coords: np.ndarray, labels, seed: int) -> dict:
 def cmd_compare(args) -> int:
     if not args.background:
         raise UsageError("compare requires a background CSV")
-    prep = _prepare(args, select=True)
+    inputs, grid = _prepare(args, select=True)
     prefix = Path(args.out)
     fileio.ensure_parent(prefix.with_name(prefix.name + "_report.json"))
 
     # each "seconds" times the fits only
     t0 = time.perf_counter()
-    pca_model = _fit("pca", prep, args)
+    pca_model = _fit("pca", inputs, args)
     pca_secs = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dpca_model = _fit("dpca", prep, args)
+    dpca_model = _fit("dpca", inputs, args)
     dpca_secs = time.perf_counter() - t0
     extra = {"dpca": {"pencil_solves": 1}}  # dpca_fit makes one generalized_eig call
     t0 = time.perf_counter()
-    cpca_models = _auto_alpha(prep, args)
+    cpca_models = _auto_alpha(inputs, grid, args)
     cpca_secs = time.perf_counter() - t0
 
     fitted = {"pca": pca_model, "dpca": dpca_model,
               **{f"cpca_a{i}": m for i, m in enumerate(cpca_models, start=1)}}
     rows = {}
     for name, model in fitted.items():
-        emb = methods.transform(model, prep.target)
+        emb = methods.transform(model, inputs.target)
         path = f"{prefix}_{name}.csv"
         fileio.write_embedding_csv(path, emb.coordinates, emb.labels)
         rows[name] = {"eigenvalues": model.eigenvalues.tolist(), "embedding_csv": path,

@@ -1,4 +1,4 @@
-"""Dataset containers, centering, and sample covariance construction."""
+"""Dataset containers, centering, sample covariances, and the inputs a fit takes."""
 
 from __future__ import annotations
 
@@ -69,6 +69,10 @@ class DataMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
+
+    def scaled(self, scale: np.ndarray) -> DataMatrix:
+        """These samples with each feature divided by its ``scale`` entry; labels kept."""
+        return DataMatrix._adopt(self.values / scale, self.labels)
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,8 @@ def sample_covariance(centered: CenteredDataset, ridge: float = 0.0) -> Covarian
 def concat_rows(parts: Sequence[DataMatrix]) -> DataMatrix:
     """Stack several datasets row-wise into one (labels are dropped).
 
-    This is how multiple background datasets are fused: combine first, then
-    fit against the combined covariance.
+    :func:`fit_inputs` fuses several background datasets with it: combine
+    first, then fit against the combined covariance.
     """
     if not parts:
         raise InvalidInputError("need at least one dataset to concatenate")
@@ -162,3 +166,53 @@ def concat_rows(parts: Sequence[DataMatrix]) -> DataMatrix:
                 f"dataset {i} has {p.n_features} features, expected {width}")
     # the parts are finite DataMatrix values, so their stack is too
     return DataMatrix._adopt(np.vstack([p.values for p in parts]), finite_checked=True)
+
+
+@dataclass(frozen=True)
+class FitInputs:
+    """What the fits take from a target and its backgrounds.
+
+    ``target`` is the target as the fits see it: divided by ``scale`` when
+    the inputs were z-scored, ``scale`` being None otherwise. ``covs`` and
+    ``means`` hold the covariance estimates and column means, the target's
+    first and then the fused background's, if there is one.
+    """
+
+    target: DataMatrix
+    scale: np.ndarray | None
+    covs: tuple[CovarianceEstimate, ...]
+    means: tuple[np.ndarray, ...]
+
+
+def fit_inputs(target: DataMatrix, backgrounds: Sequence[DataMatrix] = (),
+               ridge: float = 0.0, zscore: bool = False) -> FitInputs:
+    """Means and covariance estimates of a target and its backgrounds, ready to fit.
+
+    Several backgrounds are fused into one by :func:`concat_rows`. With
+    ``zscore`` every feature is divided by one standard deviation of the
+    pooled target and background rows, so the two stay directly comparable;
+    a constant feature keeps scale 1. Each dataset is then centered and its
+    :func:`sample_covariance` formed with ``ridge``.
+
+    Raises
+    ------
+    InvalidInputError
+        If the backgrounds' feature count differs from the target's.
+    DimensionError
+        If the backgrounds differ from each other in feature count.
+    """
+    datasets = [target]
+    if backgrounds:
+        datasets.append(backgrounds[0] if len(backgrounds) == 1 else concat_rows(backgrounds))
+        if datasets[1].n_features != target.n_features:
+            raise InvalidInputError(
+                f"feature count mismatch: target has {target.n_features}, "
+                f"background has {datasets[1].n_features}")
+    scale = None
+    if zscore:
+        scale = np.vstack([d.values for d in datasets]).std(axis=0)
+        scale[scale == 0] = 1.0
+        datasets = [d.scaled(scale) for d in datasets]
+    centered = [center(d) for d in datasets]
+    return FitInputs(datasets[0], scale, tuple(sample_covariance(c, ridge) for c in centered),
+                     tuple(c.mean for c in centered))

@@ -26,7 +26,9 @@ Fits on wide data solve at a smaller order in an orthonormal basis ``Q`` of
 their samples: ``_reduce_to_span`` factors the samples and forms the reduced
 matrices, and ``_lift`` maps the reduced eigenvectors back as ``u = Q y``.
 This module is the only one that chooses between numpy's and scipy's BLAS
-and LAPACK; the choice, by matrix order, is ``TOP_D_MIN_DIM``'s.
+and LAPACK; the choice, by matrix order, is ``TOP_D_MIN_DIM``'s. scipy is
+imported inside the functions that call it: importing ``scipy.linalg`` takes
+about 0.3 s and 30 MB, which problems below that order never need.
 
 All functions are pure; returned arrays are never aliased to the inputs.
 """
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from .errors import (
     DimensionError,
@@ -302,6 +302,9 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
 
     upper = _comfortable_cholesky(b, floor_rel) if dim >= TOP_D_MIN_DIM else None
     if upper is not None:
+        import scipy.linalg
+        from scipy.linalg import blas, lapack
+
         # B = U^T U turns the pencil into U^-T A U^-1 y = lam y with u = U^-1 y;
         # beyond the order of the leading block's factor U1, B is r I and U is sqrt(r) I
         lead, ridge = upper.shape[0], b[-1, -1]
@@ -341,6 +344,8 @@ def _top_subset_eigh(arr: np.ndarray, count: int,
     cluster (a rank-2 covariance plus a ridge, top 5 of order 300); the full
     solve then stands in.
     """
+    import scipy.linalg
+
     dim = arr.shape[0]
     vals, vecs = scipy.linalg.eigh(arr, lower=lower, subset_by_index=[dim - count, dim - 1],
                                    check_finite=False)
@@ -360,6 +365,9 @@ def _comfortable_cholesky(b: np.ndarray, floor_rel: float) -> np.ndarray | None:
     estimate. Returns None when the factorization fails or the margin is not
     cleared. Only the upper triangle of the returned array holds the factor.
     """
+    import scipy.linalg
+    from scipy.linalg import lapack
+
     lead = _leading_order(b)
     block = b[:lead, :lead]
     try:
@@ -437,6 +445,8 @@ def _reduce_to_span(parts: Sequence[tuple[np.ndarray, int, float]],
     order = stacked.shape[1]
     in_scipy = order >= TOP_D_MIN_DIM
     if in_scipy:
+        from scipy.linalg import blas, lapack
+
         factored, t, _ = lapack.dgeqrt(min(64, order), stacked, overwrite_a=1)
         basis = _Reflectors(factored, t)
     else:
@@ -494,6 +504,8 @@ def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
         return vectors
     if isinstance(basis, np.ndarray):
         return apply_sign_convention(basis @ vectors)
+    from scipy.linalg import lapack
+
     # Q y is the full D x D orthogonal factor applied to y padded with zeros
     padded = np.zeros((basis.reflectors.shape[0], vectors.shape[1]), order="F")
     padded[:vectors.shape[0]] = vectors

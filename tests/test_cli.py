@@ -22,6 +22,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def src_env():
+    """This environment with the package's source directory first on PYTHONPATH."""
+    src = str(Path(dpca.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def write_gaussian_csv(path, rng, m, stds, labels=None):
     data = DataMatrix(rng.standard_normal((m, len(stds))) * stds, labels=labels)
     fileio.write_data_csv(path, data)
@@ -236,6 +243,56 @@ class TestCompareMatchesFit:
             assert emb.read_bytes() == (tmp_path / f"cmp_{name}.csv").read_bytes(), name
 
 
+class TestLibraryPath:
+    @pytest.mark.parametrize("method,backgrounds,flags", [
+        ("dpca", 1, ()),
+        ("dpca", 2, ()),
+        ("cpca", 1, ("--alpha", "2", "--zscore", "--ridge", "0.5")),
+    ])
+    def test_fit_writes_the_library_model(self, tmp_path, method, backgrounds, flags):
+        # read_csv -> fit_inputs -> fit -> save_model is the path fit runs
+        prefix = tmp_path / "exp"
+        run("synth", "--features", 20, "-m", 150, "-n", 200, "--seed", 4, "--out", prefix)
+        target = f"{prefix}_target.csv"
+        parts = [f"{prefix}_background.csv"]
+        if backgrounds == 2:
+            second = tmp_path / "second"
+            run("synth", "--features", 20, "-m", 50, "-n", 120, "--seed", 5, "--out", second)
+            parts.append(f"{second}_background.csv")
+        cli_path, lib_path = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert run("fit", method, target, *parts, *flags, "--out", cli_path) == 0
+
+        inputs = dpca.fit_inputs(fileio.read_csv(target), [fileio.read_csv(p) for p in parts],
+                                 ridge=0.5 if "--ridge" in flags else 0.0,
+                                 zscore="--zscore" in flags)
+        target_mean, background_mean = inputs.means
+        if method == "dpca":
+            model = dpca.dpca_fit(*inputs.covs, 2, target_mean=target_mean,
+                                  background_mean=background_mean)
+        else:
+            model = dpca.cpca_fit(*inputs.covs, 2.0, 2, target_mean, background_mean)
+        provenance = json.loads(cli_path.read_text())["provenance"]
+        fileio.save_model(lib_path, model, feature_scale=inputs.scale, provenance=provenance)
+        assert lib_path.read_bytes() == cli_path.read_bytes()
+
+
+class TestStartup:
+    def test_small_commands_never_import_scipy(self, tmp_path):
+        # D = 20: every matrix stays below eigencore.TOP_D_MIN_DIM
+        prefix = tmp_path / "exp"
+        target, background = f"{prefix}_target.csv", f"{prefix}_background.csv"
+        commands = [["synth", "--features", "20", "-m", "150", "-n", "200", "--out", str(prefix)],
+                    ["fit", "dpca", target, background, "--out", str(tmp_path / "m.json")],
+                    ["compare", target, background, "--out", str(tmp_path / "cmp")]]
+        script = ("import json, sys\nfrom dpca.cli import main\n"
+                  "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1]))\n"
+                  "print('scipy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestCsvBytes:
     @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e16])
     def test_synth_and_transform_write_reference_bytes(self, tmp_path, scale):
@@ -349,15 +406,12 @@ class TestFloorWarning:
         # 20 background rows in 40 features: the whitening floor decides the fit
         target = write_gaussian_csv(tmp_path / "t.csv", rng, 60, np.ones(40))
         background = write_gaussian_csv(tmp_path / "b.csv", rng, 20, np.ones(40))
-        src = str(Path(dpca.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
         def fit(*extra):
             return subprocess.run(
                 [sys.executable, "-m", "dpca", "fit", "dpca", str(target), str(background),
                  "-d", "2", "--out", str(tmp_path / "m.json"), *extra],
-                capture_output=True, text=True, env=env, timeout=120)
+                capture_output=True, text=True, env=src_env(), timeout=120)
 
         floored = fit()
         assert floored.returncode == 0

@@ -555,7 +555,8 @@ class TestWideDataReduction:
         # library the solve at that order runs in
         cxx, cyy = self.wide_pair(rng, 600, 100, n, (1.0, 1.0))
         calls = []
-        for module, attr, name in ((np.linalg, "qr", "numpy"), (ec.lapack, "dgeqrt", "scipy")):
+        spied = ((np.linalg, "qr", "numpy"), (scipy.linalg.lapack, "dgeqrt", "scipy"))
+        for module, attr, name in spied:
             def spy(*args, real=getattr(module, attr), name=name, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
