@@ -203,7 +203,7 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     dpca_model = _fit("dpca", inputs, args)
     dpca_secs = time.perf_counter() - t0
-    extra = {"dpca": {"pencil_solves": 1}}  # dpca_fit makes one generalized_eig call
+    extra = {"dpca": {"pencil_solves": 1}}  # dpca_fit makes one pencil solve
     t0 = time.perf_counter()
     cpca_models = _auto_alpha(inputs, grid, args)
     cpca_secs = time.perf_counter() - t0

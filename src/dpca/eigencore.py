@@ -15,16 +15,18 @@ is built on four operations:
   comfortably positive definite (its Cholesky factorization succeeds and its
   estimated reciprocal condition number exceeds ``1e3 * floor_rel``), it
   solves the pencil directly through the Cholesky factor, computing only the
-  top ``d`` pairs; a ``B`` that is ``r I`` beyond a leading block has only
-  that block factored. Otherwise it whitens with the floored
-  ``whitening_factor(B)`` and takes the top ``d`` pairs of the whitened
-  matrix; only this route can apply the floor.
+  top ``d`` pairs, all in the lower triangle. Otherwise it whitens with the
+  floored ``whitening_factor(B)`` and takes the top ``d`` pairs of the
+  whitened matrix; only this route can apply the floor.
 * :func:`power_topd` computes leading eigenpairs by deflated power iteration,
   the cheap route for when a dense solve is overkill.
 
 Fits on wide data solve at a smaller order in an orthonormal basis ``Q`` of
-their samples: ``_reduce_to_span`` factors the samples and forms the reduced
-matrices, and ``_lift`` maps the reduced eigenvectors back as ``u = Q y``.
+their samples: ``_span_qr`` factors the samples, ``_span_grams`` forms the
+reduced matrices from the factor ``R``, ``_span_pencil_eig`` solves a
+reduced dPCA pencil from ``R`` itself, forming and factoring only the
+background's own block when it has a ridge, and ``_lift`` maps the reduced
+eigenvectors back as ``u = Q y``.
 This module is the only one that chooses between numpy's and scipy's BLAS
 and LAPACK; the choice, by matrix order, is ``TOP_D_MIN_DIM``'s. scipy is
 imported inside the functions that call it: importing ``scipy.linalg`` takes
@@ -255,18 +257,13 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
                     floor_rel: float = DEFAULT_FLOOR_REL) -> GeneralizedEigenPairs:
     """Top-``d`` eigenpairs of the symmetric-definite pencil ``(A, B)``.
 
-    When ``D >= TOP_D_MIN_DIM``, ``B`` has a Cholesky factor ``B = U^T U``
+    When ``D >= TOP_D_MIN_DIM``, ``B`` has a Cholesky factor ``B = L L^T``
     and its estimated reciprocal condition number (LAPACK ``pocon``, 1-norm)
     exceeds ``1e3 * floor_rel``, the pencil is reduced to the symmetric matrix
-    ``U^-T A U^-1`` (LAPACK ``sygst``), its top ``d`` pairs ``y`` are computed,
-    and ``u = U^-1 y``. Since ``cond_2(B) <= cond_1(B)``, the floor cannot
-    apply on this route. When ``B`` is ``blockdiag(B11, r I)``, as a reduced
-    dPCA background is, only ``B11 = U1^T U1`` is factored: ``U`` is
-    ``blockdiag(U1, sqrt(r) I)``, so the reduced matrix is ``sygst`` of
-    ``A11`` with ``U1``, ``U1^-T A12 / sqrt(r)`` (BLAS ``trsm``) and
-    ``A22 / r``, and ``u`` is ``U1^-1 y1`` over ``y / sqrt(r)`` in the tail.
-    The block is found from ``B`` itself; a dense ``B`` has no tail and is
-    factored whole. Otherwise ``B`` is whitened with
+    ``L^-1 A L^-T`` (LAPACK ``sygst``), its top ``d`` pairs ``y`` are computed,
+    and ``u = L^-T y``; the factor, the reduction and the solve all work in
+    the lower triangle. Since ``cond_2(B) <= cond_1(B)``, the floor cannot
+    apply on this route. Otherwise ``B`` is whitened with
     ``W = whitening_factor(B, floor_rel)``, the top ``d`` pairs of the
     symmetric matrix ``W^T A W`` are computed, and each eigenvector ``v`` is
     mapped back as ``u = W v``. Either way each ``u`` is normalized to unit
@@ -300,102 +297,80 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     if not 0 <= floor_rel < np.inf:
         raise InvalidInputError(f"floor_rel must be finite and nonnegative, got {floor_rel}")
 
-    upper = _comfortable_cholesky(b, floor_rel) if dim >= TOP_D_MIN_DIM else None
-    if upper is not None:
-        import scipy.linalg
-        from scipy.linalg import blas, lapack
-
-        # B = U^T U turns the pencil into U^-T A U^-1 y = lam y with u = U^-1 y;
-        # beyond the order of the leading block's factor U1, B is r I and U is sqrt(r) I
-        lead, ridge = upper.shape[0], b[-1, -1]
-        if lead == dim:
-            reduced, _ = lapack.dsygst(a, upper)  # result in the upper triangle
-        else:
-            reduced = np.zeros((dim, dim), order="F")  # upper triangle only, like dsygst's
-            reduced[:lead, :lead] = lapack.dsygst(a[:lead, :lead], upper)[0]
-            reduced[:lead, lead:] = blas.dtrsm(1.0 / np.sqrt(ridge), upper, a[:lead, lead:],
-                                               trans_a=1)
-            reduced[lead:, lead:] = a[lead:, lead:] / ridge
-        values, vectors = _top_subset_eigh(reduced, d, lower=False)
-        values, vectors = values[::-1], vectors[:, ::-1]
-        head = scipy.linalg.solve_triangular(upper, vectors[:lead], check_finite=False)
-        vectors = head if lead == dim else np.vstack([head, vectors[lead:] / np.sqrt(ridge)])
-        floor_applied = False
-    else:
+    lower = _comfortable_cholesky(b, floor_rel) if dim >= TOP_D_MIN_DIM else None
+    if lower is None:
         white = whitening_factor(b, floor_rel)
         transformed = white.factor.T @ a @ white.factor
         transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
         eig = sym_eigendecompose(transformed, d)
-        values, vectors = eig.eigenvalues, white.factor @ eig.eigenvectors
-        floor_applied = white.floor_applied
+        return _pencil_pairs(eig.eigenvalues, white.factor @ eig.eigenvectors,
+                             white.floor_applied)
+    import scipy.linalg
+    from scipy.linalg import lapack
 
-    values = np.maximum(values, 0.0)
-    vectors = apply_sign_convention(vectors / np.linalg.norm(vectors, axis=0))
-    return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors,
-                                 floor_applied=floor_applied)
+    # B = L L^T turns the pencil into L^-1 A L^-T y = lam y with u = L^-T y
+    reduced, _ = lapack.dsygst(a, lower, lower=1)  # result in the lower triangle
+    values, vectors = _top_subset_eigh(reduced, d)
+    vectors = scipy.linalg.solve_triangular(lower, vectors[:, ::-1], lower=True, trans="T",
+                                            check_finite=False)
+    return _pencil_pairs(values[::-1], vectors, False)
 
 
-def _top_subset_eigh(arr: np.ndarray, count: int,
-                     lower: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _pencil_pairs(values: np.ndarray, vectors: np.ndarray,
+                  floor_applied: bool) -> GeneralizedEigenPairs:
+    """Pencil pairs, descending, as returned: values clipped at 0, unit columns, signs fixed."""
+    return GeneralizedEigenPairs(
+        eigenvalues=np.maximum(values, 0.0),
+        eigenvectors=apply_sign_convention(vectors / np.linalg.norm(vectors, axis=0)),
+        floor_applied=floor_applied)
+
+
+def _top_subset_eigh(arr: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Top ``count`` eigenpairs of a symmetric matrix, ascending, by LAPACK ``syevr``.
 
-    Only the ``lower`` (or upper) triangle is read. ``syevr`` can return fewer
-    pairs than requested, even none, when the wanted eigenvalues sit in a tight
-    cluster (a rank-2 covariance plus a ridge, top 5 of order 300); the full
-    solve then stands in.
+    Only the lower triangle is read. With 2 OpenBLAS threads this top-2
+    solve takes 12.8, 36.6 and 67.1 ms on the lower triangle against 14.6,
+    44.4 and 77.8 ms on the upper one at orders 500, 802 and 1000 (with 1
+    thread they are within 2%; 2-vCPU Xeon VM, best of two medians of 9), so
+    every solver hands it the lower triangle. ``syevr``
+    can return fewer pairs than requested, even none, when the wanted
+    eigenvalues sit in a tight cluster (a rank-2 covariance plus a ridge, top
+    5 of order 300); the full solve then stands in.
     """
     import scipy.linalg
 
     dim = arr.shape[0]
-    vals, vecs = scipy.linalg.eigh(arr, lower=lower, subset_by_index=[dim - count, dim - 1],
+    vals, vecs = scipy.linalg.eigh(arr, lower=True, subset_by_index=[dim - count, dim - 1],
                                    check_finite=False)
     if vals.shape[0] < count:
-        vals, vecs = np.linalg.eigh(arr, UPLO="L" if lower else "U")
+        vals, vecs = np.linalg.eigh(arr, UPLO="L")
         vals, vecs = vals[dim - count:], vecs[:, dim - count:]
     return vals, vecs
 
 
-def _comfortable_cholesky(b: np.ndarray, floor_rel: float) -> np.ndarray | None:
-    """Upper Cholesky factor of ``b``'s leading block if rcond(b) clears the floor's margin.
+def _comfortable_cholesky(b: np.ndarray, floor_rel: float,
+                          ridge: float | None = None) -> np.ndarray | None:
+    """Lower Cholesky factor ``L`` of ``b`` if rcond clears the floor's margin, else None.
 
-    Beyond its leading block ``B11`` (:func:`_leading_order`) ``b`` is
-    ``r I``, so only ``B11`` is factored, and the 1-norms of the block-diagonal
-    ``b`` combine as ``||b|| = max(||B11||, r)`` and
-    ``||b^-1|| = max(||B11^-1||, 1 / r)``, the latter from ``B11``'s ``pocon``
-    estimate. Returns None when the factorization fails or the margin is not
-    cleared. Only the upper triangle of the returned array holds the factor.
+    With ``ridge``, ``b`` is the leading block ``B11`` of the matrix
+    ``blockdiag(B11, ridge I)`` and the margin is that matrix's: its 1-norms
+    combine as ``max(||B11||, r)`` and ``max(||B11^-1||, 1 / r)``, the latter
+    from ``B11``'s ``pocon`` estimate. Returns None when the factorization
+    fails or the margin is not cleared. Only the lower triangle of the
+    returned array holds the factor.
     """
     import scipy.linalg
     from scipy.linalg import lapack
 
-    lead = _leading_order(b)
-    block = b[:lead, :lead]
     try:
-        upper, _ = scipy.linalg.cho_factor(block, check_finite=False)
+        lower, _ = scipy.linalg.cho_factor(b, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    norm = np.linalg.norm(block, 1)
-    rcond, info = lapack.dpocon(upper, norm)
-    if lead < b.shape[0]:
-        ridge = b[-1, -1]
+    norm = np.linalg.norm(b, 1)
+    rcond, info = lapack.dpocon(lower, norm, uplo="L")
+    if ridge is not None:
         rcond = min(rcond * norm, ridge) / max(norm, ridge)
-    return upper if info == 0 and rcond > CHOLESKY_RCOND_MARGIN * floor_rel else None
-
-
-def _leading_order(b: np.ndarray) -> int:
-    """Order of the leading block of ``b`` beyond which ``b`` is ``r I`` with ``r > 0``.
-
-    ``r`` is the last diagonal entry; every trailing column whose only nonzero
-    is a diagonal ``r`` belongs to the tail. The order is at least 1, and it is
-    ``b``'s own when the last column has an off-diagonal nonzero, which a dense
-    ``b`` shows after O(D) reads.
-    """
-    ridge = b[-1, -1]
-    if ridge <= 0 or np.any(b[:-1, -1]):
-        return b.shape[0]
-    plain = (np.count_nonzero(b, axis=0) == 1) & (np.diagonal(b) == ridge)
-    plain[0] = False
-    return int(np.flatnonzero(~plain)[-1]) + 1
+    return lower if info == 0 and rcond > CHOLESKY_RCOND_MARGIN * floor_rel else None
 
 
 class _Reflectors(NamedTuple):
@@ -415,66 +390,161 @@ class _Reflectors(NamedTuple):
 _Basis = Union[None, np.ndarray, _Reflectors]
 
 
-def _reduce_to_span(parts: Sequence[tuple[np.ndarray, int, float]],
-                    d: int) -> tuple[_Basis, list[np.ndarray]]:
-    """An orthonormal basis ``Q`` of the samples, and each covariance reduced to it.
+class _Span(NamedTuple):
+    """The QR factorization of a fit's stacked samples, from :func:`_span_qr`.
+
+    ``basis`` is ``Q`` (``D x K``), as a matrix or as its reflectors;
+    ``triangle`` is ``K x K`` and holds ``R`` in its upper triangle (below
+    it, on the reflector route, lie reflectors); ``parts`` is the
+    ``(X_i, m_i, r_i)`` of each covariance, in the order the fit gave them.
+    """
+
+    basis: _Basis
+    triangle: np.ndarray
+    parts: tuple[tuple[np.ndarray, int, float], ...]
+
+
+def _span_qr(parts: Sequence[tuple[np.ndarray, int, float]], d: int) -> _Span:
+    """An orthonormal basis ``Q`` of the samples of the covariances in ``parts``.
 
     ``parts`` holds one ``(X_i, m_i, r_i)`` per covariance
-    ``X_i^T X_i / m_i + r_i I``; the result is ``Q`` and each
-    ``Q^T (X_i^T X_i / m_i + r_i I) Q``, in the order of ``parts``. ``Q``
-    (``D x K``, ``K`` the total row count plus ``d``) is the Householder QR
-    basis of ``[X_p^T, ..., X_1^T, 0]``, the last part's rows first: its
-    first columns span every row of every ``X_i`` and its last ``d`` are
-    orthonormal to them. With ``R = Q^T [X_p^T, ...]`` upper triangular,
-    each reduced matrix is ``R_i R_i^T / m_i + r_i I``, and ``R_i`` is zero
-    below the row where its part ends in the stack. So a pencil's background,
-    the last part, reduces to ``blockdiag(B11, r_b I)`` with ``B11`` of the
-    order of its row count, the shape :func:`generalized_eig` factors in
-    that order only. From ``K = TOP_D_MIN_DIM`` up the QR is LAPACK's
-    recursive compact-WY ``geqrt``, in place on the stack, and ``Q`` is kept
-    as its reflectors and never formed. Each Gram block is formed from the
-    part's nonzero rows of ``R`` only: ``lauum`` of the first part's
-    triangle, ``syrk`` of a later part's columns. It is mirrored in place and
-    scaled into the leading block of its reduced matrix, which gets its ridge
-    on the whole diagonal. Below it numpy forms ``Q`` and the products.
+    ``X_i^T X_i / m_i + r_i I``. ``Q`` (``D x K``, ``K`` the total row count
+    plus ``d``) is the Householder QR basis of ``[X_p^T, ..., X_1^T, 0]``,
+    the last part's rows first: its first columns span every row of every
+    ``X_i`` and its last ``d`` are orthonormal to them. With
+    ``R = Q^T [X_p^T, ...]`` upper triangular, each reduced matrix
+    ``Q^T (X_i^T X_i / m_i + r_i I) Q`` is ``R_i R_i^T / m_i + r_i I``, and
+    ``R_i`` (``R``'s columns of part ``i``) is zero below the row where its
+    part ends in the stack. So a pencil's background, the last part,
+    reduces to ``blockdiag(B11, r_b I)`` with ``B11`` of the order of its
+    row count. From ``K = TOP_D_MIN_DIM`` up the QR is LAPACK's recursive
+    compact-WY ``geqrt``, in place on the stack, and ``Q`` is kept as its
+    reflectors and never formed; below it numpy forms ``Q`` and ``R``.
     """
-    stacked_parts = parts[::-1]
+    parts = tuple(parts)
     # stacking rows and transposing gives the Fortran-ordered D x K layout LAPACK works in
-    stacked = np.concatenate([x for x, _, _ in stacked_parts]
+    stacked = np.concatenate([x for x, _, _ in parts[::-1]]
                              + [np.zeros((d, parts[0][0].shape[1]))]).T
     order = stacked.shape[1]
-    in_scipy = order >= TOP_D_MIN_DIM
-    if in_scipy:
-        from scipy.linalg import blas, lapack
+    if order < TOP_D_MIN_DIM:
+        q, upper = np.linalg.qr(stacked)
+        return _Span(q, upper, parts)
+    from scipy.linalg import lapack
 
-        factored, t, _ = lapack.dgeqrt(min(64, order), stacked, overwrite_a=1)
-        basis = _Reflectors(factored, t)
-    else:
-        basis, upper = np.linalg.qr(stacked)
+    factored, t, _ = lapack.dgeqrt(min(64, order), stacked, overwrite_a=1)
+    return _Span(_Reflectors(factored, t), factored[:order, :order], parts)
+
+
+def _span_grams(span: _Span) -> list[np.ndarray]:
+    """Each covariance of ``span`` reduced to it, ``R_i R_i^T / m_i + r_i I``, in order.
+
+    On the reflector route each is formed from the part's nonzero rows of
+    ``R`` only (:func:`_part_gram`) and is ``r_i I`` beyond them. Below it
+    numpy forms the products.
+    """
+    triangle = span.triangle
+    order = triangle.shape[0]
     blocks, stop = [], 0
-    for x, count, ridge in stacked_parts:
+    for x, count, ridge in span.parts[::-1]:
         start, stop = stop, stop + x.shape[0]
-        if in_scipy:
-            # R's nonzero rows of this part's columns: the first part's are
-            # triangular, which lauum reads as such; below R's diagonal lie reflectors
-            if start == 0:
-                gram, _ = lapack.dlauum(factored[:stop, :stop])
-            else:
-                part = factored[:stop, start:stop].copy(order="F")
-                part[start:] = np.triu(part[start:])
-                gram = blas.dsyrk(1.0, part)
+        if order >= TOP_D_MIN_DIM:
             block = np.zeros((order, order), order="F")
-            np.multiply(_mirror_upper(gram), 1.0 / count, out=block[:stop, :stop])
-            if ridge > 0:
-                block[np.diag_indices(order)] += ridge
+            block[:stop, :stop] = _part_gram(triangle, start, stop, count, ridge)
+            tail = np.arange(stop, order)
+            block[tail, tail] = ridge
         else:
-            part = upper[:, start:stop]
+            part = triangle[:, start:stop]
             block = (part @ part.T) / count
             block = 0.5 * (block + block.T)
             if ridge > 0:
                 block += ridge * np.eye(order)
         blocks.append(block)
-    return basis, blocks[::-1]
+    return blocks[::-1]
+
+
+def _part_gram(triangle: np.ndarray, start: int, stop: int, count: int,
+               ridge: float) -> np.ndarray:
+    """``R_i R_i^T / m_i + r_i I`` over the nonzero rows ``:stop`` of ``R_i = R[:, start:stop]``.
+
+    The first part's rows are triangular, which ``lauum`` reads as such; a
+    later part's are a dense block over a triangle, whose lower side holds
+    reflectors and is cleared before its ``syrk``. Either product is
+    mirrored in place.
+    """
+    from scipy.linalg import blas, lapack
+
+    if start == 0:
+        gram, _ = lapack.dlauum(triangle[:stop, :stop])
+    else:
+        part = triangle[:stop, start:stop].copy(order="F")
+        part[start:] = np.triu(part[start:])
+        gram = blas.dsyrk(1.0, part)
+    gram = _mirror_upper(gram) * (1.0 / count)
+    if ridge > 0:
+        gram[np.diag_indices(stop)] += ridge
+    return gram
+
+
+def _span_pencil_eig(span: _Span, d: int, floor_rel: float) -> GeneralizedEigenPairs:
+    """Top-``d`` pairs of the dPCA pencil ``span`` reduces, from its QR factor when it can.
+
+    ``span.parts`` is the target's and then the background's. On the
+    reflector route with a background ridge ``r_b > 0``, only the
+    background's own block ``B11 = R_bb R_bb^T / m_b + r_b I`` is formed and
+    factored (:func:`_comfortable_cholesky`, with the margin of the whole
+    ``blockdiag(B11, r_b I)``), and the pencil is solved by
+    :func:`_whitened_span_eig`. Otherwise, or when the margin is not
+    cleared, both reduced matrices are formed from the same ``R`` and solved
+    by :func:`generalized_eig`, whose whitening route can apply the floor.
+    """
+    background, count, ridge = span.parts[1]
+    lower = None
+    if span.triangle.shape[0] >= TOP_D_MIN_DIM and ridge > 0:
+        block = _part_gram(span.triangle, 0, background.shape[0], count, ridge)
+        lower = _comfortable_cholesky(block, floor_rel, ridge)
+    if lower is None:
+        return generalized_eig(*_span_grams(span), d, floor_rel)
+    return _whitened_span_eig(span.triangle, lower, span.parts, d)
+
+
+def _whitened_span_eig(triangle: np.ndarray, lower: np.ndarray,
+                       parts: tuple[tuple[np.ndarray, int, float], ...],
+                       d: int) -> GeneralizedEigenPairs:
+    """Top-``d`` pairs of a reduced dPCA pencil, whitened straight from ``R``.
+
+    With ``B11 = L1 L1^T`` (``lower``) the reduced background is ``L L^T``,
+    ``L = blockdiag(L1, sqrt(r_b) I)``, and the pencil becomes the symmetric
+    ``C = L^-1 A L^-T = V V^T + r_t blockdiag(L1^-1 L1^-T, I / r_b)`` with
+    ``V = L^-1 R_t / sqrt(m_t)``, ``R_t`` being ``R``'s target columns; the
+    reduced target ``A`` is never formed. ``C``'s lower triangle takes one
+    ``trsm`` and one ``syrk`` of ``V``, and with ``r_t > 0`` one ``trtri``
+    and one more ``syrk``. Its top ``d`` pairs ``y`` map back as
+    ``u = L^-T y``.
+    """
+    import scipy.linalg
+    from scipy.linalg import blas, lapack
+
+    (target, count_t, ridge_t), (background, _, ridge_b) = parts
+    rows_b, order = background.shape[0], triangle.shape[0]
+    stop = rows_b + target.shape[0]
+    # V's rows below R_t's last nonzero row are zero; they keep C at order K
+    v = np.zeros((order, stop - rows_b), order="F")
+    v[:rows_b] = blas.dtrsm(1.0 / np.sqrt(count_t), lower, triangle[:rows_b, rows_b:stop],
+                            lower=1)
+    v[rows_b:stop] = np.triu(triangle[rows_b:stop, rows_b:stop]) / np.sqrt(count_t * ridge_b)
+    whitened = blas.dsyrk(1.0, v, lower=1)
+    if ridge_t > 0:
+        # the whitened ridge is r_t L1^-1 L1^-T = r_t (L1^T L1)^-1, not r_t B11^-1
+        inverse, _ = lapack.dtrtri(lower, lower=1)
+        whitened[:rows_b, :rows_b] += blas.dsyrk(ridge_t, np.tril(inverse), lower=1)
+        tail = np.arange(rows_b, order)
+        whitened[tail, tail] += ridge_t / ridge_b
+    values, vectors = _top_subset_eigh(whitened, d)
+    vectors = vectors[:, ::-1]
+    head = scipy.linalg.solve_triangular(lower, vectors[:rows_b], lower=True, trans="T",
+                                         check_finite=False)
+    return _pencil_pairs(values[::-1], np.vstack([head, vectors[rows_b:] / np.sqrt(ridge_b)]),
+                         False)
 
 
 def _mirror_upper(block: np.ndarray) -> np.ndarray:

@@ -17,9 +17,11 @@ directions and their associated eigenvalues:
 
 On wide data (far fewer samples than features) the three fits solve exactly
 the same problem at the order of the sample count instead of the feature
-count. Every fit takes one path: validate and reduce
-(``_reduce_to_data_span``), solve, lift back to feature space
-(``eigencore._lift``) and build the model (``_model``).
+count. Every fit takes one path: validate and factor the samples
+(``_data_span``), solve at the reduced order (PCA and cPCA on the reduced
+matrices of ``_reduce_to_data_span``, dPCA from the factor itself), lift
+back to feature space (``eigencore._lift``) and build the model
+(``_model``).
 """
 
 from __future__ import annotations
@@ -126,9 +128,8 @@ class AlphaSelection:
     eigenvalues: tuple[np.ndarray, ...]
 
 
-def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
-                         d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
-    """Validate a fit's covariances and ``d``; restrict them to their data's span when that pays.
+def _data_span(covs: Sequence[CovarianceEstimate], d: int) -> eigencore._Span | None:
+    """Validate a fit's covariances and ``d``; the QR of their data when reducing to its span pays.
 
     A covariance built from centered data ``X`` (``m`` rows) is
     ``C = X^T X / m + r I``. Let ``Q`` (``D x K``, ``K = k + d`` with ``k`` the
@@ -136,7 +137,9 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     the background's rows first: its first ``k`` columns contain every row of
     every ``X`` and its last ``d`` are orthonormal to them. The reduced
     background is then ``blockdiag(B11, r_b I)`` with ``B11`` of the order of
-    its own row count, and the pencil solve factors only ``B11``. Every ``C``
+    its own row count, and a dPCA fit with a background ridge factors only
+    ``B11`` and whitens the target straight from the QR factor ``R``
+    (``eigencore._span_pencil_eig``). Every ``C``
     maps ``span(Q)`` into itself and acts as ``r I`` on the orthogonal
     complement, so each fit's matrix or pencil is block-diagonal in
     ``[Q, Q_perp]`` and every complement vector is an
@@ -147,14 +150,13 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     as ``u = Q y``, are top-``d`` pairs of the full problem even when the
     complement value ranks among them, and the reduced background block
     needs the eigenvalue floor exactly when the full one does.
-    ``eigencore._reduce_to_span`` forms ``Q`` and the reduced matrices.
+    ``eigencore._span_qr`` factors the samples.
 
-    Returns ``(basis, reduced matrices)`` when every covariance carries its
-    data and ``K <= D / 2``, else ``(None, full matrices)``. Measured from
-    D=16 to 2000 on 2 cores, up to that cut-over the reduction beats forming
-    the covariances and solving at order ``D`` for cPCA and dPCA, and PCA,
-    the cheapest dense fit, breaks even near it; beyond it the QR costs more
-    than it saves for PCA.
+    Returns the factorization when every covariance carries its data and
+    ``K <= D / 2``, else None. Measured from D=16 to 2000 on 2 cores, up to
+    that cut-over the reduction beats forming the covariances and solving at
+    order ``D`` for cPCA and dPCA, and PCA, the cheapest dense fit, breaks
+    even near it; beyond it the QR costs more than it saves for PCA.
     """
     dim = covs[0].dim
     if covs[-1].dim != dim:  # the background's, when there is one
@@ -163,8 +165,20 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
         raise DimensionError(f"requested {d} components from {dim} features")
     total = sum(c.sample_count for c in covs) + d
     if 2 * total > dim or any(c.data is None for c in covs):
+        return None
+    return eigencore._span_qr([(c.data, c.sample_count, c.ridge_applied) for c in covs], d)
+
+
+def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
+                         d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
+    """A fit's basis and reduced matrices on wide data (:func:`_data_span`).
+
+    Returns ``(None, full matrices)`` when the fit is not reduced.
+    """
+    span = _data_span(covs, d)
+    if span is None:
         return None, [c.matrix for c in covs]
-    return eigencore._reduce_to_span([(c.data, c.sample_count, c.ridge_applied) for c in covs], d)
+    return span.basis, eigencore._span_grams(span)
 
 
 def _model(method: str, covs: Sequence[CovarianceEstimate], components: np.ndarray,
@@ -252,8 +266,11 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
     was applied to the background covariance, because the floor then
     determines the result; a ridge on the background covariance avoids it.
     """
-    basis, (a, b) = _reduce_to_data_span([cxx, cyy], d)
-    pairs = eigencore.generalized_eig(a, b, d, floor_rel)
+    span = _data_span([cxx, cyy], d)
+    if span is None:
+        basis, pairs = None, eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
+    else:
+        basis, pairs = span.basis, eigencore._span_pencil_eig(span, d, floor_rel)
     if pairs.floor_applied:
         warnings.warn(
             f"the background covariance has eigenvalues below floor_rel={floor_rel:g} times "

@@ -62,15 +62,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+# The pencil solvers: the general one, and the solve a reduced dPCA fit makes
+# straight from its QR factor.
+PENCIL_SOLVERS = ("generalized_eig", "_whitened_span_eig")
+
+
 @pytest.fixture
 def pencil_solves(monkeypatch):
-    """A list that gains the arguments of every real ``eigencore.generalized_eig`` call."""
+    """A list that gains the arguments of every real call of a ``PENCIL_SOLVERS`` function."""
     calls = []
-    real = eigencore.generalized_eig
+    for name in PENCIL_SOLVERS:
+        real = getattr(eigencore, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(eigencore, "generalized_eig", counted)
+        monkeypatch.setattr(eigencore, name, counted)
     return calls

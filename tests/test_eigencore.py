@@ -4,15 +4,20 @@ The independent reference for the pencil solver is a brute-force dense
 eigendecomposition of B^{-1} A, which never goes through the whitening path.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from dpca import eigencore as ec
-from dpca.errors import DimensionError, InvalidInputError, RankZeroError, SymmetryError
+from dpca import methods
+from dpca.datamodel import CovarianceEstimate
+from dpca.errors import (DimensionError, FloorAppliedWarning, InvalidInputError, RankZeroError,
+                         SymmetryError)
 
-from conftest import random_orthogonal, random_spd
+from conftest import PENCIL_SOLVERS, random_orthogonal, random_spd
 
 
 class TestSymEigendecompose:
@@ -248,18 +253,21 @@ class TestGeneralizedEig:
 
 
 class TestLeadingBlockBackground:
-    """The Cholesky route on backgrounds ``blockdiag(B11, r I)``: only ``B11`` is factored.
+    """Backgrounds ``blockdiag(B11, r I)``, the shape a reduced dPCA background has.
 
-    A reduced dPCA background has this shape. Every case is checked against
-    scipy's dense solve of the same pencil.
+    A reduced dPCA fit with a background ridge forms and factors only
+    ``B11``, from the QR factor of its samples, and solves without calling
+    ``generalized_eig``; when that route does not apply, the fit makes one
+    ``generalized_eig`` call, which factors every ``B`` it is given whole.
+    Every case is checked against scipy's dense solve of the same pencil.
     """
 
     DIM = 300
 
     @staticmethod
     def route_spies(monkeypatch):
-        """Record the order of every Cholesky factorization and every whitening."""
-        factored, whitened = [], []
+        """Record each Cholesky factorization's and whitening's order and each pencil solver."""
+        factored, whitened, solvers = [], [], []
         real_cho, real_white = scipy.linalg.cho_factor, ec.whitening_factor
 
         def cho(mat, *args, **kwargs):
@@ -272,20 +280,32 @@ class TestLeadingBlockBackground:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", cho)
         monkeypatch.setattr(ec, "whitening_factor", white)
-        return factored, whitened
+        for name in PENCIL_SOLVERS:
+            def solver(*args, real=getattr(ec, name), name=name, **kwargs):
+                solvers.append(name)
+                return real(*args, **kwargs)
 
-    def check_against_dense(self, rng, monkeypatch, b, lead):
-        dim, d = b.shape[0], 4
-        a = random_spd(rng, dim)
-        factored, whitened = self.route_spies(monkeypatch)
-        pairs = ec.generalized_eig(a, b, d)
-        monkeypatch.undo()
-        assert (factored, whitened) == ([lead], [])
+            monkeypatch.setattr(ec, name, solver)
+        return factored, whitened, solvers
+
+    @staticmethod
+    def assert_matches_dense(pairs, a, b):
+        # rtol covers the dense solve's own error, which grows with cond(B)
+        dim, d = a.shape[0], pairs.count
         vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[dim - d, dim - 1])
-        np.testing.assert_allclose(pairs.eigenvalues, vals[::-1], rtol=1e-12)
+        rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(b))
+        np.testing.assert_allclose(pairs.eigenvalues, vals[::-1], rtol=rtol)
         vecs = vecs[:, ::-1] / np.linalg.norm(vecs, axis=0)[::-1]
         for j in range(d):
             assert abs(pairs.eigenvectors[:, j] @ vecs[:, j]) >= 1 - 1e-10
+
+    def check_dense_solve(self, rng, monkeypatch, b):
+        a = random_spd(rng, self.DIM)
+        factored, whitened, solvers = self.route_spies(monkeypatch)
+        pairs = ec.generalized_eig(a, b, 4)
+        monkeypatch.undo()
+        assert (factored, whitened, solvers) == ([self.DIM], [], ["generalized_eig"])
+        self.assert_matches_dense(pairs, a, b)
 
     def block_background(self, rng, lead, ridge=2.5):
         b = np.diag(np.full(self.DIM, ridge))
@@ -294,18 +314,11 @@ class TestLeadingBlockBackground:
 
     @pytest.mark.parametrize("tail", [0, 1, DIM - 1])
     def test_tail_orders(self, rng, monkeypatch, tail):
-        lead = self.DIM - tail
-        b = self.block_background(rng, lead)
-        assert ec._leading_order(b) == lead
-        self.check_against_dense(rng, monkeypatch, b, lead)
+        # generalized_eig looks for no block: it factors B whole, whatever its tail
+        self.check_dense_solve(rng, monkeypatch, self.block_background(rng, self.DIM - tail))
 
-    def test_scalar_background_factors_one_entry(self, rng, monkeypatch):
-        b = 2.5 * np.eye(self.DIM)
-        self.check_against_dense(rng, monkeypatch, b, 1)
-
-    @pytest.mark.parametrize("case, lead", [("unequal_diagonal", 251), ("coupled_inside", 251),
-                                            ("coupled_last_column", DIM)])
-    def test_not_a_tail(self, rng, monkeypatch, case, lead):
+    @pytest.mark.parametrize("case", ["unequal_diagonal", "coupled_inside", "coupled_last_column"])
+    def test_not_a_tail(self, rng, monkeypatch, case):
         # B11 of order 200; one entry beyond it breaks the r I pattern
         b = self.block_background(rng, 200)
         if case == "unequal_diagonal":
@@ -314,33 +327,68 @@ class TestLeadingBlockBackground:
             b[250, 10] = b[10, 250] = 0.1
         else:
             b[-1, 5] = b[5, -1] = 0.1
-        assert ec._leading_order(b) == lead
-        self.check_against_dense(rng, monkeypatch, b, lead)
+        self.check_dense_solve(rng, monkeypatch, b)
+
+    @staticmethod
+    def covariance(x, ridge):
+        # x need not be centered: a background of n rows then has a B11 of full rank n
+        return CovarianceEstimate(sample_count=x.shape[0], ridge_applied=ridge, data=x)
+
+    def check_reduced_fit(self, monkeypatch, cxx, cyy, route, d=3):
+        """Fit dPCA on wide data; check its route, that no floor applied, and the dense solve."""
+        factored, whitened, solvers = self.route_spies(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = methods.dpca_fit(cxx, cyy, d)
+        monkeypatch.undo()
+        assert (factored, whitened, solvers) == route
+        assert not [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
+        pairs = ec.GeneralizedEigenPairs(model.eigenvalues, model.components)
+        self.assert_matches_dense(pairs, cxx.matrix, cyy.matrix)
+        assert methods.pencil_residual(model, cxx, cyy) <= 1e-10
+
+    # K = 263 and 303, with 200 and 40 background rows (n > m and n < m)
+    @pytest.mark.parametrize("dim,m,n", [(600, 60, 200), (700, 260, 40)])
+    def test_block_orders(self, rng, monkeypatch, dim, m, n):
+        target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
+        background = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        cxx, cyy = self.covariance(target, 1.0), self.covariance(background, 2.5)
+        self.check_reduced_fit(monkeypatch, cxx, cyy, ([n], [], ["_whitened_span_eig"]))
+
+    def test_scalar_background_factors_one_entry(self, rng, monkeypatch):
+        # one background row: B11 is 1 x 1; K = 264
+        cxx = self.covariance(rng.standard_normal((260, 600)), 1.0)
+        cyy = self.covariance(rng.standard_normal((1, 600)), 2.5)
+        self.check_reduced_fit(monkeypatch, cxx, cyy, ([1], [], ["_whitened_span_eig"]))
 
     @pytest.mark.parametrize("ridge", [1e-8, 1e8])
     def test_condition_combines_both_blocks(self, rng, monkeypatch, ridge):
-        # B11's spectrum lies in [0.1, 10], so B11 alone clears the margin, but
-        # cond(B) is about 1e9 with either tail: the whitening route, unfloored
-        b = self.block_background(rng, 200, ridge)
-        a = random_spd(rng, self.DIM)
-        factored, whitened = self.route_spies(monkeypatch)
-        pairs = ec.generalized_eig(a, b, 3)
-        monkeypatch.undo()
-        assert (factored, whitened) == ([200], [self.DIM])
-        assert not pairs.floor_applied
-        dense = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[self.DIM - 3, self.DIM - 1])
-        rtol = 100 * np.finfo(float).eps * np.linalg.cond(b)
-        np.testing.assert_allclose(pairs.eigenvalues, dense[::-1], rtol=rtol)
+        # B11's spectrum lies in [0.1, 10] times a scale that keeps it clear of
+        # the ridge, so B11 alone clears the margin, but cond(B) is about 1e9
+        # with either ridge: the fit falls back to one generalized_eig call,
+        # which tries the whole reduced B and takes the whitening route, unfloored
+        dim, m, n = 600, 60, 200
+        scale = 1.0 if ridge < 1 else 1e16
+        spectrum = scale * np.geomspace(0.1, 10.0, n)
+        rows = random_orthogonal(rng, dim)[:n]
+        background = np.sqrt(n * spectrum)[:, None] * rows
+        cxx = self.covariance(rng.standard_normal((m, dim)), 1.0)
+        cyy = self.covariance(background, ridge)
+        self.check_reduced_fit(monkeypatch, cxx, cyy,
+                               ([n, m + n + 3], [m + n + 3], ["generalized_eig"]))
 
     def test_zero_tail_takes_the_whitening_route(self, rng, monkeypatch):
-        # r = 0: B is singular, so no factor; the floor decides, as before
-        b = self.block_background(rng, 200, ridge=0.0)
-        assert ec._leading_order(b) == self.DIM
-        factored, whitened = self.route_spies(monkeypatch)
-        pairs = ec.generalized_eig(random_spd(rng, self.DIM), b, 3)
+        # r_b = 0: B is singular, so no factor; one generalized_eig call, and the floor decides
+        dim, m, n, d = 600, 60, 200, 3
+        cxx = self.covariance(rng.standard_normal((m, dim)), 1.0)
+        cyy = self.covariance(rng.standard_normal((n, dim)), 0.0)
+        factored, whitened, solvers = self.route_spies(monkeypatch)
+        with pytest.warns(FloorAppliedWarning) as caught:
+            methods.dpca_fit(cxx, cyy, d)
         monkeypatch.undo()
-        assert (factored, whitened) == ([self.DIM], [self.DIM])
-        assert pairs.floor_applied
+        assert len(caught) == 1
+        order = m + n + d
+        assert (factored, whitened, solvers) == ([order], [order], ["generalized_eig"])
 
 
 class TestReduceToSpan:
@@ -360,7 +408,8 @@ class TestReduceToSpan:
         d, ridges = 3, (0.5, 2.0)
         target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
         background = rng.standard_normal((n, dim))
-        basis, (a, b) = ec._reduce_to_span([(target, m, ridges[0]), (background, n, ridges[1])], d)
+        span = ec._span_qr([(target, m, ridges[0]), (background, n, ridges[1])], d)
+        basis, (a, b) = span.basis, ec._span_grams(span)
         order = m + n + d
         if isinstance(basis, np.ndarray):
             q = basis
@@ -375,4 +424,7 @@ class TestReduceToSpan:
         assert not b[:n, n:].any()
         assert not a[:n + m, n + m:].any()
         assert np.array_equal(a[n + m:, n + m:], ridges[0] * np.eye(d))
-        assert ec._leading_order(b) == n
+        # the triangle the dPCA solve reads is R: Q R is the stack, the background's rows first
+        stack = np.vstack([background, target, np.zeros((d, dim))]).T
+        np.testing.assert_allclose(q @ np.triu(span.triangle), stack, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(stack))

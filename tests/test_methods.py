@@ -16,7 +16,7 @@ from dpca import methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix, center, sample_covariance
 from dpca.errors import DimensionError, FloorAppliedWarning, InvalidInputError
 
-from conftest import random_orthogonal, random_spd
+from conftest import PENCIL_SOLVERS, random_orthogonal, random_spd
 
 
 def cov(mat, ridge=0.0):
@@ -402,17 +402,21 @@ class TestWideDataReduction:
         """Record ``(name, order)`` of every eigensolve and pencil solve.
 
         The whitening route of a pencil solve makes eigensolves of its own,
-        at the pencil's order.
+        at the pencil's order. Every pencil solver's calls are recorded under
+        ``generalized_eig``'s name, the solve a reduced dPCA fit makes straight
+        from its QR factor included.
         """
         orders = []
-        for name in ("sym_eigendecompose", "generalized_eig"):
-            real = getattr(ec, name)
+        spied = {"sym_eigendecompose": "sym_eigendecompose",
+                 **{solver: "generalized_eig" for solver in PENCIL_SOLVERS}}
+        for attr, name in spied.items():
+            real = getattr(ec, attr)
 
             def spy(mat, *args, real=real, name=name, **kwargs):
                 orders.append((name, np.shape(mat)[0]))
                 return real(mat, *args, **kwargs)
 
-            monkeypatch.setattr(ec, name, spy)
+            monkeypatch.setattr(ec, attr, spy)
         return orders
 
     @pytest.mark.parametrize("dim,m,n", SHAPES)
