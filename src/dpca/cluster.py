@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 
+from .eigencore import sym_eigendecompose
 from .errors import DimensionError, InvalidInputError
 
 
@@ -119,8 +120,11 @@ def spectral_cluster(affinity: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
     Standard normalized-cut pipeline: form the symmetric normalized affinity
     ``D^{-1/2} A D^{-1/2}``, take its top-``k`` eigenvectors (the bottom
-    eigenvectors of the normalized graph Laplacian), row-normalize, and run
-    seeded k-means on the rows.
+    eigenvectors of the normalized graph Laplacian) from
+    :func:`~dpca.eigencore.sym_eigendecompose`, row-normalize, and run
+    seeded k-means on the rows. The wrapper's column signs do not change
+    the labels: flipping a column reflects every row, which keeps each
+    k-means distance exactly.
     """
     a = np.asarray(affinity, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -134,8 +138,7 @@ def spectral_cluster(affinity: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     inv_root = 1.0 / np.sqrt(degrees)
     normalized = a * inv_root[:, None] * inv_root[None, :]
     normalized = 0.5 * (normalized + normalized.T)
-    vals, vecs = np.linalg.eigh(normalized)
-    embedding = vecs[:, ::-1][:, :k]
+    embedding = sym_eigendecompose(normalized, k).eigenvectors
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     embedding = embedding / norms

@@ -11,22 +11,27 @@ is built on four operations:
   matrix, with a relative eigenvalue floor so rank-deficient inputs remain
   usable.
 * :func:`generalized_eig` computes the top ``d`` pairs of the symmetric-definite
-  pencil ``A u = lam B u``. From order ``TOP_D_MIN_DIM`` up, when ``B`` is
-  comfortably positive definite (its Cholesky factorization succeeds and its
-  estimated reciprocal condition number exceeds ``1e3 * floor_rel``), it
-  solves the pencil directly through the Cholesky factor, computing only the
-  top ``d`` pairs, all in the lower triangle. Otherwise it whitens with the
-  floored ``whitening_factor(B)`` and takes the top ``d`` pairs of the
-  whitened matrix; only this route can apply the floor.
+  pencil ``A u = lam B u``. It validates its inputs once and hands the
+  pencil to exactly one of two leaf solvers. From order ``TOP_D_MIN_DIM``
+  up, when ``B`` is comfortably positive definite (its Cholesky
+  factorization succeeds and its estimated reciprocal condition number
+  exceeds ``1e3 * floor_rel``), :func:`_cholesky_eig` solves the pencil
+  through the Cholesky factor, computing only the top ``d`` pairs, all in
+  the lower triangle. Otherwise :func:`_floored_whitening_eig` whitens with
+  the floored ``whitening_factor(B)`` and takes the top ``d`` pairs of the
+  whitened matrix; only this leaf can apply the floor.
 * :func:`power_topd` computes leading eigenpairs by deflated power iteration,
   the cheap route for when a dense solve is overkill.
 
 Fits on wide data solve at a smaller order in an orthonormal basis ``Q`` of
 their samples: ``_span_qr`` factors the samples, ``_span_grams`` forms the
-reduced matrices from the factor ``R``, ``_span_pencil_eig`` solves a
-reduced dPCA pencil from ``R`` itself, forming and factoring only the
-background's own block when it has a ridge, and ``_lift`` maps the reduced
-eigenvectors back as ``u = Q y``.
+reduced matrices from the factor ``R``, and ``_lift`` maps the reduced
+eigenvectors back as ``u = Q y``. A reduced dPCA pencil goes to
+``_span_pencil_eig``, the second dispatcher, which also calls exactly one
+leaf: with a background ridge and a comfortable background block, the third
+leaf, :func:`_whitened_span_eig`, solves it from ``R`` itself, forming and
+factoring only the background's own block; otherwise
+:func:`_floored_whitening_eig` takes both reduced matrices.
 This module is the only one that chooses between numpy's and scipy's BLAS
 and LAPACK; the choice, by matrix order, is ``TOP_D_MIN_DIM``'s. scipy is
 imported inside the functions that call it: importing ``scipy.linalg`` takes
@@ -235,8 +240,7 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
     RankZeroError
         If the largest eigenvalue is not positive (zero matrix).
     """
-    if not 0 <= floor_rel < np.inf:
-        raise InvalidInputError(f"floor_rel must be finite and nonnegative, got {floor_rel}")
+    _check_floor_rel(floor_rel)
     eig = sym_eigendecompose(cov)
     s_max = float(eig.eigenvalues[0])
     if s_max <= 0.0:
@@ -253,23 +257,26 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
     return WhiteningFactor(factor=factor, floor_applied=floor_applied, floor_value=floor_value)
 
 
+def _check_floor_rel(floor_rel: float) -> None:
+    if not 0 <= floor_rel < np.inf:
+        raise InvalidInputError(f"floor_rel must be finite and nonnegative, got {floor_rel}")
+
+
 def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
                     floor_rel: float = DEFAULT_FLOOR_REL) -> GeneralizedEigenPairs:
     """Top-``d`` eigenpairs of the symmetric-definite pencil ``(A, B)``.
 
-    When ``D >= TOP_D_MIN_DIM``, ``B`` has a Cholesky factor ``B = L L^T``
-    and its estimated reciprocal condition number (LAPACK ``pocon``, 1-norm)
-    exceeds ``1e3 * floor_rel``, the pencil is reduced to the symmetric matrix
-    ``L^-1 A L^-T`` (LAPACK ``sygst``), its top ``d`` pairs ``y`` are computed,
-    and ``u = L^-T y``; the factor, the reduction and the solve all work in
-    the lower triangle. Since ``cond_2(B) <= cond_1(B)``, the floor cannot
-    apply on this route. Otherwise ``B`` is whitened with
-    ``W = whitening_factor(B, floor_rel)``, the top ``d`` pairs of the
-    symmetric matrix ``W^T A W`` are computed, and each eigenvector ``v`` is
-    mapped back as ``u = W v``. Either way each ``u`` is normalized to unit
-    Euclidean norm. For nonsingular ``B`` the eigenvalues equal the Rayleigh
-    ratios ``u^T A u / u^T B u``; when the floor applied they are those of the
-    whitened matrix and ``floor_applied`` is set.
+    Validates the inputs once and calls exactly one leaf solver. When
+    ``D >= TOP_D_MIN_DIM``, ``B`` has a Cholesky factor ``B = L L^T`` and its
+    estimated reciprocal condition number (LAPACK ``pocon``, 1-norm) exceeds
+    ``1e3 * floor_rel``, the leaf is :func:`_cholesky_eig`; since
+    ``cond_2(B) <= cond_1(B)``, the floor cannot apply there. Otherwise it is
+    :func:`_floored_whitening_eig`. Either way each eigenvector ``u`` has
+    unit Euclidean norm. For nonsingular ``B`` the eigenvalues equal the
+    Rayleigh ratios ``u^T A u / u^T B u``; when the floor applied they are
+    those of the whitened matrix and ``floor_applied`` is set. (The third
+    leaf, :func:`_whitened_span_eig`, serves reduced dPCA fits only; see
+    :func:`_span_pencil_eig`.)
 
     Parameters
     ----------
@@ -294,21 +301,38 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     dim = a.shape[0]
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} pencil")
-    if not 0 <= floor_rel < np.inf:
-        raise InvalidInputError(f"floor_rel must be finite and nonnegative, got {floor_rel}")
-
+    _check_floor_rel(floor_rel)
     lower = _comfortable_cholesky(b, floor_rel) if dim >= TOP_D_MIN_DIM else None
     if lower is None:
-        white = whitening_factor(b, floor_rel)
-        transformed = white.factor.T @ a @ white.factor
-        transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
-        eig = sym_eigendecompose(transformed, d)
-        return _pencil_pairs(eig.eigenvalues, white.factor @ eig.eigenvectors,
-                             white.floor_applied)
+        return _floored_whitening_eig(a, b, d, floor_rel)
+    return _cholesky_eig(a, lower, d)
+
+
+def _floored_whitening_eig(a: np.ndarray, b: np.ndarray, d: int,
+                           floor_rel: float) -> GeneralizedEigenPairs:
+    """Leaf solver: top-``d`` pairs of ``(A, B)`` through the floored whitening of ``B``.
+
+    With ``W = whitening_factor(B, floor_rel)``, the top ``d`` pairs ``v``
+    of the symmetric ``W^T A W`` map back as ``u = W v``. The only leaf that
+    can apply the floor. ``a`` and ``b`` are validated by the caller.
+    """
+    white = whitening_factor(b, floor_rel)
+    transformed = white.factor.T @ a @ white.factor
+    transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
+    eig = sym_eigendecompose(transformed, d)
+    return _pencil_pairs(eig.eigenvalues, white.factor @ eig.eigenvectors, white.floor_applied)
+
+
+def _cholesky_eig(a: np.ndarray, lower: np.ndarray, d: int) -> GeneralizedEigenPairs:
+    """Leaf solver: top-``d`` pairs of ``(A, L L^T)`` from ``B``'s lower Cholesky factor ``L``.
+
+    The pencil becomes the symmetric ``L^-1 A L^-T`` (LAPACK ``sygst``),
+    whose top ``d`` pairs ``y`` map back as ``u = L^-T y``; the reduction
+    and the solve work in the lower triangle.
+    """
     import scipy.linalg
     from scipy.linalg import lapack
 
-    # B = L L^T turns the pencil into L^-1 A L^-T y = lam y with u = L^-T y
     reduced, _ = lapack.dsygst(a, lower, lower=1)  # result in the lower triangle
     values, vectors = _top_subset_eigh(reduced, d)
     vectors = scipy.linalg.solve_triangular(lower, vectors[:, ::-1], lower=True, trans="T",
@@ -486,31 +510,34 @@ def _part_gram(triangle: np.ndarray, start: int, stop: int, count: int,
 
 
 def _span_pencil_eig(span: _Span, d: int, floor_rel: float) -> GeneralizedEigenPairs:
-    """Top-``d`` pairs of the dPCA pencil ``span`` reduces, from its QR factor when it can.
+    """Top-``d`` pairs of the dPCA pencil ``span`` reduces, by exactly one leaf solver.
 
     ``span.parts`` is the target's and then the background's. On the
     reflector route with a background ridge ``r_b > 0``, only the
     background's own block ``B11 = R_bb R_bb^T / m_b + r_b I`` is formed and
     factored (:func:`_comfortable_cholesky`, with the margin of the whole
-    ``blockdiag(B11, r_b I)``), and the pencil is solved by
-    :func:`_whitened_span_eig`. Otherwise, or when the margin is not
-    cleared, both reduced matrices are formed from the same ``R`` and solved
-    by :func:`generalized_eig`, whose whitening route can apply the floor.
+    ``blockdiag(B11, r_b I)``), and :func:`_whitened_span_eig` solves the
+    pencil. Otherwise, or when the margin is not cleared, both reduced
+    matrices are formed from the same ``R`` and :func:`_floored_whitening_eig`
+    solves them. The whole reduced background is never factored: without a
+    ridge it is singular, and with one its 1-norm condition is the one just
+    estimated from its two blocks.
     """
+    _check_floor_rel(floor_rel)
     background, count, ridge = span.parts[1]
     lower = None
     if span.triangle.shape[0] >= TOP_D_MIN_DIM and ridge > 0:
         block = _part_gram(span.triangle, 0, background.shape[0], count, ridge)
         lower = _comfortable_cholesky(block, floor_rel, ridge)
     if lower is None:
-        return generalized_eig(*_span_grams(span), d, floor_rel)
+        return _floored_whitening_eig(*_span_grams(span), d, floor_rel)
     return _whitened_span_eig(span.triangle, lower, span.parts, d)
 
 
 def _whitened_span_eig(triangle: np.ndarray, lower: np.ndarray,
                        parts: tuple[tuple[np.ndarray, int, float], ...],
                        d: int) -> GeneralizedEigenPairs:
-    """Top-``d`` pairs of a reduced dPCA pencil, whitened straight from ``R``.
+    """Leaf solver: top-``d`` pairs of a reduced dPCA pencil, whitened straight from ``R``.
 
     With ``B11 = L1 L1^T`` (``lower``) the reduced background is ``L L^T``,
     ``L = blockdiag(L1, sqrt(r_b) I)``, and the pencil becomes the symmetric

@@ -62,20 +62,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
-# The pencil solvers: the general one, and the solve a reduced dPCA fit makes
-# straight from its QR factor.
-PENCIL_SOLVERS = ("generalized_eig", "_whitened_span_eig")
+# The leaf pencil solvers. generalized_eig and the reduced dPCA solve each
+# validate their inputs and call exactly one of them: floored whitening,
+# the dense Cholesky solve, or the reduced solve straight from the QR factor.
+PENCIL_SOLVERS = ("_floored_whitening_eig", "_cholesky_eig", "_whitened_span_eig")
 
 
 @pytest.fixture
 def pencil_solves(monkeypatch):
-    """A list that gains the arguments of every real call of a ``PENCIL_SOLVERS`` function."""
+    """A list that gains the name of the leaf of every real ``PENCIL_SOLVERS`` call."""
     calls = []
     for name in PENCIL_SOLVERS:
         real = getattr(eigencore, name)
 
-        def counted(*args, real=real, **kwargs):
-            calls.append(args)
+        def counted(*args, real=real, name=name, **kwargs):
+            calls.append(name)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(eigencore, name, counted)

@@ -251,13 +251,16 @@ class TestSilhouette:
             tracemalloc.stop()
         assert peak < 4 * MIB
 
-    def test_matches_sklearn(self, rng):
-        sklearn_metrics = pytest.importorskip("sklearn.metrics")
-        for _ in range(5):
-            pts, truth = two_blobs(rng, n=25, sep=2.0)
-            ours = silhouette_score(pts, truth)
-            theirs = sklearn_metrics.silhouette_score(pts, truth)
-            assert ours == pytest.approx(theirs, abs=1e-10)
+    def test_textbook_convention_by_hand(self):
+        # points 0, 2 | 5, 6 | 20 on a line. a excludes the point itself, b is
+        # the nearest other cluster's mean distance, and the singleton scores
+        # 0: (5.5 - 2) / 5.5, (3.5 - 2) / 3.5, (4 - 1) / 4, (5 - 1) / 5, 0.
+        # Counting the point itself in a, b as the mean over every other
+        # point, or 1 for the singleton each changes the score.
+        points = np.array([[0.0], [2.0], [5.0], [6.0], [20.0]])
+        labels = np.array([0, 0, 1, 1, 2])
+        expected = (7 / 11 + 3 / 7 + 3 / 4 + 4 / 5 + 0.0) / 5
+        assert silhouette_score(points, labels) == pytest.approx(expected, abs=1e-15)
 
     def test_well_separated_is_high(self, rng):
         pts, truth = two_blobs(rng, sep=10.0)

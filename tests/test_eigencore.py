@@ -256,17 +256,18 @@ class TestLeadingBlockBackground:
     """Backgrounds ``blockdiag(B11, r I)``, the shape a reduced dPCA background has.
 
     A reduced dPCA fit with a background ridge forms and factors only
-    ``B11``, from the QR factor of its samples, and solves without calling
-    ``generalized_eig``; when that route does not apply, the fit makes one
-    ``generalized_eig`` call, which factors every ``B`` it is given whole.
-    Every case is checked against scipy's dense solve of the same pencil.
+    ``B11``, from the QR factor of its samples, and solves it with the leaf
+    ``_whitened_span_eig``; when that route does not apply, it hands both
+    reduced matrices to the floored-whitening leaf and factors nothing more.
+    ``generalized_eig`` factors every ``B`` it is given whole. Every case is
+    checked against scipy's dense solve of the same pencil.
     """
 
     DIM = 300
 
     @staticmethod
     def route_spies(monkeypatch):
-        """Record each Cholesky factorization's and whitening's order and each pencil solver."""
+        """Record each Cholesky factorization's and whitening's order and each leaf solver."""
         factored, whitened, solvers = [], [], []
         real_cho, real_white = scipy.linalg.cho_factor, ec.whitening_factor
 
@@ -304,7 +305,7 @@ class TestLeadingBlockBackground:
         factored, whitened, solvers = self.route_spies(monkeypatch)
         pairs = ec.generalized_eig(a, b, 4)
         monkeypatch.undo()
-        assert (factored, whitened, solvers) == ([self.DIM], [], ["generalized_eig"])
+        assert (factored, whitened, solvers) == ([self.DIM], [], ["_cholesky_eig"])
         self.assert_matches_dense(pairs, a, b)
 
     def block_background(self, rng, lead, ridge=2.5):
@@ -365,8 +366,8 @@ class TestLeadingBlockBackground:
     def test_condition_combines_both_blocks(self, rng, monkeypatch, ridge):
         # B11's spectrum lies in [0.1, 10] times a scale that keeps it clear of
         # the ridge, so B11 alone clears the margin, but cond(B) is about 1e9
-        # with either ridge: the fit falls back to one generalized_eig call,
-        # which tries the whole reduced B and takes the whitening route, unfloored
+        # with either ridge: the fit factors only B11 and whitens the whole
+        # reduced B, unfloored
         dim, m, n = 600, 60, 200
         scale = 1.0 if ridge < 1 else 1e16
         spectrum = scale * np.geomspace(0.1, 10.0, n)
@@ -375,10 +376,10 @@ class TestLeadingBlockBackground:
         cxx = self.covariance(rng.standard_normal((m, dim)), 1.0)
         cyy = self.covariance(background, ridge)
         self.check_reduced_fit(monkeypatch, cxx, cyy,
-                               ([n, m + n + 3], [m + n + 3], ["generalized_eig"]))
+                               ([n], [m + n + 3], ["_floored_whitening_eig"]))
 
     def test_zero_tail_takes_the_whitening_route(self, rng, monkeypatch):
-        # r_b = 0: B is singular, so no factor; one generalized_eig call, and the floor decides
+        # r_b = 0: B is singular, so nothing is factored; the whitening leaf's floor decides
         dim, m, n, d = 600, 60, 200, 3
         cxx = self.covariance(rng.standard_normal((m, dim)), 1.0)
         cyy = self.covariance(rng.standard_normal((n, dim)), 0.0)
@@ -388,7 +389,7 @@ class TestLeadingBlockBackground:
         monkeypatch.undo()
         assert len(caught) == 1
         order = m + n + d
-        assert (factored, whitened, solvers) == ([order], [order], ["generalized_eig"])
+        assert (factored, whitened, solvers) == ([], [order], ["_floored_whitening_eig"])
 
 
 class TestReduceToSpan:

@@ -399,25 +399,25 @@ class TestWideDataReduction:
 
     @staticmethod
     def solve_orders(monkeypatch):
-        """Record ``(name, order)`` of every eigensolve and pencil solve.
+        """Record ``(name, order)`` of every eigensolve and leaf pencil solve.
 
-        The whitening route of a pencil solve makes eigensolves of its own,
-        at the pencil's order. Every pencil solver's calls are recorded under
-        ``generalized_eig``'s name, the solve a reduced dPCA fit makes straight
-        from its QR factor included.
+        The floored-whitening leaf makes eigensolves of its own, at the
+        pencil's order.
         """
         orders = []
-        spied = {"sym_eigendecompose": "sym_eigendecompose",
-                 **{solver: "generalized_eig" for solver in PENCIL_SOLVERS}}
-        for attr, name in spied.items():
-            real = getattr(ec, attr)
+        for name in ("sym_eigendecompose",) + PENCIL_SOLVERS:
+            real = getattr(ec, name)
 
             def spy(mat, *args, real=real, name=name, **kwargs):
                 orders.append((name, np.shape(mat)[0]))
                 return real(mat, *args, **kwargs)
 
-            monkeypatch.setattr(ec, attr, spy)
+            monkeypatch.setattr(ec, name, spy)
         return orders
+
+    @staticmethod
+    def leaves(orders):
+        return [name for name, _ in orders if name in PENCIL_SOLVERS]
 
     @pytest.mark.parametrize("dim,m,n", SHAPES)
     @pytest.mark.parametrize("ridges", RIDGES)
@@ -428,7 +428,10 @@ class TestWideDataReduction:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dpc = methods.dpca_fit(cxx, cyy, d)
-        assert [name for name, _ in orders].count("generalized_eig") == 1
+        # from the reflector route up, a background ridge lets the fit solve from R
+        span_route = m + n + d >= ec.TOP_D_MIN_DIM and ridges[1] > 0
+        assert self.leaves(orders) == ["_whitened_span_eig" if span_route
+                                       else "_floored_whitening_eig"]
         assert {order for _, order in orders} == {m + n + d}  # solved at the reduced order
         del orders[:]
         pc = methods.pca_fit(cxx, d)
@@ -472,7 +475,9 @@ class TestWideDataReduction:
         orders = self.solve_orders(monkeypatch)
         dpc = methods.dpca_fit(cxx, cyy, d)
         monkeypatch.undo()
-        assert [name for name, _ in orders].count("generalized_eig") == 1
+        # at r_b = 1e-6, rcond(B) ~ r_b / ||B11||_1 falls inside the margin 1e3 * floor_rel
+        assert self.leaves(orders) == ["_floored_whitening_eig" if ridge < 1e-3
+                                       else "_whitened_span_eig"]
         assert {order for _, order in orders} == {m + n + d}
         a, b = cxx.matrix, cyy.matrix
         dense = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[dim - d, dim - 1])
@@ -518,7 +523,9 @@ class TestWideDataReduction:
         cpc = methods.cpca_fit(cxx, cyy, 1000.0, d)
         monkeypatch.undo()
         assert {order for _, order in orders} == {3 + d, 3 + n + d}
-        assert [name for name, _ in orders].count("generalized_eig") == 1
+        span_route = 3 + n + d >= ec.TOP_D_MIN_DIM  # with the background ridge 1
+        assert self.leaves(orders) == ["_whitened_span_eig" if span_route
+                                       else "_floored_whitening_eig"]
 
         a, b = cxx.matrix, cyy.matrix
         pca_ref = ec.sym_eigendecompose(a, d).eigenvalues
@@ -631,6 +638,58 @@ class TestWideDataReduction:
         del orders[:]
         methods.pca_fit(cxx, 3)
         assert orders == [("sym_eigendecompose", 103)]
+
+
+class TestOneLeafPerFit:
+    """Each dPCA route validates its inputs once and calls exactly one leaf pencil solver.
+
+    One case per route, with the Cholesky factorizations it makes: the
+    reduced fallback factors only the background's own block, and only when
+    the background has a ridge.
+    """
+
+    # route: (D, m, n, background ridge, leaf, cho_factor orders)
+    ROUTES = {
+        "dense_whitening": (100, 300, 400, 1.0, "_floored_whitening_eig", []),
+        "dense_cholesky": (300, 400, 500, 1.0, "_cholesky_eig", [300]),
+        "reduced_cholesky": (800, 100, 200, 1.0, "_whitened_span_eig", [200]),
+        "reduced_fallback_margin": (800, 100, 200, 1e-8, "_floored_whitening_eig", [200]),
+        "reduced_fallback_no_ridge": (800, 100, 200, 0.0, "_floored_whitening_eig", []),
+    }
+
+    @staticmethod
+    def route_inputs(rng, route):
+        dim, m, n, ridge = TestOneLeafPerFit.ROUTES[route][:4]
+        cxx = sample_covariance(center(DataMatrix(rng.standard_normal((m, dim)))), ridge=1.0)
+        cyy = sample_covariance(center(DataMatrix(rng.standard_normal((n, dim)))), ridge=ridge)
+        return cxx, cyy
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_one_leaf(self, rng, monkeypatch, pencil_solves, route):
+        cxx, cyy = self.route_inputs(rng, route)
+        _, _, _, ridge, leaf, factored = self.ROUTES[route]
+        orders = []
+        real = scipy.linalg.cho_factor
+
+        def spy(mat, *args, **kwargs):
+            orders.append(np.shape(mat)[0])
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            methods.dpca_fit(cxx, cyy, 3)
+        assert pencil_solves == [leaf]
+        assert orders == factored
+        floored = [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
+        assert len(floored) == int(ridge == 0.0)  # the centered background has rank n - 1
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_negative_floor_rejected(self, rng, pencil_solves, route):
+        cxx, cyy = self.route_inputs(rng, route)
+        with pytest.raises(InvalidInputError, match="floor_rel must be finite and nonnegative"):
+            methods.dpca_fit(cxx, cyy, 3, floor_rel=-1.0)
+        assert pencil_solves == []
 
 
 class TestTransform:
