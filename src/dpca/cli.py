@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eigencore, fileio, methods, svgplot, synthgen
-from .cluster import cluster_label_accuracy, silhouette_score
+from .cluster import MAX_ACCURACY_CLASSES, cluster_label_accuracy, silhouette_score
 from .datamodel import FitInputs, fit_inputs
 from .errors import DpcaError, NumericalError
 
@@ -50,6 +50,8 @@ def parse_grid(spec: str) -> np.ndarray:
         if lo <= 0:
             raise UsageError("logarithmic grids need lo > 0")
         return np.geomspace(lo, hi, n)
+    if lo < 0:
+        raise UsageError(f"bad grid {spec!r}: alphas are nonnegative, need lo >= 0")
     return np.linspace(lo, hi, n)
 
 
@@ -180,7 +182,7 @@ def cmd_transform(args) -> int:
 
 
 def _metrics(coords: np.ndarray, labels, seed: int) -> dict:
-    if labels is None or not 2 <= np.unique(labels).size <= 6:
+    if labels is None or not 2 <= np.unique(labels).size <= MAX_ACCURACY_CLASSES:
         return {"kmeans_accuracy": None, "silhouette": None}
     two_d = coords[:, :2]
     return {
@@ -264,9 +266,9 @@ def cmd_synth(args) -> int:
         raise UsageError(
             f"shared+specific dims ({args.shared}+{args.specific}) exceed features ({args.features})")
     shared_std = (np.full(args.shared, args.shared_std) if args.shared_std is not None
-                  else (np.linspace(10.0, 8.0, args.shared) if args.shared > 1 else np.array([10.0])))
-    background_std = (np.full(args.shared, args.background_std)
-                      if args.background_std is not None else 1.5 * shared_std)
+                  else synthgen.default_shared_std(args.shared))
+    background_std = (synthgen.BACKGROUND_STD_RATIO * shared_std if args.background_std is None
+                      else np.full(args.shared, args.background_std))
     spec = synthgen.random_spec(
         args.features, args.shared, args.specific,
         background_coeff_std=background_std,
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed (default 0)")
 
     p_fit = sub.add_parser("fit", help="fit a model from CSV data")
-    p_fit.add_argument("method", choices=("pca", "cpca", "dpca"))
+    p_fit.add_argument("method", choices=methods.METHODS)
     p_fit.add_argument("target", help="target data CSV")
     p_fit.add_argument("background", nargs="*",
                        help="background CSV(s); several are row-concatenated")
@@ -380,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sy.add_argument("--shared-std", type=float, default=None,
                       help="target shared coefficient std (default 10..8 ramp)")
     p_sy.add_argument("--background-std", type=float, default=None,
-                      help="background coefficient std (default 1.5x shared)")
+                      help="background coefficient std "
+                           f"(default {synthgen.BACKGROUND_STD_RATIO}x shared)")
     p_sy.add_argument("--specific-std", type=float, default=1.0)
     p_sy.add_argument("--noise-std", type=float, default=1.0)
     p_sy.add_argument("--seed", type=int, default=0)

@@ -16,6 +16,9 @@ from .eigencore import sym_eigendecompose
 from .errors import DimensionError, InvalidInputError
 
 
+# The most classes cluster_label_accuracy scores: it tries all k! matchings.
+MAX_ACCURACY_CLASSES = 6
+
 # Distances formed at once by silhouette_score: 1 MiB of float64, so each
 # block and the in-place passes over it stay in a core's L2 cache.
 _SILHOUETTE_BLOCK_BYTES = 2**20
@@ -227,8 +230,9 @@ def cluster_label_accuracy(points: np.ndarray, labels: np.ndarray, seed: int = 0
     k = classes.size
     if k < 2:
         raise InvalidInputError("need at least two distinct labels")
-    if k > 6:
-        raise InvalidInputError("accuracy-by-permutation supports at most 6 classes")
+    if k > MAX_ACCURACY_CLASSES:
+        raise InvalidInputError(
+            f"accuracy-by-permutation supports at most {MAX_ACCURACY_CLASSES} classes")
     assigned = kmeans(pts, k, seed=seed)
     best = 0.0
     for perm in itertools.permutations(range(k)):

@@ -5,15 +5,19 @@ comma-separated with an optional single header row; a final integer column
 named ``label`` (by header name) is read as labels, a plain integer label
 exactly. The first non-empty line is the header when fewer than half of its
 cells parse with ``float()``; otherwise it is the first data row, and a bad
-cell there is an error like one in any other row. No step runs per cell in
-Python. A file in the grammar the writers produce (ASCII numbers, commas, LF
-row ends) is parsed by a numpy kernel a block of rows at a time, each value
-the double ``float()`` gives (see :mod:`dpca.csvparse`). Any other file goes
-through numpy's C parser (``np.loadtxt``) in one call: cells may be quoted
-with ``"`` and padded with spaces, empty lines are skipped, CRLF and CR
-endings are read as LF (universal newlines), and there are no comment lines
-(``#`` is a non-numeric cell). Every error names the file and the 1-based
-data row.
+cell there is an error like one in any other row. :func:`read_csv` finds
+this layout once, from the first lines (the header, where the first data
+row starts, its number of cells and whether the last column is labels), and
+both parsers start from it. No step runs per cell in Python. Data rows in
+the grammar the writers produce (ASCII numbers, commas, LF row ends) are
+parsed by a numpy kernel a block of rows at a time, each value the double
+``float()`` gives (see :mod:`dpca.csvparse`), whatever mark, blank lines or
+header come before them. Any other file, and one with a CR line end in the
+text decoded to find the layout, goes through numpy's C parser
+(``np.loadtxt``) from the same row: cells may be quoted with ``"`` and
+padded with spaces, empty lines are skipped, CRLF and CR endings are read
+as LF, and there are no comment lines (``#`` is a non-numeric cell). Every
+error names the file and the 1-based data row.
 Numbers are written as ``'%.17g' % v`` (17 significant digits, so values
 survive a round trip exactly) and labels as ``'%d'``. Those bytes are formed
 by a numpy kernel, a block of cells at a time, with exact integer digits;
@@ -46,10 +50,12 @@ MODEL_FORMAT_VERSION = 1
 
 
 def _next_row(fh):
-    """Advance ``fh`` to the next non-blank line; return its start and cells.
+    """Advance text handle ``fh`` to the next non-blank line; return its start and cells.
 
-    Returns ``None`` at end of file. A line is blank when it holds nothing
-    but its line ending, as with :func:`csv.reader`.
+    The start is ``fh.tell()`` before the line: its byte offset, unless a
+    line ending in a lone CR came before. Returns ``None`` at end of file.
+    A line is blank when it holds nothing but its line ending, as with
+    :func:`csv.reader`.
     """
     while True:
         start = fh.tell()
@@ -109,25 +115,56 @@ def _check_header_width(path, header: list[str] | None, width: int) -> None:
             f"{path}: header has {len(header)} columns, the first data row has {width}")
 
 
-def _label_error(path, row: int, value) -> InvalidInputError:
-    return InvalidInputError(f"{path}: row {row + 1}: label {value!r} is not a 64-bit integer")
-
-
 def read_csv(path) -> DataMatrix:
     """Read a data table; returns values and, when present, labels.
 
-    A file in the grammar the writers produce (ASCII numbers
-    ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``, commas, LF row
-    ends) is parsed by a numpy kernel, a block of rows at a time, into the
-    values and labels arrays themselves; every value is the double that
-    ``float()`` gives for its cell. Any other file goes through
-    ``np.loadtxt``, which keeps the whole dialect of the module docstring
-    and its error messages. A label cell that is a plain integer is read
-    exactly, on both routes. The returned DataMatrix adopts the arrays.
+    The table's layout is found once, from a text handle: the header (or
+    None), where the first data row starts, that row's number of cells and
+    whether the last column is labels; a header of another width is an
+    error here. From that row on, rows in the grammar the writers produce
+    (ASCII numbers ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
+    commas, LF row ends) are parsed by the numpy kernel of
+    :mod:`dpca.csvparse` into the values and labels arrays themselves, every
+    value the double that ``float()`` gives for its cell. When the kernel
+    declines a block, or the text decoded to find the layout has a CR line
+    end, the same rows go through ``np.loadtxt``, which keeps the whole
+    dialect of the module docstring and its error messages. A label cell
+    that is a plain integer is read exactly, on both routes. The returned
+    DataMatrix adopts the arrays.
     """
-    with open(path, "rb") as fh:
-        table = _read_numbers(fh, path)
-    values, labels = _read_dialect(path) if table is None else table
+    try:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise make
+        # the first cell non-numeric and turn a data row into a header;
+        # newline="" lets np.loadtxt see every line end as it is
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            first = _next_row(fh)
+            if first is None:
+                raise InvalidInputError(f"{path}: file contains no data")
+            header = _header(first[1])
+            if header is not None:
+                first = _next_row(fh)
+                if first is None:
+                    raise InvalidInputError(f"{path}: header but no data rows")
+                _check_header_width(path, header, len(first[1]))
+            start, width = first[0], len(first[1])
+            label = _has_label(header, width)
+            table = None
+            # CR row ends are outside the kernel's grammar, and after a lone CR
+            # tell() gives a cookie that is no byte offset
+            if "\r" not in "".join(fh.newlines or ()):
+                raw = fh.buffer
+                raw.seek(start)
+                if not start and raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+                    raw.seek(0)  # a headerless table starts at 0, before any mark
+                table = read_rows(raw, width, label)
+            if table is None:
+                table = _read_dialect(fh, path, start, label)
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
+    values, labels, bad = table
+    if bad is not None:
+        row, value = bad
+        raise InvalidInputError(f"{path}: row {row + 1}: label {value!r} is not a 64-bit integer")
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise InvalidInputError(f"{path}: row {bad[0] + 1} contains a non-finite value")
@@ -137,81 +174,31 @@ def read_csv(path) -> DataMatrix:
 _DIALECT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
-def _read_dialect(path):
-    """Values and labels of any CSV file in the dialect, through ``np.loadtxt``.
+def _read_dialect(fh, path, start, label: bool):
+    """The rows of text handle ``fh`` from ``start``, through ``np.loadtxt``.
 
-    The label column, when there is one, is read a second time as text, so
-    that a plain integer label is exact.
+    Returns ``(values, labels, bad)`` as :func:`dpca.csvparse.read_rows`
+    does. The label column, when there is one, is read a second time as
+    text, so that a plain integer label is exact.
     """
-    # utf-8-sig drops a leading byte-order mark, which would otherwise make
-    # the first cell non-numeric and turn a data row into a header
+    fh.seek(start)
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            first = _next_row(fh)
-            if first is None:
-                raise InvalidInputError(f"{path}: file contains no data")
-            start, cells = first
-            header = _header(cells)
-            if header is not None:
-                first_data = _next_row(fh)
-                if first_data is None:
-                    raise InvalidInputError(f"{path}: header but no data rows")
-                start, cells = first_data
-                _check_header_width(path, header, len(cells))
-            fh.seek(start)
-            try:
-                table = np.loadtxt(fh, dtype=np.float64, **_DIALECT)
-            except UnicodeDecodeError:
-                raise
-            except ValueError as exc:
-                raise _parse_error(path, exc) from exc
-            if not _has_label(header, table.shape[1]):
-                return table, None
-            fh.seek(start)
-            cells = np.loadtxt(fh, dtype=object, usecols=-1, **_DIALECT)[:, 0]
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
+        table = np.loadtxt(fh, dtype=np.float64, **_DIALECT)
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:
+        raise _parse_error(path, exc) from exc
+    if not label:
+        return table, None, None
+    fh.seek(start)
+    cells = np.loadtxt(fh, dtype=object, usecols=-1, **_DIALECT)[:, 0]
     labels = np.empty(cells.size, np.int64)
     for row, cell in enumerate(cells.tolist()):
         ok, value = label_value(cell)
         if not ok:
-            raise _label_error(path, row, value)
+            return table, None, (row, value)
         labels[row] = value
-    return np.ascontiguousarray(table[:, :-1]), labels
-
-
-
-
-def _read_numbers(fh, path):
-    """Values and labels of a file in the kernel's grammar, or None for any other file.
-
-    A label that is not a 64-bit integer is an error once the whole file is
-    known to be in the grammar, as it is after ``np.loadtxt``.
-    """
-    line = fh.readline()
-    bom = len(codecs.BOM_UTF8) if line.startswith(codecs.BOM_UTF8) else 0
-    try:
-        text = line[bom:].decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if text in ("", "\n") or "\r" in text:  # blank lines and CR endings are the dialect's
-        return None
-    header = _header(next(csv.reader([text])))
-    start = fh.tell() if header is not None else bom
-    fh.seek(start)
-    width = fh.readline().count(b",") + 1
-    label = _has_label(header, width)
-    fh.seek(start)
-    parsed = read_rows(fh, width, label)
-    if parsed is None:
-        return None
-    # checked only now: a blank or quoted first row leaves the kernel's route
-    # and its comma count is not its width
-    _check_header_width(path, header, width)
-    values, labels, bad = parsed
-    if bad is not None:
-        raise _label_error(path, *bad)
-    return values, labels
+    return np.ascontiguousarray(table[:, :-1]), labels, None
 
 
 _BLOCK_CELLS = 8192  # cells formatted at once; TestCsvMemory bounds the peak this sets

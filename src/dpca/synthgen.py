@@ -209,6 +209,15 @@ def spread_offsets(n_clusters: int, n_specific: int, scale: float) -> np.ndarray
     return offsets
 
 
+# The stock background coefficient std, as a multiple of the target's shared std.
+BACKGROUND_STD_RATIO = 1.5
+
+
+def default_shared_std(n_shared: int) -> np.ndarray:
+    """The stock target shared-coefficient stds: a ramp from 10 down to 8 (10 alone for one)."""
+    return np.linspace(10.0, 8.0, n_shared)
+
+
 def default_subgroup_spec(n_features: int = 100, n_shared: int = 3,
                           n_specific: int = 1, seed: int = 0) -> FactorModelSpec:
     """The stock subgroup-discovery configuration used by the CLI and tests.
@@ -219,10 +228,10 @@ def default_subgroup_spec(n_features: int = 100, n_shared: int = 3,
     ratio). Cluster offsets are supplied separately, typically
     ``spread_offsets(2, n_specific, 6.0)``.
     """
-    shared_std = np.linspace(10.0, 8.0, n_shared) if n_shared > 1 else np.array([10.0])
+    shared_std = default_shared_std(n_shared)
     return random_spec(
         n_features, n_shared, n_specific,
-        background_coeff_std=1.5 * shared_std,
+        background_coeff_std=BACKGROUND_STD_RATIO * shared_std,
         shared_coeff_std=shared_std,
         specific_coeff_std=1.0,
         noise_std=1.0,

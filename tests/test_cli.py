@@ -485,6 +485,7 @@ class TestExitCodes:
         (("fit", "cpca"), ("--alpha", "inf"), "--alpha"),
         (("fit", "cpca"), ("--auto-alpha", "--grid", "nan:1:3"), "nan:1:3"),
         (("fit", "cpca"), ("--auto-alpha", "--grid", "1:inf:3"), "1:inf:3"),
+        (("compare",), ("--grid=-1:1:3", "--select", "2"), "-1:1:3"),
         (("compare",), ("--ridge", "inf"), "--ridge"),
         (("fit", "dpca"), ("--ridge", "-1"), "--ridge"),
         (("fit", "dpca"), ("--floor", "-1"), "--floor"),
@@ -497,9 +498,10 @@ class TestExitCodes:
         (("fit", "cpca"), ("--auto-alpha", "--seed", "-1"), "--seed"),
         (("compare",), ("--seed", "-1"), "--seed"),
     ], ids=["ridge-nan", "floor-nan", "alpha-nan", "alpha-inf", "grid-lo-nan", "grid-hi-inf",
-            "compare-ridge-inf", "ridge-negative", "floor-negative", "alpha-negative", "d-zero",
-            "compare-d-zero", "select-above-grid", "compare-select-zero",
-            "compare-select-above-grid", "seed-negative", "compare-seed-negative"])
+            "compare-grid-lo-negative", "compare-ridge-inf", "ridge-negative", "floor-negative",
+            "alpha-negative", "d-zero", "compare-d-zero", "select-above-grid",
+            "compare-select-zero", "compare-select-above-grid", "seed-negative",
+            "compare-seed-negative"])
     def test_usage_non_finite_parameter(self, tmp_path, capsys, command, flags, named):
         # the inputs do not exist: reading them first would be a data error (exit 3)
         assert run(*command, tmp_path / "t.csv", tmp_path / "b.csv", *flags,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dpca import fileio, methods
+from dpca import csvparse, fileio, methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix
 from dpca.errors import DimensionError, InvalidInputError
 
@@ -182,6 +182,75 @@ class TestCsvDialect:
         # float() accepts "1_0"; the CSV dialect does not
         with pytest.raises(InvalidInputError, match=r"row 1: column 1 holds '1_0'"):
             read_text(tmp_path, "1_0,2\n")
+
+
+def loadtxt_refused(*args, **kwargs):
+    raise AssertionError("np.loadtxt was called")
+
+
+def cells_rewritten(text, cell):
+    """``text`` with each cell of each line passed through ``cell``."""
+    return "".join(",".join(map(cell, line.split(","))) + "\n" for line in text.splitlines())
+
+
+DIALECT_FORMS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    # a lone CR ends the header only: the first data row's start is no byte offset
+    "cr_header_only": lambda text: text.replace("\n", "\r", 1),
+    "quoted": lambda text: cells_rewritten(text, lambda c: f'"{c}"'),
+    "padded": lambda text: cells_rewritten(text, lambda c: f" {c}  "),
+    "inner_blank_lines": lambda text: text.replace("\n", "\n\n"),
+    "mark": lambda text: "\ufeff" + text,
+    "mark_crlf": lambda text: "\ufeff" + text.replace("\n", "\r\n"),
+}
+
+
+class TestOneFrontEnd:
+    """The layout is found once; both parsers read the same rows from it."""
+
+    @pytest.mark.parametrize("writer", ["data", "embedding"])
+    @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+    @pytest.mark.parametrize("before,headerless", [("", False), ("\ufeff", False),
+                                                   ("\n", False), ("", True), ("\ufeff", True),
+                                                   ("\ufeff\n\n", True)],
+                             ids=["plain", "mark", "blank_line", "headerless", "mark_headerless",
+                                  "mark_blank_headerless"])
+    def test_written_tables_take_the_kernel(self, tmp_path, rng, monkeypatch, writer, labelled,
+                                            before, headerless):
+        values = rng.standard_normal((30, 4))
+        labels = rng.integers(0, 3, 30) if labelled else None
+        path = tmp_path / "t.csv"
+        if writer == "data":
+            fileio.write_data_csv(path, DataMatrix(values, labels=labels))
+        else:
+            fileio.write_embedding_csv(path, values, labels)
+        text = path.read_text()
+        if headerless:  # without its header, a label column is a value column
+            text = text.split("\n", 1)[1]
+            if labelled:
+                values, labels = np.column_stack([values, labels]), None
+        path.write_bytes((before + text).encode("utf-8"))
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        back = fileio.read_csv(path)
+        assert back.values.tobytes() == np.ascontiguousarray(values).tobytes()
+        assert (back.labels is None) == (labels is None)
+        if labels is not None:
+            assert back.labels.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+    @pytest.mark.parametrize("form", DIALECT_FORMS)
+    def test_dialect_forms_read_as_the_lf_form(self, tmp_path, rng, labelled, form):
+        values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-5, 5, (40, 3))
+        lf, other = tmp_path / "lf.csv", tmp_path / "form.csv"
+        fileio.write_data_csv(lf, DataMatrix(values, labels=rng.integers(-3, 4, 40)
+                                             if labelled else None))
+        other.write_bytes(DIALECT_FORMS[form](lf.read_text()).encode("utf-8"))
+        want, got = fileio.read_csv(lf), fileio.read_csv(other)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.labels is None) == (want.labels is None)
+        if want.labels is not None:
+            assert got.labels.tolist() == want.labels.tolist()
 
 
 class TestCsvErrorRows:
@@ -454,9 +523,11 @@ class TestCellKernel:
 
 
 def kernel_read(path):
-    """The values the reader's kernel gives for the cells at ``path``, in one flat array."""
+    """The values the kernel gives for the headerless rows at ``path``, in one flat array."""
     with open(path, "rb") as fh:
-        table = fileio._read_numbers(fh, path)
+        width = fh.readline().count(b",") + 1
+        fh.seek(0)
+        table = csvparse.read_rows(fh, width, False)
     assert table is not None, "the file left the kernel's route"
     return table[0].ravel()
 
