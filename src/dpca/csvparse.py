@@ -3,13 +3,16 @@
 :func:`read_rows` reads the data rows of a file about 128 KB at a time and
 :func:`parse_block` parses each block of whole rows in the grammar the
 package writes: ASCII cells ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
-commas and LF row ends. Every value is the double that ``float()`` gives for
-its cell, but no step runs per cell in Python: the mantissa digits become a
-64-bit integer eight at a time (SWAR) and ``w * 10**q`` is rounded to the
-nearest double in integer arithmetic with the Eisel-Lemire algorithm
-(Lemire, "Number Parsing at a Gigabyte per Second", Software: Practice and
-Experience, 2021). A block outside the grammar is left to the caller;
-``dpca.fileio`` then reads the whole file with ``np.loadtxt``.
+commas and LF row ends (:func:`_row_blocks` turns CRLF into LF and drops
+the blank lines at a block's ends). Every value is the double that
+``float()`` gives for its cell, but no step runs per cell in Python: the
+mantissa digits become a 64-bit integer eight at a time (SWAR) and
+``w * 10**q`` is rounded to the nearest double in integer arithmetic with
+the Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
+Second", Software: Practice and Experience, 2021). A block outside the
+grammar is left to the caller; ``dpca.fileio`` then reads the whole file
+with ``np.loadtxt``. Both routes settle a label column by
+:func:`exact_labels`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,26 @@ def label_value(cell: str) -> tuple[bool, int | float]:
         return -2**63 <= value < 2**63, value
     value = float(cell)
     return abs(value) < 2.0**63 and value == math.floor(value), value
+
+
+def exact_labels(x: np.ndarray, texts):
+    """The label column whose cells parsed to the doubles ``x``, as int64.
+
+    A double that is an integer below ``2**53`` in magnitude is that
+    integer: doubles are exact there. Any other cell is decided from its
+    own text by :func:`label_value`; ``texts(rows)`` gives the texts of the
+    cells at ``rows``. Returns ``(labels, bad)``, ``bad`` being ``(row,
+    value)`` of the first cell that is not a 64-bit integer (or None).
+    """
+    exact = (np.abs(x) < 2.0**53) & (x == np.floor(x))
+    labels = np.where(exact, x, 0).astype(np.int64)
+    rows = np.flatnonzero(~exact)
+    for row, cell in zip(rows.tolist(), texts(rows) if rows.size else ()):
+        ok, value = label_value(cell)
+        if not ok:
+            return labels, (row, value)
+        labels[row] = value
+    return labels, None
 
 
 def read_rows(fh, width: int, label: bool):
@@ -94,28 +117,39 @@ def _row_blocks(fh):
 
     Yields ``(raw, size)``: the lines are ``raw[PAD:PAD + size]`` and end
     in a newline (one is added after a last line without), and newlines
-    fill at least ``PAD`` bytes before them and 16 after. A line longer
-    than the buffer grows it.
+    fill at least ``PAD`` bytes before them and 16 after. CRLF row ends
+    become LF and the blank lines at either end of a block are dropped, so
+    that only blank lines inside a block are left outside the grammar; a
+    block of nothing but blank lines is skipped. A line longer than the
+    buffer grows it.
     """
-    raw = bytearray(b"\n" * (PAD + _READ_BLOCK + 16))
+    raw = bytearray(b"\n" * (PAD + _READ_BLOCK + 17))
     held = 0  # bytes of a line begun in the previous block
     while True:
         with memoryview(raw) as view:
-            got = fh.readinto(view[PAD + held:len(raw) - 16])
+            got = fh.readinto(view[PAD + held:len(raw) - 17])  # room for a last newline
         filled = PAD + held + got
         if not got:
-            if held:
-                raw[filled:filled + 16] = b"\n" * 16
-                yield raw, held + 1
-            return
+            if not held:
+                return
+            raw[filled] = ord("\n")
+            filled += 1
         cut = raw.rfind(b"\n", PAD, filled) + 1
         if not cut:
             held = filled - PAD
             raw.extend(b"\n" * (len(raw) - PAD))
             continue
         rest = raw[cut:filled]
+        # the copy runs only for a CR (one memchr finds it) or a blank line at an end
+        if 10 in (raw[PAD], raw[cut - 2]) or raw.find(b"\r", PAD, cut) >= 0:
+            lines = raw[PAD:cut].replace(b"\r\n", b"\n").strip(b"\n")
+            cut = PAD + len(lines) + 1
+            raw[PAD:cut] = lines + b"\n"
         raw[cut:cut + 16] = b"\n" * 16
-        yield raw, cut - PAD
+        if cut > PAD + 1:
+            yield raw, cut - PAD
+        if not got:
+            return
         raw[PAD:PAD + len(rest)] = rest
         held = len(rest)
 
@@ -294,9 +328,10 @@ def parse_block(raw: bytearray, size: int, separators: np.ndarray, label: bool):
     ``raw`` holds the rows at ``PAD`` as :func:`_row_blocks` lays them
     out, and ``separators`` the bytes that end a row's cells (commas,
     then a newline). Returns ``(values, labels, bad)``: the value columns as
-    a ``(rows, width - label)`` view, the label column as int64 (None
-    without labels) and ``(row, value)`` of the first label cell that is not
-    a 64-bit integer (or None). Returns None when a byte, cell or row is
+    a ``(rows, width - label)`` view, and the labels and first bad label
+    that :func:`exact_labels` gives for the label column's doubles (None,
+    None without labels); a label cell's text is looked at only when its
+    double does not settle it. Returns None when a byte, cell or row is
     outside the grammar.
 
     Only the bytes that are not digits are looked at one by one, as tokens;
@@ -366,12 +401,6 @@ def parse_block(raw: bytearray, size: int, separators: np.ndarray, label: bool):
         exponent += q[e_cell]
         dtoa[e_cell[(length > 8) | (exponent < -342) | (exponent > 308)]] = True
         q[e_cell] = exponent.clip(-342, 308)  # outside the table of powers of five
-    if label:
-        plain = np.ones(cells, bool)  # no point, no exponent
-        plain[p_cell] = False
-        if expo.size:
-            plain[e_cell] = False
-        plain = plain[width - 1::width]
     del point, fraction, p_cell
 
     mask = from_a * 24
@@ -395,36 +424,21 @@ def parse_block(raw: bytearray, size: int, separators: np.ndarray, label: bool):
     w += d[2]
     del window, d
     zero = ((w == 0) & ~dtoa).nonzero()[0]
-    if label:
-        col = slice(width - 1, None, width)
-        lw = w[col].copy()
     bits = _nearest_doubles(w, q, dtoa)
     del w
     bits[zero] = 0
     dtoa[zero] = False
     bits |= negative.astype(np.uint64) << 63
     values = bits.view(np.float64)
-    fallback = dtoa.nonzero()[0]
-    for i in fallback.tolist():
+    for i in dtoa.nonzero()[0].tolist():
         values[i] = float(text[bounds[i] + 1:end[i]].tobytes())
     values = values.reshape(-1, width)
     if not label:
         return values, None, None
 
-    x, neg = values[:, -1], negative[col]
-    plain &= ~dtoa[col]
-    ok = np.where(plain, (lw >> 63 == 0) | (neg & (lw == 2**63)),
-                  (np.abs(x) < 2.0**63) & (x == np.floor(x)))
-    labels = np.where(plain, np.where(neg, 0 - lw, lw).view(np.int64),
-                      np.where(ok & ~plain, x, 0).astype(np.int64))
+    def texts(rows):
+        cells = rows * width + width - 1
+        return [text[bounds[i] + 1:end[i]].tobytes().decode("ascii") for i in cells.tolist()]
 
-    def cell_text(i):
-        i = i * width + width - 1
-        return text[bounds[i] + 1:end[i]].tobytes().decode("ascii")
-
-    for i in (fallback[fallback % width == width - 1] // width).tolist():
-        ok[i], value = label_value(cell_text(i))
-        labels[i] = value if ok[i] else 0
-    bad = ok.argmin()
-    bad = None if ok[bad] else (int(bad), label_value(cell_text(bad))[1])
+    labels, bad = exact_labels(values[:, -1], texts)
     return values[:, :-1], labels, bad

@@ -56,6 +56,7 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-12
+_PANEL = 64  # columns compared at once by check_symmetric; a panel's transpose stays in cache
 DEFAULT_FLOOR_REL = 1e-10
 # The Cholesky route needs rcond(B) above this multiple of floor_rel. The
 # LAPACK condition estimate can undershoot ||B^{-1}||_1; the margin covers
@@ -150,10 +151,12 @@ def check_symmetric(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
     Symmetry tolerance is elementwise: ``|A_ij - A_ji| <= 1e-12 * max(1, |A_ij|)``.
     An exactly symmetric matrix passes it, so that case skips the tolerance
-    arithmetic.
+    arithmetic; it is found by comparing each panel of ``_PANEL`` rows, from
+    the diagonal on, with its column panel, up to the first mismatch.
     """
     arr = _as_square_matrix(mat, name)
-    if np.array_equal(arr, arr.T):
+    if all(np.array_equal(arr[j:j + _PANEL, j:], arr[j:, j:j + _PANEL].T)
+           for j in range(0, arr.shape[0], _PANEL)):
         return arr
     gap = np.abs(arr - arr.T)
     limit = SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))

@@ -9,14 +9,16 @@ cell there is an error like one in any other row. :func:`read_csv` finds
 this layout once, from the first lines (the header, where the first data
 row starts, its number of cells and whether the last column is labels), and
 both parsers start from it. No step runs per cell in Python. Data rows in
-the grammar the writers produce (ASCII numbers, commas, LF row ends) are
-parsed by a numpy kernel a block of rows at a time, each value the double
-``float()`` gives (see :mod:`dpca.csvparse`), whatever mark, blank lines or
-header come before them. Any other file, and one with a CR line end in the
-text decoded to find the layout, goes through numpy's C parser
-(``np.loadtxt``) from the same row: cells may be quoted with ``"`` and
-padded with spaces, empty lines are skipped, CRLF and CR endings are read
-as LF, and there are no comment lines (``#`` is a non-numeric cell). Every
+the grammar the writers produce (ASCII numbers, commas, LF or CRLF row
+ends, blank lines at the end) are parsed by a numpy kernel a block of rows
+at a time, each value the double ``float()`` gives (see
+:mod:`dpca.csvparse`), whatever mark, blank lines or header come before
+them. Any other file, and one with a lone CR line end in the text decoded
+to find the layout, goes through numpy's C parser (``np.loadtxt``) from the
+same row, in one pass: cells may be quoted with ``"`` and padded with
+spaces, empty lines are skipped, CRLF and CR endings are read as LF, and
+there are no comment lines (``#`` is a non-numeric cell). Both parsers
+settle labels by the one rule of :func:`dpca.csvparse.exact_labels`. Every
 error names the file and the 1-based data row.
 Numbers are written as ``'%.17g' % v`` (17 significant digits, so values
 survive a round trip exactly) and labels as ``'%d'``. Those bytes are formed
@@ -41,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .csvparse import label_value, read_rows
+from .csvparse import exact_labels, read_rows
 from .datamodel import DataMatrix
 from .errors import DimensionError, InvalidInputError
 from .methods import ComponentModel
@@ -123,14 +125,15 @@ def read_csv(path) -> DataMatrix:
     whether the last column is labels; a header of another width is an
     error here. From that row on, rows in the grammar the writers produce
     (ASCII numbers ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
-    commas, LF row ends) are parsed by the numpy kernel of
-    :mod:`dpca.csvparse` into the values and labels arrays themselves, every
-    value the double that ``float()`` gives for its cell. When the kernel
-    declines a block, or the text decoded to find the layout has a CR line
-    end, the same rows go through ``np.loadtxt``, which keeps the whole
-    dialect of the module docstring and its error messages. A label cell
-    that is a plain integer is read exactly, on both routes. The returned
-    DataMatrix adopts the arrays.
+    commas, LF or CRLF row ends, blank lines at the end) are parsed by the
+    numpy kernel of :mod:`dpca.csvparse` into the values and labels arrays
+    themselves, every value the double that ``float()`` gives for its cell.
+    When the kernel declines a block, or the text decoded to find the
+    layout has a lone CR line end, the same rows go through ``np.loadtxt``,
+    which keeps the whole dialect of the module docstring and its error
+    messages. Labels are settled on both routes by
+    :func:`dpca.csvparse.exact_labels`, so a label cell that is a plain
+    integer is read exactly. The returned DataMatrix adopts the arrays.
     """
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise make
@@ -149,9 +152,8 @@ def read_csv(path) -> DataMatrix:
             start, width = first[0], len(first[1])
             label = _has_label(header, width)
             table = None
-            # CR row ends are outside the kernel's grammar, and after a lone CR
-            # tell() gives a cookie that is no byte offset
-            if "\r" not in "".join(fh.newlines or ()):
+            # after a lone CR, tell() gives a cookie that is no byte offset
+            if "\r" not in (fh.newlines if isinstance(fh.newlines, tuple) else (fh.newlines,)):
                 raw = fh.buffer
                 raw.seek(start)
                 if not start and raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
@@ -178,8 +180,9 @@ def _read_dialect(fh, path, start, label: bool):
     """The rows of text handle ``fh`` from ``start``, through ``np.loadtxt``.
 
     Returns ``(values, labels, bad)`` as :func:`dpca.csvparse.read_rows`
-    does. The label column, when there is one, is read a second time as
-    text, so that a plain integer label is exact.
+    does, from one ``np.loadtxt`` pass. Labels come from the parsed label
+    column by :func:`dpca.csvparse.exact_labels`; the column is read again,
+    as text, only when it holds a cell that the doubles do not settle.
     """
     fh.seek(start)
     try:
@@ -190,15 +193,13 @@ def _read_dialect(fh, path, start, label: bool):
         raise _parse_error(path, exc) from exc
     if not label:
         return table, None, None
-    fh.seek(start)
-    cells = np.loadtxt(fh, dtype=object, usecols=-1, **_DIALECT)[:, 0]
-    labels = np.empty(cells.size, np.int64)
-    for row, cell in enumerate(cells.tolist()):
-        ok, value = label_value(cell)
-        if not ok:
-            return table, None, (row, value)
-        labels[row] = value
-    return np.ascontiguousarray(table[:, :-1]), labels, None
+
+    def texts(rows):
+        fh.seek(start)
+        return np.loadtxt(fh, dtype=object, usecols=-1, **_DIALECT)[rows, 0]
+
+    labels, bad = exact_labels(table[:, -1], texts)
+    return np.ascontiguousarray(table[:, :-1]), labels, bad
 
 
 _BLOCK_CELLS = 8192  # cells formatted at once; TestCsvMemory bounds the peak this sets

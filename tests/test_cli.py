@@ -359,14 +359,33 @@ class TestReadRoute:
             fileio.read_csv(path)
         assert loadtxt_calls == []
 
-    @pytest.mark.parametrize("text", ['"f1","f2"\n"1","2"\n', "f1,f2\r\n1,2\r\n",
-                                      "f1,f2\n1,2\n\n3,4\n"],
-                             ids=["quoted", "crlf", "blank-line"])
+    @pytest.mark.parametrize("text", ["f1,f2\r\n1,2\r\n", "f1,f2\n1,2\n\n",
+                                      "f1,f2\r\n1,2\r\n\r\n\n"],
+                             ids=["crlf", "trailing-blank-line", "crlf-trailing-blank-lines"])
+    def test_crlf_and_trailing_blank_lines_take_the_kernel(self, tmp_path, loadtxt_calls, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        assert fileio.read_csv(path).values.tolist() == [[1.0, 2.0]]
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("text", ['"f1","f2"\n"1","2"\n', "f1,f2\n1,2\n\n3,4\n",
+                                      "f1,f2\r1,2\r\n3,4\r\n", "f1,f2\n 1,2\n3,4\n"],
+                             ids=["quoted", "blank-line", "lone-cr", "padded"])
     def test_other_files_go_through_loadtxt(self, tmp_path, loadtxt_calls, text):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
         assert fileio.read_csv(path).values[0].tolist() == [1.0, 2.0]
         assert loadtxt_calls
+
+    @pytest.mark.parametrize("label,passes", [(-3, 1), (2**53 + 1, 2)],
+                             ids=["small-labels", "large-label"])
+    def test_quoted_labels_read_as_text_only_when_needed(self, tmp_path, loadtxt_calls,
+                                                         label, passes):
+        # a label below 2**53 is exact as a double; only a larger one is read again as text
+        path = tmp_path / "in.csv"
+        path.write_text(f'"f1","label"\n"1.5","1"\n"2","{label}"\n')
+        assert fileio.read_csv(path).labels.tolist() == [1, label]
+        assert len(loadtxt_calls) == passes
 
 
 class TestWideData:

@@ -137,6 +137,19 @@ class TestCheckSymmetric:
         with pytest.raises(InvalidInputError, match="non-finite"):
             ec.check_symmetric(a, "A")
 
+    @pytest.mark.parametrize("factor,accepted", [(0.5, True), (4.0, False)])
+    @pytest.mark.parametrize("where", [(-9, -3), (-3, -9)], ids=["upper", "lower"])
+    def test_asymmetry_in_the_last_panel_only(self, rng, factor, accepted, where):
+        # three panels, the last one partial; every other entry mirrors exactly
+        a = random_spd(rng, 2 * ec._PANEL + 22)
+        a = 0.5 * (a + a.T)
+        a[where] += factor * ec.SYMMETRY_RTOL * max(1.0, abs(a[where]))
+        if accepted:
+            assert np.array_equal(ec.check_symmetric(a), a)
+        else:
+            with pytest.raises(SymmetryError, match="not symmetric within tolerance"):
+                ec.check_symmetric(a)
+
     def test_signed_zero_mirror_accepted(self):
         a = np.array([[1.0, -0.0], [0.0, 2.0]])
         assert np.array_equal(ec.check_symmetric(a), a)

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from fractions import Fraction
 
@@ -211,13 +212,16 @@ class TestOneFrontEnd:
 
     @pytest.mark.parametrize("writer", ["data", "embedding"])
     @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
-    @pytest.mark.parametrize("before,headerless", [("", False), ("\ufeff", False),
-                                                   ("\n", False), ("", True), ("\ufeff", True),
-                                                   ("\ufeff\n\n", True)],
-                             ids=["plain", "mark", "blank_line", "headerless", "mark_headerless",
-                                  "mark_blank_headerless"])
+    @pytest.mark.parametrize("before,headerless,ending,after", [
+        ("", False, "\n", ""), ("\ufeff", False, "\n", ""), ("\n", False, "\n", ""),
+        ("", True, "\n", ""), ("\ufeff", True, "\n", ""), ("\ufeff\n\n", True, "\n", ""),
+        ("", False, "\r\n", ""), ("", False, "\n", "\n"),
+        ("\ufeff\r\n", True, "\r\n", "\r\n\n\r\n")],
+        ids=["plain", "mark", "blank_line", "headerless", "mark_headerless",
+             "mark_blank_headerless", "crlf", "trailing_blank_line",
+             "mark_blank_headerless_crlf_trailing_blank_lines"])
     def test_written_tables_take_the_kernel(self, tmp_path, rng, monkeypatch, writer, labelled,
-                                            before, headerless):
+                                            before, headerless, ending, after):
         values = rng.standard_normal((30, 4))
         labels = rng.integers(0, 3, 30) if labelled else None
         path = tmp_path / "t.csv"
@@ -230,7 +234,7 @@ class TestOneFrontEnd:
             text = text.split("\n", 1)[1]
             if labelled:
                 values, labels = np.column_stack([values, labels]), None
-        path.write_bytes((before + text).encode("utf-8"))
+        path.write_bytes((before + text.replace("\n", ending) + after).encode("utf-8"))
         monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
         back = fileio.read_csv(path)
         assert back.values.tobytes() == np.ascontiguousarray(values).tobytes()
@@ -251,6 +255,34 @@ class TestOneFrontEnd:
         assert (got.labels is None) == (want.labels is None)
         if want.labels is not None:
             assert got.labels.tolist() == want.labels.tolist()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_lines_at_block_ends_take_the_kernel(self, tmp_path, monkeypatch, ending):
+        # blocks of one row and the blank line after it: every blank line ends a block
+        rows = [f"{k}.5,-{k}" for k in range(1, 10)]
+        monkeypatch.setattr(csvparse, "_READ_BLOCK", len(rows[0] + 2 * ending))
+        path = tmp_path / "in.csv"
+        path.write_bytes(("f1,label" + ending + "".join(r + 2 * ending for r in rows)).encode())
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        back = fileio.read_csv(path)
+        assert back.values.ravel().tolist() == [k + 0.5 for k in range(1, 10)]
+        assert back.labels.tolist() == [-k for k in range(1, 10)]
+
+    @pytest.mark.parametrize("block", [8, 13, 21, 34])
+    def test_blocks_lose_crlf_and_their_end_blank_lines(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        lines = [f"{k},{k % 7}" for k in range(300)]
+        text = "".join(line + "".join(rng.choice(["\n", "\r\n"], rng.integers(1, 4)))
+                       for line in lines) + "300,6"
+        monkeypatch.setattr(csvparse, "_READ_BLOCK", block)
+        blocks = []
+        for raw, size in csvparse._row_blocks(io.BytesIO(text.encode())):
+            lines_at = csvparse.PAD + size
+            assert raw[:csvparse.PAD] + raw[lines_at:lines_at + 16] == b"\n" * (csvparse.PAD + 16)
+            blocks.append(bytes(raw[csvparse.PAD:lines_at]))
+        for got in blocks:
+            assert b"\r" not in got and got[0] != ord("\n") and not got.endswith(b"\n\n")
+        assert b"".join(blocks).split() == [line.encode() for line in lines + ["300,6"]]
 
 
 class TestCsvErrorRows:
@@ -654,17 +686,26 @@ INT64_EXTREMES = [-2**63, 2**63 - 1, -2**53 - 1, 2**53 + 1, -2**53, 2**53, 0, -1
                   -2**63 + 1]
 
 
+LABEL_CELLS = {  # a label cell and its integer, or the error it gives
+    "0": 0, "-0": 0, "2.0": 2, "1e3": 1000, "9007199254740993": 2**53 + 1,
+    "-9007199254740993": -2**53 - 1, "9223372036854775807": 2**63 - 1,
+    "-9223372036854775808": -2**63, "00000000000000000000001": 1,
+    "0.5": "label 0.5 is", "9223372036854775808": "label 9223372036854775808 is",
+    "1e19": "label 1e+19 is", "nan": "label nan is",
+}
+
+
 class TestLabelsExact:
     """A plain integer label is read as the integer it spells, on both routes."""
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["kernel", "loadtxt"])
+    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["kernel", "loadtxt"])
     def test_labels_at_the_int64_extremes(self, tmp_path, ending):
         path = tmp_path / "emb.csv"
         fileio.write_embedding_csv(path, np.ones((len(INT64_EXTREMES), 1)), INT64_EXTREMES)
         path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
         assert fileio.read_csv(path).labels.tolist() == INT64_EXTREMES
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["kernel", "loadtxt"])
+    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["kernel", "loadtxt"])
     @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
                                       "99999999999999999999999"])
     def test_integers_beyond_int64_rejected(self, tmp_path, ending, cell):
@@ -674,11 +715,31 @@ class TestLabelsExact:
                            match=rf"in\.csv: row 2: label {cell} is not a 64-bit integer"):
             fileio.read_csv(path)
 
+    @pytest.mark.parametrize("route,cell", [(route, cell) for route in ("kernel", "loadtxt")
+                                            for cell in LABEL_CELLS
+                                            if route == "loadtxt" or cell != "nan"])
+    def test_label_cells_on_both_routes(self, tmp_path, monkeypatch, route, cell):
+        # the kernel declines "nan", which leaves it to np.loadtxt
+        rows = [["f1", "label"], ["1", "0"], ["2", cell]]
+        if route == "kernel":
+            monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        else:
+            rows = [[f'"{c}"' for c in row] for row in rows]
+        path = tmp_path / "in.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        want = LABEL_CELLS[cell]
+        if isinstance(want, int):
+            assert fileio.read_csv(path).labels.tolist() == [0, want]
+        else:
+            with pytest.raises(InvalidInputError) as err:
+                fileio.read_csv(path)
+            assert str(err.value) == f"{path}: row 2: {want} not a 64-bit integer"
+
 
 class TestHeaderWidth:
     """A header must have as many names as the first data row has cells, on both routes."""
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["kernel", "loadtxt"])
+    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["kernel", "loadtxt"])
     @pytest.mark.parametrize("text, header, row", [
         ("f1,f2,label\n1.5,2\n3,4\n", 3, 2),  # would read the second column as labels
         ("a,b,c,d\n1,2\n3,4\n", 4, 2),
