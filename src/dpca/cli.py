@@ -66,19 +66,19 @@ def _check_range(name: str, value, lo, hi=np.inf) -> None:
         raise UsageError(f"{name} must be a finite number {bound}, got {value}")
 
 
-def _prepare(args, select: bool = False) -> tuple[FitInputs, np.ndarray | None]:
-    """Load the target and background CSVs into fit inputs, with the alpha grid if ``select``.
+def _prepare(args) -> tuple[FitInputs, np.ndarray]:
+    """Load the target and background CSVs into fit inputs, with the parsed ``--grid``.
 
-    Out-of-range flags, and ``--grid`` and ``--select`` when the command
-    ``select``s alphas, are usage errors raised before any file is read.
+    Every flag is checked, also one the command does not use (``--grid``,
+    ``--select`` and ``--seed`` without alpha selection): an out-of-range
+    or malformed value is a usage error raised before any file is read.
     """
     _check_range("-d", args.components, 1)
     for flag in ("ridge", "floor", "alpha"):
         _check_range(f"--{flag}", getattr(args, flag, None), 0)  # compare has no --alpha
-    grid = parse_grid(args.grid) if select else None
-    if select:
-        _check_range("--select", args.select, 1, grid.size)
-        _check_range("--seed", args.seed, 0)
+    grid = parse_grid(args.grid)
+    _check_range("--select", args.select, 1, grid.size)
+    _check_range("--seed", args.seed, 0)
     return fit_inputs(fileio.read_csv(args.target),
                       [fileio.read_csv(p) for p in args.background or ()],
                       ridge=args.ridge, zscore=args.zscore), grid
@@ -146,7 +146,7 @@ def cmd_fit(args) -> int:
     elif args.alpha is not None or args.auto_alpha:
         raise UsageError("--alpha/--auto-alpha apply to cpca only")
 
-    inputs, grid = _prepare(args, select=args.auto_alpha)
+    inputs, grid = _prepare(args)
     started = time.perf_counter()
 
     if args.method == "cpca" and args.auto_alpha:
@@ -194,7 +194,7 @@ def _metrics(coords: np.ndarray, labels, seed: int) -> dict:
 def cmd_compare(args) -> int:
     if not args.background:
         raise UsageError("compare requires a background CSV")
-    inputs, grid = _prepare(args, select=True)
+    inputs, grid = _prepare(args)
     prefix = Path(args.out)
     fileio.ensure_parent(prefix.with_name(prefix.name + "_report.json"))
 

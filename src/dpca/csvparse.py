@@ -4,8 +4,9 @@
 :func:`parse_block` parses each block of whole rows in the grammar the
 package writes: ASCII cells ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
 commas and LF row ends (:func:`_row_blocks` turns CRLF into LF and drops
-the blank lines at a block's ends). Every value is the double that
-``float()`` gives for its cell, but no step runs per cell in Python: the
+the blank lines at a block's ends, and :func:`read_rows` parses a declined
+block once more without its inner blank lines). Every value is the double
+that ``float()`` gives for its cell, but no step runs per cell in Python: the
 mantissa digits become a 64-bit integer eight at a time (SWAR) and
 ``w * 10**q`` is rounded to the nearest double in integer arithmetic with
 the Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
@@ -72,7 +73,11 @@ def read_rows(fh, width: int, label: bool):
     Each row has ``width`` cells, the last a label when ``label`` is set.
     Returns ``(values, labels, bad)`` as :func:`parse_block` does, for the
     whole file and in arrays of its size, or None when a block is outside
-    the grammar or there are no rows.
+    the grammar or there are no rows. A block the kernel declines is parsed
+    once more with its empty lines dropped, so blank lines anywhere stay on
+    the kernel; blocks it accepts are never searched for them. What it
+    declines then (quoted or padded cells, a lone CR, numbers outside the
+    grammar) gives None.
     """
     separators = np.full(width, ord(","), np.uint8)
     separators[-1] = ord("\n")
@@ -81,6 +86,11 @@ def read_rows(fh, width: int, label: bool):
     row = done = 0
     for raw, size in _row_blocks(fh):
         parsed = parse_block(raw, size, separators, label)
+        if parsed is None:
+            # only a declined block is searched for blank lines, then parsed without them
+            lines = re.sub(rb"\n\n+", b"\n", raw[PAD:PAD + size])
+            raw[PAD:PAD + len(lines) + 16] = lines + b"\n" * 16
+            parsed = parse_block(raw, len(lines), separators, label) if len(lines) < size else None
         if parsed is None:
             return None
         block, block_labels, bad = parsed
@@ -118,10 +128,10 @@ def _row_blocks(fh):
     Yields ``(raw, size)``: the lines are ``raw[PAD:PAD + size]`` and end
     in a newline (one is added after a last line without), and newlines
     fill at least ``PAD`` bytes before them and 16 after. CRLF row ends
-    become LF and the blank lines at either end of a block are dropped, so
-    that only blank lines inside a block are left outside the grammar; a
-    block of nothing but blank lines is skipped. A line longer than the
-    buffer grows it.
+    become LF and the blank lines at either end of a block are dropped (a
+    block of nothing but blank lines is skipped); :func:`read_rows` drops
+    those inside a block only when the kernel declines it. A line longer
+    than the buffer grows it.
     """
     raw = bytearray(b"\n" * (PAD + _READ_BLOCK + 17))
     held = 0  # bytes of a line begun in the previous block

@@ -3,10 +3,8 @@
 Everything downstream (the PCA variants, the synthetic-recovery experiments)
 is built on four operations:
 
-* :func:`sym_eigendecompose` wraps LAPACK's symmetric eigensolver with a
-  descending order and a deterministic sign convention; given ``d`` it
-  returns the top ``d`` pairs, and from order ``TOP_D_MIN_DIM`` (256) up it
-  computes only those.
+* :func:`sym_eigendecompose` validates a symmetric matrix, takes its top
+  ``d`` pairs (all by default) and applies a deterministic sign convention.
 * :func:`whitening_factor` builds the symmetric inverse square root of a PSD
   matrix, with a relative eigenvalue floor so rank-deficient inputs remain
   usable.
@@ -32,6 +30,15 @@ leaf: with a background ridge and a comfortable background block, the third
 leaf, :func:`_whitened_span_eig`, solves it from ``R`` itself, forming and
 factoring only the background's own block; otherwise
 :func:`_floored_whitening_eig` takes both reduced matrices.
+
+Every symmetric eigensolve of the package, in these functions and all three
+leaves, is one call of ``_top_pairs``: the top pairs, largest first, from
+the lower triangle, by LAPACK ``syevr`` for a subset from order
+``TOP_D_MIN_DIM`` (256) up and by numpy's full solve otherwise. It checks
+only that the matrix is finite and fixes no signs: the public functions
+validate their inputs once, and ``sym_eigendecompose`` and the leaves'
+``_pencil_pairs`` fix the signs of what they return.
+
 This module is the only one that chooses between numpy's and scipy's BLAS
 and LAPACK; the choice, by matrix order, is ``TOP_D_MIN_DIM``'s. scipy is
 imported inside the functions that call it: importing ``scipy.linalg`` takes
@@ -212,15 +219,8 @@ def sym_eigendecompose(mat: np.ndarray, d: int | None = None) -> EigenDecomposit
     count = dim if d is None else d
     if not 1 <= count <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} matrix")
-    if count < dim and dim >= TOP_D_MIN_DIM:
-        vals, vecs = _top_subset_eigh(arr, count)
-    else:
-        vals, vecs = np.linalg.eigh(arr)
-        vals, vecs = vals[dim - count:], vecs[:, dim - count:]
-    order = np.arange(vals.shape[0])[::-1]  # eigh is ascending; reverse it
-    vals = np.ascontiguousarray(vals[order])
-    vecs = apply_sign_convention(vecs[:, order])
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    vals, vecs = _top_pairs(arr, count)
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=apply_sign_convention(vecs))
 
 
 def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> WhiteningFactor:
@@ -244,18 +244,20 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
         If the largest eigenvalue is not positive (zero matrix).
     """
     _check_floor_rel(floor_rel)
-    eig = sym_eigendecompose(cov)
-    s_max = float(eig.eigenvalues[0])
+    arr = check_symmetric(cov, "matrix")
+    # W does not depend on the eigenvectors' signs, so none are fixed
+    vals, vecs = _top_pairs(arr, arr.shape[0])
+    s_max = float(vals[0])
     if s_max <= 0.0:
         raise RankZeroError("covariance has no positive eigenvalue; cannot whiten")
     floor_value = floor_rel * s_max
-    floor_applied = bool(np.any(eig.eigenvalues < floor_value))
-    floored = np.maximum(eig.eigenvalues, floor_value)
+    floor_applied = bool(np.any(vals < floor_value))
+    floored = np.maximum(vals, floor_value)
     if floor_value == 0.0 and np.any(floored <= 0.0):
         # floor_rel == 0 with an exactly singular matrix cannot be inverted
         raise RankZeroError("covariance is singular and the eigenvalue floor is zero")
-    inv_root = eig.eigenvectors * (1.0 / np.sqrt(floored))
-    factor = inv_root @ eig.eigenvectors.T
+    inv_root = vecs * (1.0 / np.sqrt(floored))
+    factor = inv_root @ vecs.T
     factor = 0.5 * (factor + factor.T)
     return WhiteningFactor(factor=factor, floor_applied=floor_applied, floor_value=floor_value)
 
@@ -322,8 +324,8 @@ def _floored_whitening_eig(a: np.ndarray, b: np.ndarray, d: int,
     white = whitening_factor(b, floor_rel)
     transformed = white.factor.T @ a @ white.factor
     transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
-    eig = sym_eigendecompose(transformed, d)
-    return _pencil_pairs(eig.eigenvalues, white.factor @ eig.eigenvectors, white.floor_applied)
+    values, vectors = _top_pairs(transformed, d)
+    return _pencil_pairs(values, white.factor @ vectors, white.floor_applied)
 
 
 def _cholesky_eig(a: np.ndarray, lower: np.ndarray, d: int) -> GeneralizedEigenPairs:
@@ -337,10 +339,10 @@ def _cholesky_eig(a: np.ndarray, lower: np.ndarray, d: int) -> GeneralizedEigenP
     from scipy.linalg import lapack
 
     reduced, _ = lapack.dsygst(a, lower, lower=1)  # result in the lower triangle
-    values, vectors = _top_subset_eigh(reduced, d)
-    vectors = scipy.linalg.solve_triangular(lower, vectors[:, ::-1], lower=True, trans="T",
+    values, vectors = _top_pairs(reduced, d)
+    vectors = scipy.linalg.solve_triangular(lower, vectors, lower=True, trans="T",
                                             check_finite=False)
-    return _pencil_pairs(values[::-1], vectors, False)
+    return _pencil_pairs(values, vectors, False)
 
 
 def _pencil_pairs(values: np.ndarray, vectors: np.ndarray,
@@ -352,27 +354,39 @@ def _pencil_pairs(values: np.ndarray, vectors: np.ndarray,
         floor_applied=floor_applied)
 
 
-def _top_subset_eigh(arr: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top ``count`` eigenpairs of a symmetric matrix, ascending, by LAPACK ``syevr``.
+def _top_pairs(arr: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``count`` eigenpairs of a symmetric matrix, largest first: the one eigensolve.
 
-    Only the lower triangle is read. With 2 OpenBLAS threads this top-2
-    solve takes 12.8, 36.6 and 67.1 ms on the lower triangle against 14.6,
-    44.4 and 77.8 ms on the upper one at orders 500, 802 and 1000 (with 1
-    thread they are within 2%; 2-vCPU Xeon VM, best of two medians of 9), so
-    every solver hands it the lower triangle. ``syevr``
-    can return fewer pairs than requested, even none, when the wanted
-    eigenvalues sit in a tight cluster (a rank-2 covariance plus a ridge, top
-    5 of order 300); the full solve then stands in.
+    Every LAPACK eigensolve in the package comes through here. Only the
+    lower triangle is read, and nothing is sign-fixed or checked for
+    symmetry: the callers do that where it matters. Finiteness is checked,
+    as a leaf's whitened or reduced matrix can overflow where ``A`` and
+    ``B`` do not, and LAPACK would then return NaN pairs or fail. From
+    order ``TOP_D_MIN_DIM`` up, with ``count`` below the order, only those
+    pairs are computed, by LAPACK ``syevr``; otherwise numpy's full solve is
+    sliced. With 2 OpenBLAS
+    threads a top-2 ``syevr`` takes 12.8, 36.6 and 67.1 ms on the lower
+    triangle against 14.6, 44.4 and 77.8 ms on the upper one at orders 500,
+    802 and 1000 (with 1 thread they are within 2%; 2-vCPU Xeon VM, best of
+    two medians of 9). ``syevr`` can return fewer pairs than requested, even
+    none, when the wanted eigenvalues sit in a tight cluster (a rank-2
+    covariance plus a ridge, top 5 of order 300); the full solve then
+    stands in. The eigenvectors keep ``eigh``'s column-major layout.
     """
-    import scipy.linalg
-
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("the matrix to eigensolve overflows; rescale the data")
     dim = arr.shape[0]
-    vals, vecs = scipy.linalg.eigh(arr, lower=True, subset_by_index=[dim - count, dim - 1],
-                                   check_finite=False)
-    if vals.shape[0] < count:
+    vals = None
+    if count < dim and dim >= TOP_D_MIN_DIM:
+        import scipy.linalg
+
+        vals, vecs = scipy.linalg.eigh(arr, lower=True, subset_by_index=[dim - count, dim - 1],
+                                       check_finite=False)
+    if vals is None or vals.shape[0] < count:
         vals, vecs = np.linalg.eigh(arr, UPLO="L")
         vals, vecs = vals[dim - count:], vecs[:, dim - count:]
-    return vals, vecs
+    order = np.arange(count)[::-1]  # eigh is ascending; reverse it
+    return vals[order], vecs[:, order]
 
 
 def _comfortable_cholesky(b: np.ndarray, floor_rel: float,
@@ -569,12 +583,10 @@ def _whitened_span_eig(triangle: np.ndarray, lower: np.ndarray,
         whitened[:rows_b, :rows_b] += blas.dsyrk(ridge_t, np.tril(inverse), lower=1)
         tail = np.arange(rows_b, order)
         whitened[tail, tail] += ridge_t / ridge_b
-    values, vectors = _top_subset_eigh(whitened, d)
-    vectors = vectors[:, ::-1]
+    values, vectors = _top_pairs(whitened, d)
     head = scipy.linalg.solve_triangular(lower, vectors[:rows_b], lower=True, trans="T",
                                          check_finite=False)
-    return _pencil_pairs(values[::-1], np.vstack([head, vectors[rows_b:] / np.sqrt(ridge_b)]),
-                         False)
+    return _pencil_pairs(values, np.vstack([head, vectors[rows_b:] / np.sqrt(ridge_b)]), False)
 
 
 def _mirror_upper(block: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ this layout once, from the first lines (the header, where the first data
 row starts, its number of cells and whether the last column is labels), and
 both parsers start from it. No step runs per cell in Python. Data rows in
 the grammar the writers produce (ASCII numbers, commas, LF or CRLF row
-ends, blank lines at the end) are parsed by a numpy kernel a block of rows
+ends, blank lines anywhere) are parsed by a numpy kernel a block of rows
 at a time, each value the double ``float()`` gives (see
 :mod:`dpca.csvparse`), whatever mark, blank lines or header come before
 them. Any other file, and one with a lone CR line end in the text decoded
@@ -125,7 +125,7 @@ def read_csv(path) -> DataMatrix:
     whether the last column is labels; a header of another width is an
     error here. From that row on, rows in the grammar the writers produce
     (ASCII numbers ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
-    commas, LF or CRLF row ends, blank lines at the end) are parsed by the
+    commas, LF or CRLF row ends, blank lines anywhere) are parsed by the
     numpy kernel of :mod:`dpca.csvparse` into the values and labels arrays
     themselves, every value the double that ``float()`` gives for its cell.
     When the kernel declines a block, or the text decoded to find the

@@ -359,18 +359,22 @@ class TestReadRoute:
             fileio.read_csv(path)
         assert loadtxt_calls == []
 
-    @pytest.mark.parametrize("text", ["f1,f2\r\n1,2\r\n", "f1,f2\n1,2\n\n",
-                                      "f1,f2\r\n1,2\r\n\r\n\n"],
-                             ids=["crlf", "trailing-blank-line", "crlf-trailing-blank-lines"])
-    def test_crlf_and_trailing_blank_lines_take_the_kernel(self, tmp_path, loadtxt_calls, text):
+    @pytest.mark.parametrize("text,rows", [("f1,f2\r\n1,2\r\n", [[1.0, 2.0]]),
+                                           ("f1,f2\n1,2\n\n", [[1.0, 2.0]]),
+                                           ("f1,f2\r\n1,2\r\n\r\n\n", [[1.0, 2.0]]),
+                                           ("f1,f2\n1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]])],
+                             ids=["crlf", "trailing-blank-line", "crlf-trailing-blank-lines",
+                                  "blank-line"])
+    def test_crlf_and_trailing_blank_lines_take_the_kernel(self, tmp_path, loadtxt_calls, text,
+                                                           rows):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
-        assert fileio.read_csv(path).values.tolist() == [[1.0, 2.0]]
+        assert fileio.read_csv(path).values.tolist() == rows
         assert loadtxt_calls == []
 
-    @pytest.mark.parametrize("text", ['"f1","f2"\n"1","2"\n', "f1,f2\n1,2\n\n3,4\n",
-                                      "f1,f2\r1,2\r\n3,4\r\n", "f1,f2\n 1,2\n3,4\n"],
-                             ids=["quoted", "blank-line", "lone-cr", "padded"])
+    @pytest.mark.parametrize("text", ['"f1","f2"\n"1","2"\n', "f1,f2\r1,2\r\n3,4\r\n",
+                                      "f1,f2\n 1,2\n3,4\n"],
+                             ids=["quoted", "lone-cr", "padded"])
     def test_other_files_go_through_loadtxt(self, tmp_path, loadtxt_calls, text):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
@@ -527,6 +531,25 @@ class TestExitCodes:
                    "--out", tmp_path / "m.json") == 2
         assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [("pca",), ("dpca", "b.csv"),
+                                         ("cpca", "b.csv", "--alpha", "1")],
+                             ids=["pca", "dpca", "cpca-alpha"])
+    @pytest.mark.parametrize("flags,named", [
+        (("--grid", "nonsense"), "nonsense"), (("--select", "0"), "--select"),
+        (("--seed", "-1"), "--seed"),
+    ], ids=["grid-nonsense", "select-zero", "seed-negative"])
+    def test_usage_flags_a_fit_does_not_use(self, tmp_path, rng, capsys, command, flags, named):
+        # the inputs exist: a fit that ignored these flags would write its model
+        write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        write_gaussian_csv(tmp_path / "b.csv", rng, 30, [1.0, 1.0])
+        method, *rest = command
+        out = tmp_path / "m.json"
+        assert run("fit", method, tmp_path / "t.csv",
+                   *[tmp_path / a if a.endswith(".csv") else a for a in rest],
+                   *flags, "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,named", [
         (("-m", "0"), "-m"), (("-n", "0"), "-n"), (("--clusters", "0"), "--clusters"),

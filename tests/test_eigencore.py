@@ -4,7 +4,9 @@ The independent reference for the pencil solver is a brute-force dense
 eigendecomposition of B^{-1} A, which never goes through the whitening path.
 """
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +257,15 @@ class TestGeneralizedEig:
         assert np.array_equal(one.eigenvalues, two.eigenvalues)
         assert np.array_equal(one.eigenvectors, two.eigenvectors)
 
+    @pytest.mark.parametrize("order,leaf", [(3, "_floored_whitening_eig"),
+                                            (ec.TOP_D_MIN_DIM + 4, "_cholesky_eig")])
+    def test_overflow_in_the_solve_rejected(self, pencil_solves, order, leaf):
+        # A and B are finite, but the whitened or reduced target is not
+        a = np.diag(np.linspace(1e300, 2e300, order))
+        with pytest.raises(InvalidInputError, match="overflows"), np.errstate(all="ignore"):
+            ec.generalized_eig(a, 1e-300 * np.eye(order), 2)
+        assert pencil_solves == [leaf]
+
     def test_errors(self, rng):
         a = random_spd(rng, 4)
         with pytest.raises(DimensionError):
@@ -442,3 +453,65 @@ class TestReduceToSpan:
         stack = np.vstack([background, target, np.zeros((d, dim))]).T
         np.testing.assert_allclose(q @ np.triu(span.triangle), stack, rtol=0,
                                    atol=1e-12 * np.linalg.norm(stack))
+
+
+class TestOneEigensolve:
+    """Every symmetric eigensolve goes through ``_top_pairs``, which its callers never undo."""
+
+    SOURCE = Path(ec.__file__).parent
+
+    @staticmethod
+    def functions(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    @staticmethod
+    def called(node):
+        return {call.func.attr if isinstance(call.func, ast.Attribute) else
+                getattr(call.func, "id", None)
+                for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+    def test_eigh_is_called_in_one_function(self):
+        callers = set()
+        for path in sorted(self.SOURCE.glob("*.py")):
+            callers.update(f"{path.stem}.{func.name}"
+                           for func in self.functions(ast.parse(path.read_text()))
+                           if "eigh" in self.called(func))
+        assert callers == {"eigencore._top_pairs"}
+        assert not hasattr(ec, "_top_subset_eigh")
+
+    def test_callers_do_not_reverse_the_pairs(self):
+        tree = ast.parse((self.SOURCE / "eigencore.py").read_text())
+        callers = [func for func in self.functions(tree) if "_top_pairs" in self.called(func)]
+        assert {func.name for func in callers} == {
+            "sym_eigendecompose", "whitening_factor", "_floored_whitening_eig",
+            "_cholesky_eig", "_whitened_span_eig"}
+        for func in callers:
+            steps = [node.step for node in ast.walk(func) if isinstance(node, ast.Slice)]
+            assert all(step is None for step in steps), func.name
+
+    def test_validation_and_signs_once(self, rng, monkeypatch):
+        calls = []
+        for name in ("check_symmetric", "apply_sign_convention"):
+            def spy(*args, real=getattr(ec, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(ec, name, spy)
+        a, b = random_spd(rng, 20), random_spd(rng, 20)
+        ec.whitening_factor(b)
+        assert calls == ["check_symmetric"]
+        del calls[:]
+        # the leaf whitens B (one check) and fixes its pairs' signs once
+        ec._floored_whitening_eig(a, b, 2, ec.DEFAULT_FLOOR_REL)
+        assert calls == ["check_symmetric", "apply_sign_convention"]
+
+    def test_every_pair_on_the_cholesky_route(self, rng, pencil_solves):
+        # d equal to the order takes numpy's full solve of the reduced pencil
+        order = ec.TOP_D_MIN_DIM + 4
+        a, b = random_spd(rng, order), random_spd(rng, order)
+        out = ec.generalized_eig(a, b, order)
+        assert pencil_solves == ["_cholesky_eig"]
+        ref = scipy.linalg.eigh(a, b, eigvals_only=True)[::-1]
+        np.testing.assert_allclose(out.eigenvalues, ref, rtol=1e-12)
+        resid = a @ out.eigenvectors - (b @ out.eigenvectors) * out.eigenvalues
+        assert np.linalg.norm(resid) <= 1e-12 * order * np.linalg.norm(a)

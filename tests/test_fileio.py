@@ -268,6 +268,34 @@ class TestOneFrontEnd:
         assert back.values.ravel().tolist() == [k + 0.5 for k in range(1, 10)]
         assert back.labels.tolist() == [-k for k in range(1, 10)]
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("blank", [1, 3])
+    def test_blank_lines_inside_a_later_block_take_the_kernel(self, tmp_path, monkeypatch,
+                                                              ending, blank):
+        # blocks of 5-8 rows; blank lines after rows 36-38, so at least one
+        # lies inside a block, and after earlier blocks have parsed
+        rows = [f"{k}.25,{k % 5 - 2}" for k in range(60)]
+        monkeypatch.setattr(csvparse, "_READ_BLOCK", 64)
+        lines = [r + ending + (blank * ending if 36 <= k <= 38 else "")
+                 for k, r in enumerate(rows)]
+        path = tmp_path / "in.csv"
+        path.write_bytes(("f1,label" + ending + "".join(lines)).encode())
+        declined = []
+        real = csvparse.parse_block
+
+        def parse(raw, size, *args):
+            parsed = real(raw, size, *args)
+            if parsed is None:
+                declined.append(bytes(raw[csvparse.PAD:csvparse.PAD + size]))
+            return parsed
+
+        monkeypatch.setattr(csvparse, "parse_block", parse)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        back = fileio.read_csv(path)
+        assert back.values.ravel().tolist() == [k + 0.25 for k in range(60)]
+        assert back.labels.tolist() == [k % 5 - 2 for k in range(60)]
+        assert declined and all(b"\n\n" in block and b"\n0.25," not in block for block in declined)
+
     @pytest.mark.parametrize("block", [8, 13, 21, 34])
     def test_blocks_lose_crlf_and_their_end_blank_lines(self, monkeypatch, block):
         rng = np.random.default_rng(block)

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpca import eigencore as ec
 from dpca import methods
@@ -399,10 +401,10 @@ class TestWideDataReduction:
 
     @staticmethod
     def solve_orders(monkeypatch):
-        """Record ``(name, order)`` of every eigensolve and leaf pencil solve.
+        """Record ``(name, order)`` of every ``sym_eigendecompose`` call and leaf pencil solve.
 
-        The floored-whitening leaf makes eigensolves of its own, at the
-        pencil's order.
+        A leaf solves through ``eigencore._top_pairs`` and makes no
+        ``sym_eigendecompose`` call, so a dPCA fit records its leaf alone.
         """
         orders = []
         for name in ("sym_eigendecompose",) + PENCIL_SOLVERS:
@@ -690,6 +692,83 @@ class TestOneLeafPerFit:
         with pytest.raises(InvalidInputError, match="floor_rel must be finite and nonnegative"):
             methods.dpca_fit(cxx, cyy, 3, floor_rel=-1.0)
         assert pencil_solves == []
+
+
+class TestScalingOracles:
+    """Scaling oracles on every pencil route, through ``dpca_fit``.
+
+    Scaling the target covariance by ``c`` scales the pencil's eigenvalues
+    by ``c``; scaling the background's divides them by ``c``; either way the
+    top-``d`` subspace stays. A data-backed estimate is scaled by scaling
+    its data by ``sqrt(c)`` and its ridge by ``c``. Each fit takes ``d + 1``
+    pairs, so the gap below the ``d``-th is known. The allowed error is a
+    multiple of ``eps * cond(B) * lam_1`` for the eigenvalues and of that
+    over the gap for the sine of the largest principal angle.
+    """
+
+    D_COMPONENTS = 2
+    # c in [1e-3, 10**-0.25] or [10**0.25, 1e3]: never near 1, where any solver passes
+    SCALES = st.tuples(st.floats(0.25, 3.0), st.sampled_from([1.0, -1.0])).map(
+        lambda pair: 10.0 ** (pair[1] * pair[0]))
+    # route: (D, m, n, target ridge, background ridge, leaf); m is None for
+    # covariances given as random SPD matrices of order D
+    ROUTES = {
+        "dense_whitening": (40, None, None, 0.0, 0.0, "_floored_whitening_eig"),
+        "dense_cholesky": (ec.TOP_D_MIN_DIM + 4, None, None, 0.0, 0.0, "_cholesky_eig"),
+        # K = m + n + d + 1 = 263 and 103
+        "reduced_whitening_from_r": (600, 60, 200, 0.5, 1.0, "_whitened_span_eig"),
+        "reduced_floored_whitening": (300, 40, 60, 0.5, 1.0, "_floored_whitening_eig"),
+    }
+
+    @classmethod
+    def estimates(cls, route, seed, scale_target=1.0, scale_background=1.0):
+        """``(cxx, cyy)`` of ``route`` from ``seed``, each side scaled by its factor."""
+        dim, m, n, ridge_t, ridge_b = cls.ROUTES[route][:5]
+        rng = np.random.default_rng(seed)
+        if m is None:
+            return (cov(scale_target * random_spd(rng, dim)),
+                    cov(scale_background * random_spd(rng, dim)))
+        target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
+        background = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        return tuple(sample_covariance(center(DataMatrix(x * np.sqrt(c))), ridge=r * c)
+                     for x, r, c in ((target, ridge_t, scale_target),
+                                     (background, ridge_b, scale_background)))
+
+    @classmethod
+    def check_scaling(cls, pencil_solves, route, seed, c, side):
+        d = cls.D_COMPONENTS
+        base_inputs = cls.estimates(route, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FloorAppliedWarning)
+            pencil_solves.clear()
+            base = methods.dpca_fit(*base_inputs, d + 1)
+            scaled = methods.dpca_fit(*cls.estimates(route, seed, **{f"scale_{side}": c}), d + 1)
+        leaf = cls.ROUTES[route][5]
+        assert pencil_solves == [leaf, leaf]
+        background = np.linalg.eigvalsh(base_inputs[1].matrix)
+        lam = base.eigenvalues
+        err = 100 * np.finfo(float).eps * background[-1] / background[0] * lam[0]
+        expected = lam[:d] * (c if side == "target" else 1.0 / c)
+        np.testing.assert_allclose(scaled.eigenvalues[:d], expected, rtol=0,
+                                   atol=err * expected[0] / lam[0])
+        # the components are B-orthogonal: compare the spans they orthonormalize to
+        q0, q1 = (np.linalg.qr(model.components[:, :d])[0] for model in (base, scaled))
+        sine = np.linalg.norm(q1 - q0 @ (q0.T @ q1), 2)
+        assert sine <= err / (lam[d - 1] - lam[d])
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
+    def test_target_scaling_scales_eigenvalues(self, pencil_solves, route, seed, scale):
+        self.check_scaling(pencil_solves, route, seed, scale, "target")
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
+    def test_background_scaling_divides_eigenvalues(self, pencil_solves, route, seed, scale):
+        self.check_scaling(pencil_solves, route, seed, scale, "background")
 
 
 class TestTransform:
