@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -192,8 +193,6 @@ def _metrics(coords: np.ndarray, labels, seed: int) -> dict:
 
 
 def cmd_compare(args) -> int:
-    if not args.background:
-        raise UsageError("compare requires a background CSV")
     inputs, grid = _prepare(args)
     prefix = Path(args.out)
     fileio.ensure_parent(prefix.with_name(prefix.name + "_report.json"))
@@ -205,7 +204,6 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     dpca_model = _fit("dpca", inputs, args)
     dpca_secs = time.perf_counter() - t0
-    extra = {"dpca": {"pencil_solves": 1}}  # dpca_fit makes one pencil solve
     t0 = time.perf_counter()
     cpca_models = _auto_alpha(inputs, grid, args)
     cpca_secs = time.perf_counter() - t0
@@ -218,7 +216,7 @@ def cmd_compare(args) -> int:
         path = f"{prefix}_{name}.csv"
         fileio.write_embedding_csv(path, emb.coordinates, emb.labels)
         rows[name] = {"eigenvalues": model.eigenvalues.tolist(), "embedding_csv": path,
-                      **extra.get(name, {}), **_metrics(emb.coordinates, emb.labels, args.seed)}
+                      **_metrics(emb.coordinates, emb.labels, args.seed)}
     keys = _alpha_keys([m.alpha for m in cpca_models])
     per_alpha = {key: rows[f"cpca_a{i}"] for i, key in enumerate(keys, start=1)}
     report = {
@@ -287,21 +285,11 @@ def cmd_synth(args) -> int:
     truth_path = f"{prefix}_truth.json"
     fileio.write_data_csv(target_path, pair.target)
     fileio.write_data_csv(background_path, pair.background)
-    truth = {
-        "n_features": spec.n_features,
-        "n_shared": spec.n_shared,
-        "n_specific": spec.n_specific,
-        "shared_basis": spec.shared_basis.tolist(),
-        "specific_basis": spec.specific_basis.tolist(),
-        "target_mean": spec.target_mean.tolist(),
-        "background_mean": spec.background_mean.tolist(),
-        "background_coeff_std": spec.background_coeff_std.tolist(),
-        "shared_coeff_std": spec.shared_coeff_std.tolist(),
-        "specific_coeff_std": spec.specific_coeff_std.tolist(),
-        "noise_std": spec.noise_std,
-        "seed": spec.seed,
-        "cluster_offsets": offsets.tolist(),
-    }
+    # every FactorModelSpec field, in declaration order, which is the file's key order
+    truth = {"n_features": spec.n_features, "n_shared": spec.n_shared,
+             "n_specific": spec.n_specific,
+             **{f.name: np.asarray(getattr(spec, f.name)).tolist() for f in fields(spec)},
+             "cluster_offsets": offsets.tolist()}
     with open(truth_path, "w", encoding="utf-8") as fh:
         json.dump(truth, fh, indent=2)
         fh.write("\n")

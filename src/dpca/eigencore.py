@@ -21,6 +21,10 @@ is built on four operations:
 * :func:`power_topd` computes leading eigenpairs by deflated power iteration,
   the cheap route for when a dense solve is overkill.
 
+Eigenpairs have one type, :class:`EigenDecomposition`. The pencil solvers
+and ``power_topd`` return its subclass :class:`GeneralizedEigenPairs`, which
+adds only ``floor_applied``.
+
 Fits on wide data solve at a smaller order in an orthonormal basis ``Q`` of
 their samples: ``_span_qr`` factors the samples, ``_span_grams`` forms the
 reduced matrices from the factor ``R``, and ``_lift`` maps the reduced
@@ -119,23 +123,17 @@ class WhiteningFactor:
 
 
 @dataclass(frozen=True)
-class GeneralizedEigenPairs:
+class GeneralizedEigenPairs(EigenDecomposition):
     """Top eigenpairs of a symmetric-definite pencil ``(A, B)``.
 
-    ``eigenvalues`` are descending and nonnegative; ``eigenvectors`` columns
-    have unit Euclidean norm and satisfy ``A u ~= lam B u``. Columns follow
-    the same sign convention as :class:`EigenDecomposition`.
-    ``floor_applied`` is True when the whitening floor raised eigenvalues of
-    ``B``, in which case the floor, not ``B``, determines the result.
+    An :class:`EigenDecomposition` whose ``eigenvalues`` are also
+    nonnegative and whose ``eigenvectors`` columns have unit Euclidean norm
+    and satisfy ``A u ~= lam B u``. ``floor_applied`` is True when the
+    whitening floor raised eigenvalues of ``B``, in which case the floor,
+    not ``B``, determines the result.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     floor_applied: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvectors.shape[0]
 
     @property
     def count(self) -> int:
@@ -179,11 +177,8 @@ def apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     Ties pick the lowest row index. Returns a new array.
     """
     out = np.array(vectors, dtype=np.float64, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            out[:, j] = -col
+    lead = np.argmax(np.abs(out), axis=0)
+    out[:, out[lead, np.arange(out.shape[1])] < 0] *= -1
     return out
 
 

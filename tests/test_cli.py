@@ -168,7 +168,6 @@ class TestCompare:
                    "-d", 2, "--out", out) == 0
         assert len(pencil_solves) == 1  # the whole command makes one pencil solve
         report = json.loads((tmp_path / "cmp_report.json").read_text())
-        assert report["methods"]["dpca"]["pencil_solves"] == 1
         assert report["methods"]["dpca"]["kmeans_accuracy"] >= 0.9
         assert report["methods"]["pca"]["kmeans_accuracy"] <= 0.65
         assert report["runtime_ratio_cpca_over_dpca"] > 0
@@ -190,6 +189,18 @@ class TestCompare:
         assert report["runtime_ratio_cpca_over_dpca"] is None
         assert report["methods"]["pca"]["seconds"] == 0.0
         assert "(ratio vs dpca: -)" in capsys.readouterr().out
+
+    def test_unlabelled_target_has_no_metrics(self, tmp_path, rng, capsys):
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 60, [3.0, 1.0, 1.0])
+        background = write_gaussian_csv(tmp_path / "b.csv", rng, 60, [1.0, 1.0, 1.0])
+        assert run("compare", target, background, "--select", 2, "--out", tmp_path / "cmp") == 0
+        report = json.loads((tmp_path / "cmp_report.json").read_text())
+        rows = [report["methods"]["pca"], report["methods"]["dpca"],
+                *report["methods"]["cpca_auto"]["per_alpha"].values()]
+        assert len(rows) == 4
+        assert all(row["kmeans_accuracy"] is None and row["silhouette"] is None for row in rows)
+        table = capsys.readouterr().out.splitlines()[1:5]
+        assert all(line.split()[-2:] == ["-", "-"] for line in table)
 
 
 class TestAlphaKeys:
@@ -291,6 +302,12 @@ class TestStartup:
                               capture_output=True, text=True, env=src_env(), timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
+
+    def test_module_entry_point(self):
+        done = subprocess.run([sys.executable, "-m", "dpca", "--help"],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: dpca")
 
 
 class TestCsvBytes:
@@ -419,7 +436,6 @@ class TestWideData:
         for j in range(2):
             assert abs(model.components[:, j] @ ref.eigenvectors[:, j]) >= 1 - 1e-10
         report = json.loads((tmp_path / "cmp_report.json").read_text())
-        assert report["methods"]["dpca"]["pencil_solves"] == 1
         np.testing.assert_allclose(report["methods"]["dpca"]["eigenvalues"], ref.eigenvalues,
                                    rtol=1e-12)
 
@@ -449,6 +465,15 @@ class TestExitCodes:
     def test_usage_missing_background(self, tmp_path, rng):
         target = write_gaussian_csv(tmp_path / "t.csv", rng, 20, [1.0, 1.0])
         assert run("fit", "dpca", target) == 2
+
+    def test_usage_compare_missing_background(self, tmp_path, rng, capsys):
+        # compare's parser requires a background, so no command code checks it again
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 20, [1.0, 1.0])
+        with pytest.raises(SystemExit) as exc:
+            run("compare", target, "--out", tmp_path / "cmp")
+        assert exc.value.code == 2
+        assert "required: background" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
     def test_usage_cpca_needs_alpha(self, tmp_path, rng):
         target = write_gaussian_csv(tmp_path / "t.csv", rng, 20, [1.0, 1.0])
@@ -520,11 +545,13 @@ class TestExitCodes:
         (("compare",), ("--grid", "1:2:3", "--select", "4"), "--select"),
         (("fit", "cpca"), ("--auto-alpha", "--seed", "-1"), "--seed"),
         (("compare",), ("--seed", "-1"), "--seed"),
+        (("fit", "cpca"), ("--alpha", "1", "--auto-alpha"), "--alpha"),
+        (("fit", "dpca"), ("--alpha", "1"), "--alpha"),
     ], ids=["ridge-nan", "floor-nan", "alpha-nan", "alpha-inf", "grid-lo-nan", "grid-hi-inf",
             "compare-grid-lo-negative", "compare-ridge-inf", "ridge-negative", "floor-negative",
             "alpha-negative", "d-zero", "compare-d-zero", "select-above-grid",
             "compare-select-zero", "compare-select-above-grid", "seed-negative",
-            "compare-seed-negative"])
+            "compare-seed-negative", "alpha-and-auto-alpha", "alpha-on-dpca"])
     def test_usage_non_finite_parameter(self, tmp_path, capsys, command, flags, named):
         # the inputs do not exist: reading them first would be a data error (exit 3)
         assert run(*command, tmp_path / "t.csv", tmp_path / "b.csv", *flags,

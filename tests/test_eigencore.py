@@ -88,6 +88,18 @@ class TestSymEigendecompose:
             col = out.eigenvectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
+    def test_sign_convention_matches_the_column_loop(self, rng):
+        # ties (the lowest row leads), signed zeros and a NaN, bit for bit
+        cases = [rng.standard_normal((7, 5)), rng.integers(-2, 3, (6, 40)).astype(float),
+                 np.array([[1.0, -1.0, 0.0, -0.0], [-1.0, 1.0, -0.0, 0.0]]),
+                 np.array([[np.nan, -2.0], [-3.0, np.nan]])]
+        for vectors in cases:
+            want = vectors.copy()
+            for j in range(want.shape[1]):
+                if want[np.argmax(np.abs(want[:, j])), j] < 0:
+                    want[:, j] = -want[:, j]
+            assert ec.apply_sign_convention(vectors).tobytes() == want.tobytes()
+
     def test_deterministic(self, rng):
         a = random_spd(rng, 9)
         one = ec.sym_eigendecompose(a)
@@ -191,8 +203,20 @@ class TestWhiteningFactor:
         with pytest.raises(RankZeroError):
             ec.whitening_factor(np.zeros((3, 3)))
 
+    def test_singular_matrix_without_floor_raises(self):
+        with pytest.raises(RankZeroError, match="floor is zero"):
+            ec.whitening_factor(np.diag([1.0, 0.0]), floor_rel=0.0)
+
 
 class TestGeneralizedEig:
+    def test_pairs_extend_the_eigendecomposition(self):
+        # one eigenpair type: the pencil's adds its floor flag and nothing it restates
+        assert issubclass(ec.GeneralizedEigenPairs, ec.EigenDecomposition)
+        assert set(vars(ec.GeneralizedEigenPairs)["__annotations__"]) == {"floor_applied"}
+        assert "dim" not in vars(ec.GeneralizedEigenPairs)
+        pairs = ec.GeneralizedEigenPairs(np.array([2.0]), np.eye(3)[:, :1])
+        assert (pairs.dim, pairs.count, pairs.floor_applied) == (3, 1, False)
+
     def test_diagonal_ratio_ordering(self):
         out = ec.generalized_eig(np.diag([2.0, 8.0]), np.diag([1.0, 16.0]), 2)
         np.testing.assert_allclose(out.eigenvalues, [2.0, 0.5], atol=1e-12)

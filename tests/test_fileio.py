@@ -709,6 +709,35 @@ class TestReadKernel:
         assert back.values.tobytes() == values.tobytes()
         assert back.labels.tolist() == [4, -5, 6]
 
+    def test_exponent_without_digits_declined(self, tmp_path):
+        # '1e-.5' passes the token-pair check; only the exponent guard stops
+        # the kernel reading it as 0.0
+        path = tmp_path / "in.csv"
+        path.write_text("x\n1\n1e-.5\n")
+        with open(path, "rb") as fh:
+            fh.readline()
+            assert csvparse.read_rows(fh, 1, False) is None
+        with pytest.raises(InvalidInputError,
+                           match=r"in\.csv: row 2: column 1 holds '1e-\.5', not a number"):
+            fileio.read_csv(path)
+
+    @pytest.mark.parametrize("label", [False, True], ids=["unlabelled", "labelled"])
+    def test_rows_beyond_the_estimate_grow_the_arrays(self, tmp_path, rng, label):
+        # long rows first, then short ones: the first block's rows per byte
+        # undershoot, so the values (and labels) arrays are resized
+        rows = [",".join("%.17g" % v for v in row) for row in rng.standard_normal((3000, 8))]
+        rows += ["0,0,0,0,0,0,0,0"] * 40000
+        header = ",".join(f"f{j}" for j in range(1, 9))
+        if label:
+            header += ",label"
+            rows = [f"{row},{i % 3}" for i, row in enumerate(rows)]
+        path = tmp_path / "grow.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        data = fileio.read_csv(path)
+        got = data.values if not label else np.column_stack([data.values, data.labels])
+        assert got.tolist() == reference_read(path).tolist()
+        assert (data.labels is not None) == label
+
 
 INT64_EXTREMES = [-2**63, 2**63 - 1, -2**53 - 1, 2**53 + 1, -2**53, 2**53, 0, -1, 2**62 + 1,
                   -2**63 + 1]

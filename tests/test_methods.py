@@ -350,6 +350,15 @@ class TestAlphaSelection:
         assert methods.subspace_affinity(low_alpha, top) >= 1 - 1e-8
         assert methods.subspace_affinity(high_alpha, bottom) >= 1 - 1e-8
 
+    def test_empty_cluster_takes_the_most_central_candidate(self, rng, monkeypatch):
+        a, b = random_spd(rng, 5), random_spd(rng, 5)
+        grid = np.geomspace(0.01, 100, 7)
+        monkeypatch.setattr(methods, "spectral_cluster",
+                            lambda affinity, k, seed=0: np.zeros(len(affinity), dtype=int))
+        sel = methods.cpca_select_alphas(cov(a), cov(b), grid, 2, 2, seed=0)
+        central = grid[np.argmax(sel.affinity.sum(axis=1))]
+        assert sel.selected.tolist() == [central, central]
+
     def test_selection_errors(self, rng):
         a = random_spd(rng, 3)
         with pytest.raises(InvalidInputError):
