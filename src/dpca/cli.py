@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,8 +37,6 @@ def parse_grid(spec: str) -> np.ndarray:
     lo_s, hi_s, n_s = parts
     log = n_s.endswith("log")
     if log:
-        n_s = n_s[:-3]
-    elif n_s.endswith("lin"):
         n_s = n_s[:-3]
     try:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -316,23 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common_fit_flags(p, with_alpha):
         p.add_argument("-d", "--components", type=int, default=2,
-                       help="number of components (default 2)")
+                       help="number of components (default %(default)s)")
         if with_alpha:
             p.add_argument("--alpha", type=float, default=None,
                            help="contrast strength for cpca")
             p.add_argument("--auto-alpha", action="store_true",
                            help="select alphas automatically over --grid")
         p.add_argument("--grid", default=DEFAULT_GRID,
-                       help=f"alpha grid, lo:hi:N[log] (default {DEFAULT_GRID})")
+                       help="alpha grid, lo:hi:N[log] (default %(default)s)")
         p.add_argument("--select", type=int, default=4,
-                       help="number of alphas to select (default 4)")
+                       help="number of alphas to select (default %(default)s)")
         p.add_argument("--ridge", type=float, default=0.0,
-                       help="ridge added to covariance diagonals (default 0)")
+                       help="ridge added to covariance diagonals (default %(default)g)")
         p.add_argument("--floor", type=float, default=eigencore.DEFAULT_FLOOR_REL,
-                       help="relative eigenvalue floor for whitening (default 1e-10)")
+                       help="relative eigenvalue floor for whitening (default %(default)g)")
         p.add_argument("--zscore", action="store_true",
                        help="divide features by their pooled standard deviation")
-        p.add_argument("--seed", type=int, default=0, help="seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="seed (default %(default)s)")
 
     p_fit = sub.add_parser("fit", help="fit a model from CSV data")
     p_fit.add_argument("method", choices=methods.METHODS)
@@ -359,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sy = sub.add_parser("synth", help="generate synthetic target/background data")
     p_sy.add_argument("--features", type=int, default=100)
     p_sy.add_argument("--shared", type=int, default=3,
-                      help="shared-subspace dimension (default 3)")
+                      help="shared-subspace dimension (default %(default)s)")
     p_sy.add_argument("--specific", type=int, default=1,
-                      help="target-specific dimension (default 1)")
+                      help="target-specific dimension (default %(default)s)")
     p_sy.add_argument("-m", "--target-samples", type=int, default=2000)
     p_sy.add_argument("-n", "--background-samples", type=int, default=3000)
     p_sy.add_argument("--clusters", type=int, default=2)
@@ -385,19 +384,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"dpca: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"dpca: usage error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"dpca: numerical error: {exc}", file=sys.stderr)
-        return 4
-    except (DpcaError, OSError) as exc:
-        print(f"dpca: data error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        # a warning prints as one line, as an error does, without the source location
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print(f"dpca: usage error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"dpca: numerical error: {exc}", file=sys.stderr)
+            return 4
+        except (DpcaError, OSError) as exc:
+            print(f"dpca: data error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -18,12 +18,15 @@ is built on four operations:
   the lower triangle. Otherwise :func:`_floored_whitening_eig` whitens with
   the floored ``whitening_factor(B)`` and takes the top ``d`` pairs of the
   whitened matrix; only this leaf can apply the floor.
-* :func:`power_topd` computes leading eigenpairs by deflated power iteration,
-  the cheap route for when a dense solve is overkill.
+* :func:`power_topd` computes the leading eigenpairs of a dense symmetric
+  matrix by deflated power iteration. No fit calls it: it is the
+  independent oracle that the acceptance criteria check the dense solve
+  against, and the one source of ``NonConvergenceError``.
 
-Eigenpairs have one type, :class:`EigenDecomposition`. The pencil solvers
-and ``power_topd`` return its subclass :class:`GeneralizedEigenPairs`, which
-adds only ``floor_applied``.
+Eigenpairs have one type, :class:`EigenDecomposition`, which
+``sym_eigendecompose`` and ``power_topd`` return. The pencil solvers return
+its subclass :class:`GeneralizedEigenPairs`, which adds only
+``floor_applied``.
 
 Fits on wide data solve at a smaller order in an orthonormal basis ``Q`` of
 their samples: ``_span_qr`` factors the samples, ``_span_grams`` forms the
@@ -54,7 +57,7 @@ All functions are pure; returned arrays are never aliased to the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -116,10 +119,6 @@ class WhiteningFactor:
     factor: np.ndarray
     floor_applied: bool
     floor_value: float
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
 
 
 @dataclass(frozen=True)
@@ -620,35 +619,29 @@ def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
     return apply_sign_convention(lifted)
 
 
-LinearOperator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-
-def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5000,
-               seed: int = 0, dim: int | None = None) -> GeneralizedEigenPairs:
-    """Leading eigenpairs of a symmetric PSD operator by deflated power iteration.
+def power_topd(mat: np.ndarray, d: int, tol: float = 1e-10, max_iter: int = 5000,
+               seed: int = 0) -> EigenDecomposition:
+    """Leading eigenpairs of a symmetric PSD matrix by deflated power iteration.
 
     Each pair iterates ``v <- Av / ||Av||`` until successive Rayleigh
-    quotients differ by at most ``tol``, then deflates by subtracting
-    ``lam v v^T`` and restarts from a fresh seeded vector. One kernel serves
-    both kinds of operator: a dense matrix is applied as ``v -> A v``, and
-    the deflation is applied functionally, so the operator is never copied
-    or modified.
+    quotients differ by at most ``tol``, then restarts from a fresh seeded
+    vector. The deflation is applied to each product,
+    ``Av - sum_i lam_i (u_i . v) u_i``, so the matrix is never copied or
+    modified. When that product vanishes, ``v`` is projected off the pairs
+    found so far and returned with eigenvalue 0. No floor is applied.
 
     Parameters
     ----------
-    op : (D, D) array_like or callable
-        The operator. A callable must map a length-``D`` vector to ``A v``,
-        and ``dim`` must be given.
+    mat : (D, D) array_like
+        Symmetric, finite matrix.
     d : int
         Number of pairs, ``1 <= d <= D``.
     tol : float
         Convergence threshold on successive Rayleigh quotients; must be > 0.
     max_iter : int
-        Iteration budget per pair.
+        Iteration budget per pair; must be >= 1.
     seed : int
         Seed for the starting vectors.
-    dim : int, optional
-        Operator dimension, required for callables.
 
     Raises
     ------
@@ -660,36 +653,17 @@ def power_topd(op: LinearOperator, d: int, tol: float = 1e-10, max_iter: int = 5
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    matrix = check_symmetric(mat, "matrix")
+    dim = matrix.shape[0]
+    if not 1 <= d <= dim:
+        raise DimensionError(f"requested {d} pairs from a dimension-{dim} matrix")
 
-    if callable(op):
-        if dim is None:
-            raise DimensionError("dim is required when the operator is a callable")
-        apply_op, op_dim = op, int(dim)
-    else:
-        matrix = check_symmetric(op, "operator")
-        apply_op, op_dim = (lambda v: matrix @ v), matrix.shape[0]
-    if not 1 <= d <= op_dim:
-        raise DimensionError(f"requested {d} pairs from a dimension-{op_dim} operator")
-
-    rng = np.random.default_rng(seed)
-    values, vectors = _power_callable(apply_op, rng.standard_normal((op_dim, d)), tol, max_iter)
-    order = np.argsort(-values, kind="stable")
-    values = np.maximum(values[order], 0.0)
-    vectors = apply_sign_convention(vectors[:, order])
-    return GeneralizedEigenPairs(eigenvalues=values, eigenvectors=vectors)
-
-
-def _power_callable(apply_op, start, tol, max_iter):
-    """Deflated power iteration from the columns of ``start``; deflation is functional."""
-    op_dim, d = start.shape
+    start = np.random.default_rng(seed).standard_normal((dim, d))
     values = np.zeros(d)
-    vectors = np.zeros((op_dim, d))
+    vectors = np.zeros((dim, d))
 
     def deflated(v, k):
-        # copy so deflation never mutates a buffer owned by the operator
-        w = np.array(apply_op(v), dtype=np.float64, copy=True)
-        if w.shape != (op_dim,):
-            raise DimensionError(f"operator returned shape {w.shape}, expected ({op_dim},)")
+        w = matrix @ v
         for i in range(k):
             w -= values[i] * (vectors[:, i] @ v) * vectors[:, i]
         return w
@@ -698,28 +672,30 @@ def _power_callable(apply_op, start, tol, max_iter):
         v = start[:, j] / np.linalg.norm(start[:, j])
         q = 0.0
         q_prev = np.inf
-        ok = False
         it = 0
         while it < max_iter:
             it += 1
             w = deflated(v, j)
             q = float(v @ w)
             if abs(q - q_prev) <= tol:
-                ok = True
                 break
             norm_w = float(np.linalg.norm(w))
             if norm_w == 0.0:
-                # v lies in the null space of the deflated operator
+                # v lies in the null space of the deflated matrix: keep its part
+                # orthogonal to the pairs found so far
+                v = v - vectors[:, :j] @ (vectors[:, :j].T @ v)
+                v = v / np.linalg.norm(v)
                 q = 0.0
-                ok = True
                 break
             v = w / norm_w
             q_prev = q
-        if not ok:
+        else:
             resid = float(np.linalg.norm(deflated(v, j) - q * v))
             raise NonConvergenceError(
                 f"power iteration for pair {j} did not converge in {max_iter} iterations",
                 best_eigenvalue=q, best_vector=v.copy(), residual=resid, iterations=it)
         values[j] = q
         vectors[:, j] = v
-    return values, vectors
+    order = np.argsort(-values, kind="stable")
+    return EigenDecomposition(eigenvalues=np.maximum(values[order], 0.0),
+                              eigenvectors=apply_sign_convention(vectors[:, order]))

@@ -511,6 +511,5 @@ def load_model(path) -> ModelFile:
 def ensure_parent(path) -> Path:
     """Create the parent directory of an output path if needed."""
     p = Path(path)
-    if p.parent and not p.parent.exists():
-        p.parent.mkdir(parents=True, exist_ok=True)
+    p.parent.mkdir(parents=True, exist_ok=True)
     return p

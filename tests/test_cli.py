@@ -48,7 +48,7 @@ class TestParseGrid:
 
     def test_malformed(self):
         from dpca.cli import UsageError
-        for bad in ("1:2", "a:b:3log", "1:0:5log", "0:10:3log"):
+        for bad in ("1:2", "a:b:3log", "1:0:5log", "0:10:3log", "0:10:5lin"):
             with pytest.raises(UsageError):
                 parse_grid(bad)
 
@@ -157,6 +157,22 @@ class TestPipeline:
         b1 = write_gaussian_csv(tmp_path / "b1.csv", rng, 60, [1.0, 1.0])
         b2 = write_gaussian_csv(tmp_path / "b2.csv", rng, 40, [1.0, 1.0])
         assert run("fit", "dpca", target, b1, b2, "--out", tmp_path / "m.json") == 0
+
+    def test_fit_creates_the_output_directory(self, tmp_path, rng):
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        model = tmp_path / "new" / "dir" / "m.json"
+        assert run("fit", "pca", target, "--out", model) == 0
+        assert fileio.load_model(model).model.n_features == 2
+
+
+class TestHelp:
+    def test_defaults_come_from_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--help")
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert f"(default {ec.DEFAULT_FLOOR_REL:g})" in text
+        assert f"(default {cli.DEFAULT_GRID})" in text
 
 
 class TestCompare:
@@ -455,6 +471,10 @@ class TestFloorWarning:
         floored = fit()
         assert floored.returncode == 0
         assert "FloorAppliedWarning" in floored.stderr and "--ridge" in floored.stderr
+        # one line, like an error's, with no source location
+        assert len(floored.stderr.splitlines()) == 1
+        assert floored.stderr.startswith("dpca: FloorAppliedWarning: ")
+        assert "cli.py" not in floored.stderr
         assert floored.stdout.startswith("dpca d=2 eigenvalues:")
         ridged = fit("--ridge", "1")
         assert ridged.returncode == 0
@@ -601,6 +621,17 @@ class TestExitCodes:
         assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
         assert f"{model}: malformed model file" in capsys.readouterr().err
 
+    def test_data_model_file_without_components(self, tmp_path, rng, capsys):
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        model = tmp_path / "m.json"
+        assert run("fit", "pca", target, "--out", model) == 0
+        doc = json.loads(model.read_text())
+        del doc["components"]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
+        assert f"{model}: model file is missing field 'components'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [
         ("components", float("nan")), ("eigenvalues", float("inf")),
         ("target_mean", float("-inf")), ("feature_scale", float("nan")),
@@ -644,4 +675,14 @@ class TestExitCodes:
             argv = ("plot", bad, "--out", tmp_path / "e.svg")
         capsys.readouterr()
         assert run(*argv) == 3
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_data_not_utf8_on_the_loadtxt_route(self, tmp_path, capsys):
+        # quoted cells send the table to np.loadtxt, which meets the bad byte
+        # far past the first block of text the reader decoded
+        rows = [f'"{i}","{i + 1}"' for i in range(2000)]
+        rows[1499] = '"1499","\xe9"'
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+        assert run("fit", "pca", bad, "--out", tmp_path / "m.json") == 3
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err

@@ -115,6 +115,13 @@ class TestSymEigendecompose:
         with pytest.raises(InvalidInputError):
             ec.sym_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape,message", [((2, 3), "must be a square matrix"),
+                                               ((0, 0), "must have dimension >= 1")],
+                             ids=["non_square", "empty"])
+    def test_rejects_non_square_and_empty(self, shape, message):
+        with pytest.raises(DimensionError, match=message):
+            ec.sym_eigendecompose(np.ones(shape))
+
 
 class TestCheckSymmetric:
     """Accept/reject decisions of ``check_symmetric``, exact symmetry or not."""

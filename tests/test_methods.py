@@ -143,6 +143,12 @@ class TestDpcaFit:
         proj = plain.components @ np.linalg.lstsq(plain.components, ortho.components, rcond=None)[0]
         np.testing.assert_allclose(proj, ortho.components, atol=1e-8)
 
+    def test_data_covariance_dims_must_agree(self, rng):
+        target, background = (sample_covariance(center(DataMatrix(rng.standard_normal((10, k)))))
+                               for k in (5, 6))
+        with pytest.raises(DimensionError, match="covariance dims disagree: 5 vs 6"):
+            methods.dpca_fit(target, background, 1)
+
     def test_mean_recorded(self, rng):
         a, b = random_spd(rng, 4), random_spd(rng, 4)
         mean = np.arange(4.0)
