@@ -3,13 +3,13 @@
 :func:`read_rows` reads the data rows of a file about 128 KB at a time and
 :func:`parse_block` parses each block of whole rows in the grammar the
 package writes: ASCII cells ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
-commas and LF row ends (:func:`_row_blocks` turns CRLF into LF and drops
-the blank lines at a block's ends, and :func:`read_rows` parses a declined
-block once more without its inner blank lines). Every value is the double
-that ``float()`` gives for its cell, but no step runs per cell in Python: the
-mantissa digits become a 64-bit integer eight at a time (SWAR) and
-``w * 10**q`` is rounded to the nearest double in integer arithmetic with
-the Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
+commas and LF row ends (:func:`_row_blocks` turns CRLF and CR into LF and
+drops the blank lines at a block's ends, and :func:`read_rows` parses a
+declined block once more without its inner blank lines). Every value is the
+double that ``float()`` gives for its cell, but no step runs per cell in
+Python: the mantissa digits become a 64-bit integer eight at a time (SWAR)
+and ``w * 10**q`` is rounded to the nearest double in integer arithmetic
+with the Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
 Second", Software: Practice and Experience, 2021). A block outside the
 grammar is left to the caller; ``dpca.fileio`` then reads the whole file
 with ``np.loadtxt``. Both routes settle a label column by
@@ -76,8 +76,8 @@ def read_rows(fh, width: int, label: bool):
     the grammar or there are no rows. A block the kernel declines is parsed
     once more with its empty lines dropped, so blank lines anywhere stay on
     the kernel; blocks it accepts are never searched for them. What it
-    declines then (quoted or padded cells, a lone CR, numbers outside the
-    grammar) gives None.
+    declines then (quoted or padded cells, numbers outside the grammar)
+    gives None.
     """
     separators = np.full(width, ord(","), np.uint8)
     separators[-1] = ord("\n")
@@ -127,11 +127,13 @@ def _row_blocks(fh):
 
     Yields ``(raw, size)``: the lines are ``raw[PAD:PAD + size]`` and end
     in a newline (one is added after a last line without), and newlines
-    fill at least ``PAD`` bytes before them and 16 after. CRLF row ends
-    become LF and the blank lines at either end of a block are dropped (a
-    block of nothing but blank lines is skipped); :func:`read_rows` drops
-    those inside a block only when the kernel declines it. A line longer
-    than the buffer grows it.
+    fill at least ``PAD`` bytes before them and 16 after. A line ends at LF,
+    CRLF or a lone CR, as in Python's universal newlines: a block is cut
+    after its last LF or CR, and in a block that holds a CR, CRLF and then
+    each CR left become LF. The blank lines at either end of a block are
+    dropped (a block of nothing but blank lines is skipped); :func:`read_rows`
+    drops those inside a block only when the kernel declines it. A line
+    longer than the buffer grows it.
     """
     raw = bytearray(b"\n" * (PAD + _READ_BLOCK + 17))
     held = 0  # bytes of a line begun in the previous block
@@ -144,15 +146,16 @@ def _row_blocks(fh):
                 return
             raw[filled] = ord("\n")
             filled += 1
-        cut = raw.rfind(b"\n", PAD, filled) + 1
+        cr = raw.rfind(b"\r", PAD, filled)
+        cut = max(raw.rfind(b"\n", PAD, filled), cr) + 1
         if not cut:
             held = filled - PAD
             raw.extend(b"\n" * (len(raw) - PAD))
             continue
         rest = raw[cut:filled]
-        # the copy runs only for a CR (one memchr finds it) or a blank line at an end
-        if 10 in (raw[PAD], raw[cut - 2]) or raw.find(b"\r", PAD, cut) >= 0:
-            lines = raw[PAD:cut].replace(b"\r\n", b"\n").strip(b"\n")
+        # the copy runs only for a CR or a blank line at an end
+        if 10 in (raw[PAD], raw[cut - 2]) or cr >= 0:
+            lines = raw[PAD:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n").strip(b"\n")
             cut = PAD + len(lines) + 1
             raw[PAD:cut] = lines + b"\n"
         raw[cut:cut + 16] = b"\n" * 16

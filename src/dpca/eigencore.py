@@ -625,10 +625,12 @@ def power_topd(mat: np.ndarray, d: int, tol: float = 1e-10, max_iter: int = 5000
 
     Each pair iterates ``v <- Av / ||Av||`` until successive Rayleigh
     quotients differ by at most ``tol``, then restarts from a fresh seeded
-    vector. The deflation is applied to each product,
-    ``Av - sum_i lam_i (u_i . v) u_i``, so the matrix is never copied or
-    modified. When that product vanishes, ``v`` is projected off the pairs
-    found so far and returned with eigenvalue 0. No floor is applied.
+    vector projected off the pairs found so far, ``U``. The deflation is a
+    projection of each product, ``Av - U (U^T Av)``, so every iterate stays
+    orthogonal to ``U`` and the matrix is never copied or modified. When
+    that product is at most ``D * eps * ||A||_F``, rounding noise, ``v``
+    lies in the null space and is returned with eigenvalue 0. No floor is
+    applied.
 
     Parameters
     ----------
@@ -661,36 +663,31 @@ def power_topd(mat: np.ndarray, d: int, tol: float = 1e-10, max_iter: int = 5000
     start = np.random.default_rng(seed).standard_normal((dim, d))
     values = np.zeros(d)
     vectors = np.zeros((dim, d))
+    null = dim * np.finfo(np.float64).eps * np.linalg.norm(matrix)
 
-    def deflated(v, k):
-        w = matrix @ v
-        for i in range(k):
-            w -= values[i] * (vectors[:, i] @ v) * vectors[:, i]
-        return w
+    def off_found(w, k):  # w less its part in the span of the first k pairs
+        return w - vectors[:, :k] @ (vectors[:, :k].T @ w)
 
     for j in range(d):
-        v = start[:, j] / np.linalg.norm(start[:, j])
+        v = off_found(start[:, j], j)
+        v /= np.linalg.norm(v)
         q = 0.0
         q_prev = np.inf
         it = 0
         while it < max_iter:
             it += 1
-            w = deflated(v, j)
+            w = off_found(matrix @ v, j)
             q = float(v @ w)
             if abs(q - q_prev) <= tol:
                 break
             norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                # v lies in the null space of the deflated matrix: keep its part
-                # orthogonal to the pairs found so far
-                v = v - vectors[:, :j] @ (vectors[:, :j].T @ v)
-                v = v / np.linalg.norm(v)
+            if norm_w <= null:  # v lies in the null space of the deflated matrix
                 q = 0.0
                 break
             v = w / norm_w
             q_prev = q
         else:
-            resid = float(np.linalg.norm(deflated(v, j) - q * v))
+            resid = float(np.linalg.norm(off_found(matrix @ v, j) - q * v))
             raise NonConvergenceError(
                 f"power iteration for pair {j} did not converge in {max_iter} iterations",
                 best_eigenvalue=q, best_vector=v.copy(), residual=resid, iterations=it)

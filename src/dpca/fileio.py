@@ -9,13 +9,12 @@ cell there is an error like one in any other row. :func:`read_csv` finds
 this layout once, from the first lines (the header, where the first data
 row starts, its number of cells and whether the last column is labels), and
 both parsers start from it. No step runs per cell in Python. Data rows in
-the grammar the writers produce (ASCII numbers, commas, LF or CRLF row
+the grammar the writers produce (ASCII numbers, commas, LF, CRLF or CR row
 ends, blank lines anywhere) are parsed by a numpy kernel a block of rows
 at a time, each value the double ``float()`` gives (see
 :mod:`dpca.csvparse`), whatever mark, blank lines or header come before
-them. Any other file, and one with a lone CR line end in the text decoded
-to find the layout, goes through numpy's C parser (``np.loadtxt``) from the
-same row, in one pass: cells may be quoted with ``"`` and padded with
+them. Any other file goes through numpy's C parser (``np.loadtxt``) from
+the same row, in one pass: cells may be quoted with ``"`` and padded with
 spaces, empty lines are skipped, CRLF and CR endings are read as LF, and
 there are no comment lines (``#`` is a non-numeric cell). Both parsers
 settle labels by the one rule of :func:`dpca.csvparse.exact_labels`. Every
@@ -51,22 +50,25 @@ from .methods import ComponentModel
 MODEL_FORMAT_VERSION = 1
 
 
-def _next_row(fh):
-    """Advance text handle ``fh`` to the next non-blank line; return its start and cells.
+def _next_row(fh, offset: int):
+    """Read text handle ``fh`` on to its next non-blank line, from byte ``offset``.
 
-    The start is ``fh.tell()`` before the line: its byte offset, unless a
-    line ending in a lone CR came before. Returns ``None`` at end of file.
-    A line is blank when it holds nothing but its line ending, as with
-    :func:`csv.reader`.
+    Returns that line's start and end byte offsets and its cells, or
+    ``None`` at end of file. ``fh`` keeps line endings (``newline=""``), so
+    a line's bytes are its text encoded again. A byte-order mark at offset 0
+    is cut from the first line, which then starts at byte 3. A line is blank
+    when it holds nothing but its line ending, as with :func:`csv.reader`.
     """
     while True:
-        start = fh.tell()
         line = fh.readline()
         if not line:
             return None
+        start, offset = offset, offset + len(line.encode("utf-8"))
+        if not start and line.startswith("\ufeff"):
+            start, line = len(codecs.BOM_UTF8), line[1:]
         cells = next(csv.reader([line]), [])
         if cells:
-            return start, cells
+            return start, offset, cells
 
 
 def _parses_as_float(cell: str) -> bool:
@@ -121,44 +123,36 @@ def read_csv(path) -> DataMatrix:
     """Read a data table; returns values and, when present, labels.
 
     The table's layout is found once, from a text handle: the header (or
-    None), where the first data row starts, that row's number of cells and
-    whether the last column is labels; a header of another width is an
-    error here. From that row on, rows in the grammar the writers produce
-    (ASCII numbers ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
-    commas, LF or CRLF row ends, blank lines anywhere) are parsed by the
-    numpy kernel of :mod:`dpca.csvparse` into the values and labels arrays
-    themselves, every value the double that ``float()`` gives for its cell.
-    When the kernel declines a block, or the text decoded to find the
-    layout has a lone CR line end, the same rows go through ``np.loadtxt``,
-    which keeps the whole dialect of the module docstring and its error
+    None), the byte offset where the first data row starts, that row's
+    number of cells and whether the last column is labels; a header of
+    another width is an error here. From that byte on, rows in the grammar
+    the writers produce (ASCII numbers
+    ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``, commas, LF, CRLF or
+    CR row ends, blank lines anywhere) are parsed by the numpy kernel of
+    :mod:`dpca.csvparse` into the values and labels arrays themselves,
+    every value the double that ``float()`` gives for its cell. When the
+    kernel declines a block, the same rows go through ``np.loadtxt``, which
+    keeps the whole dialect of the module docstring and its error
     messages. Labels are settled on both routes by
     :func:`dpca.csvparse.exact_labels`, so a label cell that is a plain
     integer is read exactly. The returned DataMatrix adopts the arrays.
     """
     try:
-        # utf-8-sig drops a leading byte-order mark, which would otherwise make
-        # the first cell non-numeric and turn a data row into a header;
-        # newline="" lets np.loadtxt see every line end as it is
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            first = _next_row(fh)
+        # newline="" keeps every line end, so _next_row can count the bytes
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            first = _next_row(fh, 0)
             if first is None:
                 raise InvalidInputError(f"{path}: file contains no data")
-            header = _header(first[1])
+            header = _header(first[2])
             if header is not None:
-                first = _next_row(fh)
+                first = _next_row(fh, first[1])
                 if first is None:
                     raise InvalidInputError(f"{path}: header but no data rows")
-                _check_header_width(path, header, len(first[1]))
-            start, width = first[0], len(first[1])
+                _check_header_width(path, header, len(first[2]))
+            start, width = first[0], len(first[2])
             label = _has_label(header, width)
-            table = None
-            # after a lone CR, tell() gives a cookie that is no byte offset
-            if "\r" not in (fh.newlines if isinstance(fh.newlines, tuple) else (fh.newlines,)):
-                raw = fh.buffer
-                raw.seek(start)
-                if not start and raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-                    raw.seek(0)  # a headerless table starts at 0, before any mark
-                table = read_rows(raw, width, label)
+            fh.buffer.seek(start)
+            table = read_rows(fh.buffer, width, label)
             if table is None:
                 table = _read_dialect(fh, path, start, label)
     except UnicodeDecodeError as exc:
@@ -476,7 +470,7 @@ def load_model(path) -> ModelFile:
         raise InvalidInputError(
             f"{path}: malformed model file: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # JSON true == 1.0 == 1
         raise InvalidInputError(
             f"{path}: unsupported model format version {version!r}")
     try:

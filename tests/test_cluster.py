@@ -78,6 +78,10 @@ class TestKmeans:
         with pytest.raises(InvalidInputError):
             kmeans(rng.standard_normal((4, 2)), 5)
 
+    def test_points_not_2d(self, rng):
+        with pytest.raises(DimensionError, match="points must be 2-D"):
+            kmeans(rng.standard_normal(6), 2)
+
     @pytest.mark.parametrize("cell, value", [((4, 1), np.inf), ((4, 1), np.nan), (..., np.nan)],
                              ids=["one_inf", "one_nan", "all_nan"])
     def test_non_finite_points(self, rng, cell, value):
@@ -121,6 +125,23 @@ class TestSpectralCluster:
     def test_all_ones_affinity(self):
         labels = spectral_cluster(np.ones((5, 5)), 2, seed=0)
         assert labels.shape == (5,)
+
+    @pytest.mark.parametrize("affinity", [np.ones((3, 4)), np.ones(4), np.ones((2, 2, 2))],
+                             ids=["wide", "1d", "3d"])
+    def test_affinity_not_square(self, affinity):
+        with pytest.raises(DimensionError, match="affinity must be square"):
+            spectral_cluster(affinity, 1)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_bounds(self, k):
+        with pytest.raises(InvalidInputError, match=rf"k must be in \[1, 3\], got {k}"):
+            spectral_cluster(np.ones((3, 3)), k)
+
+    def test_zero_degree_row(self):
+        affinity = np.ones((3, 3))
+        affinity[2] = affinity[:, 2] = 0.0
+        with pytest.raises(InvalidInputError, match="zero-degree row"):
+            spectral_cluster(affinity, 2)
 
 
 def kmeans_loop(points, k, seed=0, restarts=8, max_iter=100, tol=1e-12):
@@ -305,3 +326,9 @@ class TestClusterLabelAccuracy:
     def test_needs_two_labels(self, rng):
         with pytest.raises(InvalidInputError):
             cluster_label_accuracy(rng.standard_normal((5, 2)), np.zeros(5))
+
+    def test_class_count_bounded(self, rng):
+        # one more class than the permutation search allows
+        k = cluster.MAX_ACCURACY_CLASSES + 1
+        with pytest.raises(InvalidInputError, match=f"at most {k - 1} classes"):
+            cluster_label_accuracy(rng.standard_normal((3 * k, 2)), np.arange(3 * k) % k)

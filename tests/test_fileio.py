@@ -95,6 +95,12 @@ class TestCsvErrors:
         with pytest.raises(InvalidInputError):
             fileio.read_csv(path)
 
+    def test_other_parser_message_kept_whole(self):
+        # a numpy message that names neither a ragged row nor a cell
+        err = fileio._parse_error("in.csv", ValueError("the parser gave up"))
+        assert isinstance(err, InvalidInputError)
+        assert str(err) == "in.csv: the parser gave up"
+
 
 def read_text(tmp_path, text):
     path = tmp_path / "in.csv"
@@ -197,7 +203,7 @@ def cells_rewritten(text, cell):
 DIALECT_FORMS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "cr": lambda text: text.replace("\n", "\r"),
-    # a lone CR ends the header only: the first data row's start is no byte offset
+    # a lone CR ends the header only
     "cr_header_only": lambda text: text.replace("\n", "\r", 1),
     "quoted": lambda text: cells_rewritten(text, lambda c: f'"{c}"'),
     "padded": lambda text: cells_rewritten(text, lambda c: f" {c}  "),
@@ -216,10 +222,11 @@ class TestOneFrontEnd:
         ("", False, "\n", ""), ("\ufeff", False, "\n", ""), ("\n", False, "\n", ""),
         ("", True, "\n", ""), ("\ufeff", True, "\n", ""), ("\ufeff\n\n", True, "\n", ""),
         ("", False, "\r\n", ""), ("", False, "\n", "\n"),
-        ("\ufeff\r\n", True, "\r\n", "\r\n\n\r\n")],
+        ("\ufeff\r\n", True, "\r\n", "\r\n\n\r\n"), ("", False, "\r", ""),
+        ("", False, ("\r", "\n"), "")],
         ids=["plain", "mark", "blank_line", "headerless", "mark_headerless",
              "mark_blank_headerless", "crlf", "trailing_blank_line",
-             "mark_blank_headerless_crlf_trailing_blank_lines"])
+             "mark_blank_headerless_crlf_trailing_blank_lines", "cr", "cr_header_only"])
     def test_written_tables_take_the_kernel(self, tmp_path, rng, monkeypatch, writer, labelled,
                                             before, headerless, ending, after):
         values = rng.standard_normal((30, 4))
@@ -234,6 +241,9 @@ class TestOneFrontEnd:
             text = text.split("\n", 1)[1]
             if labelled:
                 values, labels = np.column_stack([values, labels]), None
+        if isinstance(ending, tuple):  # the header's line ending, then the rows'
+            header_ending, ending = ending
+            text = text.replace("\n", header_ending, 1)
         path.write_bytes((before + text.replace("\n", ending) + after).encode("utf-8"))
         monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
         back = fileio.read_csv(path)
@@ -241,6 +251,17 @@ class TestOneFrontEnd:
         assert (back.labels is None) == (labels is None)
         if labels is not None:
             assert back.labels.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_non_ascii_header_takes_the_kernel(self, tmp_path, monkeypatch, ending):
+        # the first data row starts at a byte offset, not at a count of characters
+        path = tmp_path / "in.csv"
+        text = "\ufeffGröße,Länge €,label\n1.5,-2,3\n4,5e-1,-6\n".replace("\n", ending)
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        back = fileio.read_csv(path)
+        assert back.values.tolist() == [[1.5, -2.0], [4.0, 0.5]]
+        assert back.labels.tolist() == [3, -6]
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
     @pytest.mark.parametrize("form", DIALECT_FORMS)
@@ -295,6 +316,22 @@ class TestOneFrontEnd:
         assert back.values.ravel().tolist() == [k + 0.25 for k in range(60)]
         assert back.labels.tolist() == [k % 5 - 2 for k in range(60)]
         assert declined and all(b"\n\n" in block and b"\n0.25," not in block for block in declined)
+
+    @pytest.mark.parametrize("block", [8, 13, 21, 34])
+    def test_cr_line_ends_across_blocks_take_the_kernel(self, tmp_path, monkeypatch, block):
+        # LF, CRLF, lone CR and blank CR lines mixed; small blocks also cut
+        # between a CR and its LF
+        rng = np.random.default_rng(block)
+        lines = [f"{k}.5,{k % 7}" for k in range(300)]
+        text = "f1,label" + "".join(rng.choice(["\n", "\r\n", "\r", "\r\r"]) + line
+                                    for line in lines)
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(csvparse, "_READ_BLOCK", block)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        back = fileio.read_csv(path)
+        assert back.values.ravel().tolist() == [k + 0.5 for k in range(300)]
+        assert back.labels.tolist() == [k % 7 for k in range(300)]
 
     @pytest.mark.parametrize("block", [8, 13, 21, 34])
     def test_blocks_lose_crlf_and_their_end_blank_lines(self, monkeypatch, block):
@@ -650,6 +687,14 @@ def exact_text(value: Fraction) -> str:
 class TestReadKernel:
     """The reader's kernel on its edge cases, each against ``float()``."""
 
+    @pytest.mark.parametrize("text", [b"", b"\n\r\n\r\n\n"], ids=["empty", "blank_lines"])
+    def test_no_rows_give_none(self, tmp_path, text):
+        # read_csv always starts it at a data row; on its own it may see none
+        path = tmp_path / "in.csv"
+        path.write_bytes(text)
+        with open(path, "rb") as fh:
+            assert csvparse.read_rows(fh, 2, False) is None
+
     def test_signed_zeros(self, tmp_path):
         cells = ["0", "-0", "0.0", "-0.0", "-.0", "0.", "0e400", "-0e-400", "0000", "-000.000e-5"]
         assert_reads_as_float(tmp_path, cells, 2)
@@ -755,14 +800,18 @@ LABEL_CELLS = {  # a label cell and its integer, or the error it gives
 class TestLabelsExact:
     """A plain integer label is read as the integer it spells, on both routes."""
 
-    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["kernel", "loadtxt"])
+    # a lone CR takes the kernel as LF does; a space before each line end,
+    # a padded last cell, sends the table to np.loadtxt
+    @pytest.mark.parametrize("ending", ["\n", "\r", " \n"], ids=["kernel", "loadtxt", "padded"])
     def test_labels_at_the_int64_extremes(self, tmp_path, ending):
         path = tmp_path / "emb.csv"
         fileio.write_embedding_csv(path, np.ones((len(INT64_EXTREMES), 1)), INT64_EXTREMES)
         path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
         assert fileio.read_csv(path).labels.tolist() == INT64_EXTREMES
 
-    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["kernel", "loadtxt"])
+    # a lone CR takes the kernel as LF does; a space before each line end,
+    # a padded last cell, sends the table to np.loadtxt
+    @pytest.mark.parametrize("ending", ["\n", "\r", " \n"], ids=["kernel", "loadtxt", "padded"])
     @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
                                       "99999999999999999999999"])
     def test_integers_beyond_int64_rejected(self, tmp_path, ending, cell):
@@ -796,7 +845,9 @@ class TestLabelsExact:
 class TestHeaderWidth:
     """A header must have as many names as the first data row has cells, on both routes."""
 
-    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["kernel", "loadtxt"])
+    # a lone CR takes the kernel as LF does; a space before each line end,
+    # a padded last cell, sends the table to np.loadtxt
+    @pytest.mark.parametrize("ending", ["\n", "\r", " \n"], ids=["kernel", "loadtxt", "padded"])
     @pytest.mark.parametrize("text, header, row", [
         ("f1,f2,label\n1.5,2\n3,4\n", 3, 2),  # would read the second column as labels
         ("a,b,c,d\n1,2\n3,4\n", 4, 2),
@@ -870,6 +921,16 @@ class TestModelRoundTrip:
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(InvalidInputError):
+            fileio.load_model(path)
+
+    @pytest.mark.parametrize("version,loaded", [("true", "True"), ("1.0", "1.0")])
+    def test_version_of_another_type_rejected(self, tmp_path, rng, version, loaded):
+        # both equal 1 in Python, but neither is the integer the writer stores
+        path = tmp_path / "model.json"
+        fileio.save_model(path, make_models(rng)[0])
+        path.write_text(path.read_text().replace('"format_version": 1',
+                                                 f'"format_version": {version}'))
+        with pytest.raises(InvalidInputError, match=f"unsupported model format version {loaded}$"):
             fileio.load_model(path)
 
     @pytest.mark.parametrize("scale", [[1.0] * 4, [1.0] * 6, [[1.0] * 5]])

@@ -934,3 +934,22 @@ class TestComponentModelInvariants:
             methods.ComponentModel(method="pca", components=np.eye(2),
                                    eigenvalues=np.array([1.0, 2.0]),
                                    target_mean=np.zeros(2))
+
+    def test_unknown_method(self):
+        with pytest.raises(InvalidInputError, match="unknown method 'ica'"):
+            methods.ComponentModel(method="ica", components=np.eye(2),
+                                   eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(2))
+
+    @pytest.mark.parametrize("components,eigenvalues", [
+        (np.ones(2) / np.sqrt(2), np.array([1.0])),
+        (np.eye(2), np.array([1.0])),
+        (np.eye(2), np.array([[2.0, 1.0]]))], ids=["1d_components", "too_few_values", "2d_values"])
+    def test_component_shapes(self, components, eigenvalues):
+        with pytest.raises(DimensionError, match=r"components must be \(D, d\)"):
+            methods.ComponentModel(method="pca", components=components, eigenvalues=eigenvalues,
+                                   target_mean=np.zeros(2))
+
+    def test_target_mean_length(self):
+        with pytest.raises(DimensionError, match="target_mean must have length 3"):
+            methods.ComponentModel(method="pca", components=np.eye(3)[:, :2],
+                                   eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(2))

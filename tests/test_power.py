@@ -66,6 +66,15 @@ class TestPowerTopd:
         assert np.array_equal(out.eigenvalues, [1.0, 0.0])
         assert np.array_equal(out.eigenvectors, np.eye(2))
 
+    @pytest.mark.parametrize("eigs", [[3.0, 2.0, 0.0, 0.0], [5.0, 4.0, 3.0, 0.0, 0.0, 0.0]],
+                             ids=["rank2_of_4", "rank3_of_6"])
+    def test_pairs_beyond_the_rank_are_orthonormal(self, eigs):
+        # the deflated products past the rank are rounding noise, not exact zeros
+        out = ec.power_topd(np.diag(eigs), len(eigs))
+        gram = out.eigenvectors.T @ out.eigenvectors
+        assert np.abs(gram - np.eye(len(eigs))).max() <= 1e-14
+        assert np.allclose(out.eigenvalues, eigs, rtol=0, atol=1e-8)
+
 
 def test_argument_validation(rng):
     mat, _ = spd_with_gaps(rng, 5)

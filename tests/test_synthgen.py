@@ -1,5 +1,7 @@
 """Factor-model generators: degenerate cases, population covariance, recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,26 @@ class TestSpecValidation:
     def test_negative_std_rejected(self):
         with pytest.raises(InvalidInputError):
             synthgen.random_spec(6, 2, 1, -1.0, 1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("changes,error,message", [
+        ({"shared_basis": np.zeros(6)}, DimensionError, "bases must be 2-D"),
+        ({"specific_basis": np.zeros((5, 1))}, DimensionError, "common feature dimension"),
+        ({"shared_basis": np.eye(3)[:, :2], "specific_basis": np.eye(3)[:, :2]}, DimensionError,
+         r"subspace dims 2\+2 exceed feature dim 3"),
+        ({"specific_basis": np.eye(6)[:, :1]}, InvalidInputError, "not orthonormal"),
+        ({"target_mean": np.zeros(5)}, DimensionError, "target_mean must have length 6"),
+        ({"noise_std": -0.5}, InvalidInputError, "noise_std must be nonnegative"),
+    ], ids=["basis_not_2d", "bases_disagree", "too_many_dims", "not_orthonormal",
+            "mean_length", "negative_noise"])
+    def test_spec_built_directly_is_checked(self, changes, error, message):
+        # random_spec builds valid bases, so these checks are reached only here
+        spec = synthgen.FactorModelSpec(
+            shared_basis=np.eye(6)[:, :2], specific_basis=np.eye(6)[:, 2:3],
+            target_mean=np.zeros(6), background_mean=np.zeros(6),
+            background_coeff_std=np.ones(2), shared_coeff_std=np.ones(2),
+            specific_coeff_std=np.ones(1), noise_std=0.1)
+        with pytest.raises(error, match=message):
+            dataclasses.replace(spec, **changes)
 
 
 class TestGenBackground:
@@ -78,6 +100,12 @@ class TestGenTarget:
     def test_offset_dimension_checked(self):
         with pytest.raises(DimensionError):
             synthgen.gen_target(tiny_spec(), 10, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("m,offsets", [(1, [[1.0], [-1.0]]), (4, np.zeros((0, 1)))],
+                             ids=["more_clusters_than_rows", "no_cluster"])
+    def test_cluster_count_checked(self, m, offsets):
+        with pytest.raises(InvalidInputError, match="need 1 <= n_clusters <= m"):
+            synthgen.gen_target(tiny_spec(), m, offsets)
 
     def test_seeded_reproducible(self):
         spec = tiny_spec(shared_std=1.0, specific_std=0.5, noise=0.2)
@@ -166,6 +194,10 @@ class TestSubgroupConstruction:
         np.testing.assert_allclose(synthgen.spread_offsets(1, 2, 3.0), [[0.0, 0.0]])
         three = synthgen.spread_offsets(3, 1, 4.0)
         np.testing.assert_allclose(three[:, 0], [-4.0, 0.0, 4.0])
+
+    def test_spread_offsets_needs_a_cluster(self):
+        with pytest.raises(InvalidInputError, match="need at least one cluster"):
+            synthgen.spread_offsets(0, 1, 1.0)
 
     def test_gen_pair_bundles_truth(self):
         spec = tiny_spec(shared_std=1.0, specific_std=1.0, noise=0.1)
