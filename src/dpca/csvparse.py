@@ -1,18 +1,19 @@
 """The numpy kernel that parses the numbers of CSV text.
 
 :func:`read_rows` reads the data rows of a file about 128 KB at a time and
-:func:`parse_block` parses each block of whole rows in the grammar the
-package writes: ASCII cells ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``,
-commas and LF row ends (:func:`_row_blocks` turns CRLF and CR into LF and
-drops the blank lines at a block's ends, and :func:`read_rows` parses a
-declined block once more without its inner blank lines). Every value is the
-double that ``float()`` gives for its cell, but no step runs per cell in
-Python: the mantissa digits become a 64-bit integer eight at a time (SWAR)
-and ``w * 10**q`` is rounded to the nearest double in integer arithmetic
-with the Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
-Second", Software: Practice and Experience, 2021). A block outside the
-grammar is left to the caller; ``dpca.fileio`` then reads the whole file
-with ``np.loadtxt``. Both routes settle a label column by
+:func:`parse_block` parses each block of whole rows, once, in the grammar
+the package writes: ASCII cells
+``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``, commas, and row ends. A
+row ends at a run of LF and CR bytes, so CRLF, a lone CR and blank lines
+anywhere are all row ends of the grammar: :func:`_row_blocks` turns each CR
+into LF in its buffer and the kernel reads a run of LFs as one row end.
+Every value is the double that ``float()`` gives for its cell, but no step
+runs per cell in Python: the mantissa digits become a 64-bit integer eight
+at a time (SWAR) and ``w * 10**q`` is rounded to the nearest double in
+integer arithmetic with the Eisel-Lemire algorithm (Lemire, "Number Parsing
+at a Gigabyte per Second", Software: Practice and Experience, 2021). A
+block outside the grammar is left to the caller; ``dpca.fileio`` then reads
+the whole file with ``np.loadtxt``. Both routes settle a label column by
 :func:`exact_labels`.
 """
 
@@ -71,13 +72,11 @@ def read_rows(fh, width: int, label: bool):
     """The rows of ``fh`` from its position to the end, parsed a block at a time.
 
     Each row has ``width`` cells, the last a label when ``label`` is set.
+    Each block of :func:`_row_blocks` goes to :func:`parse_block` once.
     Returns ``(values, labels, bad)`` as :func:`parse_block` does, for the
     whole file and in arrays of its size, or None when a block is outside
-    the grammar or there are no rows. A block the kernel declines is parsed
-    once more with its empty lines dropped, so blank lines anywhere stay on
-    the kernel; blocks it accepts are never searched for them. What it
-    declines then (quoted or padded cells, numbers outside the grammar)
-    gives None.
+    the grammar (quoted or padded cells, numbers outside it) or there are
+    no rows.
     """
     separators = np.full(width, ord(","), np.uint8)
     separators[-1] = ord("\n")
@@ -86,11 +85,6 @@ def read_rows(fh, width: int, label: bool):
     row = done = 0
     for raw, size in _row_blocks(fh):
         parsed = parse_block(raw, size, separators, label)
-        if parsed is None:
-            # only a declined block is searched for blank lines, then parsed without them
-            lines = re.sub(rb"\n\n+", b"\n", raw[PAD:PAD + size])
-            raw[PAD:PAD + len(lines) + 16] = lines + b"\n" * 16
-            parsed = parse_block(raw, len(lines), separators, label) if len(lines) < size else None
         if parsed is None:
             return None
         block, block_labels, bad = parsed
@@ -114,7 +108,7 @@ def read_rows(fh, width: int, label: bool):
             if bad is not None and bad_label is None:
                 bad_label = (row + bad[0], bad[1])
         row = stop
-    if values is None:
+    if not row:
         return None
     values.resize((row, width - label), refcheck=False)
     if label:
@@ -126,14 +120,12 @@ def _row_blocks(fh):
     """The rest of ``fh`` in blocks of whole lines, read into one reused buffer.
 
     Yields ``(raw, size)``: the lines are ``raw[PAD:PAD + size]`` and end
-    in a newline (one is added after a last line without), and newlines
-    fill at least ``PAD`` bytes before them and 16 after. A line ends at LF,
-    CRLF or a lone CR, as in Python's universal newlines: a block is cut
-    after its last LF or CR, and in a block that holds a CR, CRLF and then
-    each CR left become LF. The blank lines at either end of a block are
-    dropped (a block of nothing but blank lines is skipped); :func:`read_rows`
-    drops those inside a block only when the kernel declines it. A line
-    longer than the buffer grows it.
+    in a row end (a newline is added after a last line without), and
+    newlines fill at least ``PAD`` bytes before them and 16 after. Each CR
+    becomes LF in place as it is read, so a CRLF is a row end and a blank
+    line, both of which the kernel's grammar reads; the bytes are not
+    otherwise changed. A block is cut after its last LF. A line longer
+    than the buffer grows it.
     """
     raw = bytearray(b"\n" * (PAD + _READ_BLOCK + 17))
     held = 0  # bytes of a line begun in the previous block
@@ -141,26 +133,23 @@ def _row_blocks(fh):
         with memoryview(raw) as view:
             got = fh.readinto(view[PAD + held:len(raw) - 17])  # room for a last newline
         filled = PAD + held + got
+        if raw.find(b"\r", PAD + held, filled) >= 0:  # each CR becomes LF as it is read
+            lines = np.frombuffer(raw, np.uint8, got, PAD + held)
+            lines[lines == ord("\r")] = ord("\n")
+            del lines  # a view would keep the buffer from growing
         if not got:
             if not held:
                 return
             raw[filled] = ord("\n")
             filled += 1
-        cr = raw.rfind(b"\r", PAD, filled)
-        cut = max(raw.rfind(b"\n", PAD, filled), cr) + 1
+        cut = raw.rfind(b"\n", PAD, filled) + 1
         if not cut:
             held = filled - PAD
             raw.extend(b"\n" * (len(raw) - PAD))
             continue
         rest = raw[cut:filled]
-        # the copy runs only for a CR or a blank line at an end
-        if 10 in (raw[PAD], raw[cut - 2]) or cr >= 0:
-            lines = raw[PAD:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n").strip(b"\n")
-            cut = PAD + len(lines) + 1
-            raw[PAD:cut] = lines + b"\n"
         raw[cut:cut + 16] = b"\n" * 16
-        if cut > PAD + 1:
-            yield raw, cut - PAD
+        yield raw, cut - PAD
         if not got:
             return
         raw[PAD:PAD + len(rest)] = rest
@@ -340,16 +329,18 @@ def parse_block(raw: bytearray, size: int, separators: np.ndarray, label: bool):
 
     ``raw`` holds the rows at ``PAD`` as :func:`_row_blocks` lays them
     out, and ``separators`` the bytes that end a row's cells (commas,
-    then a newline). Returns ``(values, labels, bad)``: the value columns as
-    a ``(rows, width - label)`` view, and the labels and first bad label
-    that :func:`exact_labels` gives for the label column's doubles (None,
-    None without labels); a label cell's text is looked at only when its
-    double does not settle it. Returns None when a byte, cell or row is
-    outside the grammar.
+    then a newline). A run of newlines is one row end, so blank lines
+    anywhere are skipped as the rows are tokenized. Returns ``(values,
+    labels, bad)``: the value columns as a ``(rows, width - label)`` view,
+    and the labels and first bad label that :func:`exact_labels` gives for
+    the label column's doubles (None, None without labels); a label cell's
+    text is looked at only when its double does not settle it. Returns
+    None when a byte, cell or row is outside the grammar.
 
     Only the bytes that are not digits are looked at one by one, as tokens;
     the grammar is checked on each two consecutive ones and whether digits
-    lie between them. A cell's mantissa gives ``w``, its digits as an
+    lie between them. Runs of newlines are searched for only in a block
+    that fails that check. A cell's mantissa gives ``w``, its digits as an
     integer, and its point and exponent give ``q``; its value ``w * 10**q``
     is rounded to a double in integer arithmetic by
     :func:`_nearest_doubles`. A cell with more than 19 significant digits,
@@ -365,16 +356,29 @@ def parse_block(raw: bytearray, size: int, separators: np.ndarray, label: bool):
     tok = t.token.take(byte)
     code = tok << 1
     code[1:] |= spec[1:] - spec[:-1] > 1
-    if not t.pairs.take(code[:-1] * 12 + code[1:]).all():
-        return None
-    del code
+    pair = t.pairs.take(code[:-1] * 12 + code[1:])
+    tail = None if pair.all() else (~pair).nonzero()[0] + 1
+    if tail is not None:
+        # outside the grammar, a block may hold only two newlines with
+        # nothing between, the second a tail of a run of them; what may
+        # follow a newline does not depend on digits before it, so the
+        # pairs checked hold for the run read as one row end
+        if not ((byte[tail - 1] == 10) & (byte[tail] == 10)).all():
+            return None
+        tok[tail] = _X  # the run's later newlines separate no cells
+    del code, pair
     seps = (tok == _S).nonzero()[0]
     cells = seps.size - 1
     if cells % width or not (byte[seps[1:]].reshape(-1, width) == separators).all():
         return None
     bounds = spec[seps]
-    end = bounds[1:]
-    negative = text[bounds[:-1] + 1] == ord("-")
+    end = bounds[1:] if tail is None else bounds[1:].copy()
+    if tail is not None:
+        # a run of newlines is one row end, at its first byte: the cell
+        # before it ends there, and the cell after it starts after its last
+        np.maximum.at(bounds, seps.searchsorted(tail) - 1, spec[tail])
+    start = bounds[:-1]
+    negative = text[start + 1] == ord("-")
     # a point is its cell's last token, or the one before the exponent
     last = seps[1:] - 1
     p_cell = (tok.take(last) == _P).nonzero()[0]
@@ -399,7 +403,7 @@ def parse_block(raw: bytearray, size: int, separators: np.ndarray, label: bool):
                                  & t.top.take(length, mode="clip")).view(np.int64)
         exponent[byte[expo + 1] == ord("-")] *= -1
     del spec, byte, tok, seps
-    digits = man_end - bounds[:-1]
+    digits = man_end - start
     digits -= negative
     digits -= 1
     digits[p_cell] -= 1
@@ -444,14 +448,14 @@ def parse_block(raw: bytearray, size: int, separators: np.ndarray, label: bool):
     bits |= negative.astype(np.uint64) << 63
     values = bits.view(np.float64)
     for i in dtoa.nonzero()[0].tolist():
-        values[i] = float(text[bounds[i] + 1:end[i]].tobytes())
+        values[i] = float(text[start[i] + 1:end[i]].tobytes())
     values = values.reshape(-1, width)
     if not label:
         return values, None, None
 
     def texts(rows):
         cells = rows * width + width - 1
-        return [text[bounds[i] + 1:end[i]].tobytes().decode("ascii") for i in cells.tolist()]
+        return [text[start[i] + 1:end[i]].tobytes().decode("ascii") for i in cells.tolist()]
 
     labels, bad = exact_labels(values[:, -1], texts)
     return values[:, :-1], labels, bad

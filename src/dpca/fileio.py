@@ -9,16 +9,17 @@ cell there is an error like one in any other row. :func:`read_csv` finds
 this layout once, from the first lines (the header, where the first data
 row starts, its number of cells and whether the last column is labels), and
 both parsers start from it. No step runs per cell in Python. Data rows in
-the grammar the writers produce (ASCII numbers, commas, LF, CRLF or CR row
-ends, blank lines anywhere) are parsed by a numpy kernel a block of rows
-at a time, each value the double ``float()`` gives (see
-:mod:`dpca.csvparse`), whatever mark, blank lines or header come before
-them. Any other file goes through numpy's C parser (``np.loadtxt``) from
-the same row, in one pass: cells may be quoted with ``"`` and padded with
-spaces, empty lines are skipped, CRLF and CR endings are read as LF, and
-there are no comment lines (``#`` is a non-numeric cell). Both parsers
-settle labels by the one rule of :func:`dpca.csvparse.exact_labels`. Every
-error names the file and the 1-based data row.
+the grammar the writers produce (ASCII numbers and commas, rows ending at
+LF, CR or CRLF; blank lines are row ends of that grammar too) are parsed by
+a numpy kernel a block of rows at a time, each block once and each value
+the double ``float()`` gives (see :mod:`dpca.csvparse`), whatever mark,
+blank lines or header come before them. Any other file goes through
+numpy's C parser (``np.loadtxt``) from the same row, in one pass: cells
+may be quoted with ``"`` and padded with spaces, row ends and blank lines
+are read as the kernel reads them, and there are no comment lines (``#``
+is a non-numeric cell). Both parsers settle labels by the one
+rule of :func:`dpca.csvparse.exact_labels`. Every error names the file and
+the 1-based data row.
 Numbers are written as ``'%.17g' % v`` (17 significant digits, so values
 survive a round trip exactly) and labels as ``'%d'``. Those bytes are formed
 by a numpy kernel, a block of cells at a time, with exact integer digits;
@@ -127,13 +128,12 @@ def read_csv(path) -> DataMatrix:
     number of cells and whether the last column is labels; a header of
     another width is an error here. From that byte on, rows in the grammar
     the writers produce (ASCII numbers
-    ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``, commas, LF, CRLF or
-    CR row ends, blank lines anywhere) are parsed by the numpy kernel of
-    :mod:`dpca.csvparse` into the values and labels arrays themselves,
-    every value the double that ``float()`` gives for its cell. When the
-    kernel declines a block, the same rows go through ``np.loadtxt``, which
-    keeps the whole dialect of the module docstring and its error
-    messages. Labels are settled on both routes by
+    ``-?(digits[.digits*]|.digits)([eE][+-]?digits)?``, commas and row ends)
+    are parsed by the numpy kernel of :mod:`dpca.csvparse` into the values
+    and labels arrays themselves, every value the double that ``float()``
+    gives for its cell. When the kernel declines a block, the same rows go
+    through ``np.loadtxt``, which keeps the whole dialect of the module
+    docstring and its error messages. Labels are settled on both routes by
     :func:`dpca.csvparse.exact_labels`, so a label cell that is a plain
     integer is read exactly. The returned DataMatrix adopts the arrays.
     """

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -297,25 +298,17 @@ class TestOneFrontEnd:
         # lies inside a block, and after earlier blocks have parsed
         rows = [f"{k}.25,{k % 5 - 2}" for k in range(60)]
         monkeypatch.setattr(csvparse, "_READ_BLOCK", 64)
-        lines = [r + ending + (blank * ending if 36 <= k <= 38 else "")
-                 for k, r in enumerate(rows)]
+        body = "".join(r + ending + (blank * ending if 36 <= k <= 38 else "")
+                       for k, r in enumerate(rows)).encode()
         path = tmp_path / "in.csv"
-        path.write_bytes(("f1,label" + ending + "".join(lines)).encode())
-        declined = []
-        real = csvparse.parse_block
-
-        def parse(raw, size, *args):
-            parsed = real(raw, size, *args)
-            if parsed is None:
-                declined.append(bytes(raw[csvparse.PAD:csvparse.PAD + size]))
-            return parsed
-
-        monkeypatch.setattr(csvparse, "parse_block", parse)
+        path.write_bytes(("f1,label" + ending).encode() + body)
+        blocks = kernel_blocks(monkeypatch)
         monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
         back = fileio.read_csv(path)
         assert back.values.ravel().tolist() == [k + 0.25 for k in range(60)]
         assert back.labels.tolist() == [k % 5 - 2 for k in range(60)]
-        assert declined and all(b"\n\n" in block and b"\n0.25," not in block for block in declined)
+        # each block reaches the kernel once, its CRs made LFs and nothing else changed
+        assert b"".join(blocks) == body.replace(b"\r", b"\n")
 
     @pytest.mark.parametrize("block", [8, 13, 21, 34])
     def test_cr_line_ends_across_blocks_take_the_kernel(self, tmp_path, monkeypatch, block):
@@ -334,20 +327,71 @@ class TestOneFrontEnd:
         assert back.labels.tolist() == [k % 7 for k in range(300)]
 
     @pytest.mark.parametrize("block", [8, 13, 21, 34])
-    def test_blocks_lose_crlf_and_their_end_blank_lines(self, monkeypatch, block):
+    def test_blocks_change_only_by_cr_to_lf(self, monkeypatch, block):
         rng = np.random.default_rng(block)
         lines = [f"{k},{k % 7}" for k in range(300)]
-        text = "".join(line + "".join(rng.choice(["\n", "\r\n"], rng.integers(1, 4)))
-                       for line in lines) + "300,6"
+        text = ("".join(line + "".join(rng.choice(["\n", "\r\n", "\r"], rng.integers(1, 4)))
+                        for line in lines) + "300,6").encode()
         monkeypatch.setattr(csvparse, "_READ_BLOCK", block)
         blocks = []
-        for raw, size in csvparse._row_blocks(io.BytesIO(text.encode())):
+        for raw, size in csvparse._row_blocks(io.BytesIO(text)):
             lines_at = csvparse.PAD + size
             assert raw[:csvparse.PAD] + raw[lines_at:lines_at + 16] == b"\n" * (csvparse.PAD + 16)
             blocks.append(bytes(raw[csvparse.PAD:lines_at]))
-        for got in blocks:
-            assert b"\r" not in got and got[0] != ord("\n") and not got.endswith(b"\n\n")
-        assert b"".join(blocks).split() == [line.encode() for line in lines + ["300,6"]]
+        # a newline ends the last line, which had none
+        assert b"".join(blocks) == text.replace(b"\r", b"\n") + b"\n"
+
+    @pytest.mark.parametrize("block", [8, 13, 21, 34, 55])
+    def test_row_end_forms_read_as_the_lf_form(self, tmp_path, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        # short rows, so that blocks cut them in many places; subnormal
+        # values and labels beyond 2**53 are read from their own text
+        values = rng.integers(-99, 99, (300, 2)) / 4
+        values[::37, 1] = 5e-324
+        labels = rng.integers(-3, 4, 300)
+        labels[::41] += 2**60
+        lf = tmp_path / "lf.csv"
+        fileio.write_data_csv(lf, DataMatrix(values, labels=labels))
+        want = fileio.read_csv(lf)
+        text = lf.read_bytes()
+        runs = iter(rng.integers(1, 100, text.count(b"\n")).tolist())
+        forms = {"lf": text, "crlf": text.replace(b"\n", b"\r\n"),
+                 "cr": text.replace(b"\n", b"\r"),
+                 "blank_runs": re.sub(b"\n", lambda _: b"\n" * next(runs), text)}
+        monkeypatch.setattr(csvparse, "_READ_BLOCK", block)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        blocks = kernel_blocks(monkeypatch)
+        cut_crlf = only_blank = False
+        for form, data in forms.items():
+            path = tmp_path / f"{form}.csv"
+            path.write_bytes(data)
+            blocks.clear()
+            got = fileio.read_csv(path)
+            assert got.values.tobytes() == want.values.tobytes(), form
+            assert got.labels.tolist() == want.labels.tolist(), form
+            cut_crlf |= form == "crlf" and any(b.startswith(b"\n") for b in blocks)
+            only_blank |= any(not b.strip(b"\n") for b in blocks)
+        # the cases the forms are here for: a CRLF cut between its bytes, a
+        # block of nothing but blank lines
+        assert cut_crlf and only_blank
+
+
+def kernel_blocks(monkeypatch):
+    """The blocks ``csvparse.parse_block`` is given from now on, as it gets them.
+
+    Each must be in the kernel's grammar: a declined block fails the test.
+    """
+    blocks = []
+    real = csvparse.parse_block
+
+    def parse(raw, size, *args):
+        blocks.append(bytes(raw[csvparse.PAD:csvparse.PAD + size]))
+        parsed = real(raw, size, *args)
+        assert parsed is not None, "the kernel declined a block"
+        return parsed
+
+    monkeypatch.setattr(csvparse, "parse_block", parse)
+    return blocks
 
 
 class TestCsvErrorRows:
@@ -504,6 +548,17 @@ class TestCsvMemory:
         data = DataMatrix(rng.standard_normal((10000, 50)), labels=rng.integers(0, 3, 10000))
         fileio.write_data_csv(tmp_path / "d.csv", data)
         peak = traced_peak(lambda: fileio.read_csv(tmp_path / "d.csv"))
+        assert peak < 1.25 * (data.values.nbytes + data.labels.nbytes)
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\n\n"], ids=["crlf", "blank_lines"])
+    def test_row_end_runs_keep_the_read_peak(self, tmp_path, rng, ending):
+        # every block of these holds runs of row ends, which the kernel
+        # skips as it tokenizes; that must not raise the peak
+        data = DataMatrix(rng.standard_normal((10000, 50)), labels=rng.integers(0, 3, 10000))
+        path = tmp_path / "d.csv"
+        fileio.write_data_csv(path, data)
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        peak = traced_peak(lambda: fileio.read_csv(path))
         assert peak < 1.25 * (data.values.nbytes + data.labels.nbytes)
 
 
@@ -802,7 +857,8 @@ class TestLabelsExact:
 
     # a lone CR takes the kernel as LF does; a space before each line end,
     # a padded last cell, sends the table to np.loadtxt
-    @pytest.mark.parametrize("ending", ["\n", "\r", " \n"], ids=["kernel", "loadtxt", "padded"])
+    @pytest.mark.parametrize("ending", ["\n", "\r", " \n", "\r\n", "\n\n"],
+                             ids=["kernel", "loadtxt", "padded", "crlf", "blank_lines"])
     def test_labels_at_the_int64_extremes(self, tmp_path, ending):
         path = tmp_path / "emb.csv"
         fileio.write_embedding_csv(path, np.ones((len(INT64_EXTREMES), 1)), INT64_EXTREMES)
@@ -811,7 +867,8 @@ class TestLabelsExact:
 
     # a lone CR takes the kernel as LF does; a space before each line end,
     # a padded last cell, sends the table to np.loadtxt
-    @pytest.mark.parametrize("ending", ["\n", "\r", " \n"], ids=["kernel", "loadtxt", "padded"])
+    @pytest.mark.parametrize("ending", ["\n", "\r", " \n", "\r\n", "\n\n"],
+                             ids=["kernel", "loadtxt", "padded", "crlf", "blank_lines"])
     @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
                                       "99999999999999999999999"])
     def test_integers_beyond_int64_rejected(self, tmp_path, ending, cell):
