@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
@@ -72,6 +71,8 @@ def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     Every flag is checked, also one the command does not use (``--grid``,
     ``--select`` and ``--seed`` without alpha selection): an out-of-range
     or malformed value is a usage error raised before any file is read.
+    scipy is imported here when the command's fits will need it, so its
+    one-time import is in no fit's time.
     """
     _check_range("-d", args.components, 1)
     for flag in ("ridge", "floor", "alpha"):
@@ -79,33 +80,38 @@ def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     grid = parse_grid(args.grid)
     _check_range("--select", args.select, 1, grid.size)
     _check_range("--seed", args.seed, 0)
-    return fit_inputs(fileio.read_csv(args.target),
-                      [fileio.read_csv(p) for p in args.background or ()],
-                      ridge=args.ridge, zscore=args.zscore), grid
+    inputs = fit_inputs(fileio.read_csv(args.target),
+                        [fileio.read_csv(p) for p in args.background or ()],
+                        ridge=args.ridge, zscore=args.zscore)
+    if methods._solve_order(inputs.covs, args.components) >= eigencore.TOP_D_MIN_DIM:
+        import scipy.linalg  # noqa: F401
+    return inputs, grid
 
 
-def _fit(method: str, inputs: FitInputs, args,
-         alpha: float | None = None) -> methods.ComponentModel:
-    if method == "pca":
-        return methods.pca_fit(inputs.covs[0], args.components, target_mean=inputs.means[0])
-    means = {"target_mean": inputs.means[0], "background_mean": inputs.means[1]}
-    if method == "cpca":
-        return methods.cpca_fit(*inputs.covs, alpha, args.components, **means)
-    return methods.dpca_fit(*inputs.covs, args.components, floor_rel=args.floor, **means)
+def _fit(method: str, inputs: FitInputs, grid: np.ndarray, args,
+         alpha: float | None = None) -> tuple[list[methods.ComponentModel], float]:
+    """The models of one fit, and the seconds the fit alone took.
 
-
-def _auto_alpha(inputs: FitInputs, grid: np.ndarray, args) -> list[methods.ComponentModel]:
-    """cPCA models at the alphas that auto-selection picks over ``grid``.
-
-    The selection has already solved at each selected alpha; its pairs are
-    the ones ``cpca_fit`` would return, so nothing is refitted.
+    cPCA without ``alpha`` gives a model at each alpha that auto-selection
+    picks over ``grid``. The selection has already solved at each selected
+    alpha; its pairs are the ones ``cpca_fit`` would return, so nothing is
+    refitted. Every other fit gives one model.
     """
-    selection = methods.cpca_select_alphas(
-        *inputs.covs, grid, args.components, args.select, seed=args.seed)
-    return [methods._model("cpca", inputs.covs, components, values, *inputs.means,
-                           alpha=float(alpha))
-            for alpha, components, values in zip(selection.selected, selection.components,
-                                                 selection.eigenvalues)]
+    started = time.perf_counter()
+    if method == "pca":
+        models = [methods.pca_fit(inputs.covs[0], args.components, target_mean=inputs.means[0])]
+    elif method == "dpca":
+        models = [methods.dpca_fit(*inputs.covs, args.components, args.floor, *inputs.means)]
+    elif alpha is not None:
+        models = [methods.cpca_fit(*inputs.covs, alpha, args.components, *inputs.means)]
+    else:
+        selection = methods.cpca_select_alphas(
+            *inputs.covs, grid, args.components, args.select, seed=args.seed)
+        models = [methods._model("cpca", inputs.covs, components, values, *inputs.means,
+                                 alpha=float(a))
+                  for a, components, values in zip(selection.selected, selection.components,
+                                                   selection.eigenvalues)]
+    return models, time.perf_counter() - started
 
 
 def _provenance(args, scale) -> dict:
@@ -147,25 +153,18 @@ def cmd_fit(args) -> int:
         raise UsageError("--alpha/--auto-alpha apply to cpca only")
 
     inputs, grid = _prepare(args)
-    started = time.perf_counter()
-
-    if args.method == "cpca" and args.auto_alpha:
-        models = _auto_alpha(inputs, grid, args)
-        out = Path(args.out)
-        for i, model in enumerate(models, start=1):
-            path = out.with_name(f"{out.stem}_a{i}{out.suffix or '.json'}")
-            fileio.save_model(fileio.ensure_parent(path), model,
-                              feature_scale=inputs.scale, provenance=_provenance(args, inputs.scale))
-            print(f"alpha={model.alpha:.6g} eigenvalues: {_eigs_str(model.eigenvalues)} -> {path}")
-        print(f"selected alphas: {_eigs_str([m.alpha for m in models])} "
-              f"({time.perf_counter() - started:.3f} s)")
-        return 0
-
-    model = _fit(args.method, inputs, args, args.alpha)
-    fileio.save_model(fileio.ensure_parent(args.out), model,
-                      feature_scale=inputs.scale, provenance=_provenance(args, inputs.scale))
-    print(f"{args.method} d={args.components} eigenvalues: {_eigs_str(model.eigenvalues)} "
-          f"({time.perf_counter() - started:.3f} s) -> {args.out}")
+    models, seconds = _fit(args.method, inputs, grid, args, args.alpha)
+    out = Path(args.out)
+    for i, model in enumerate(models, start=1):
+        path = (out.with_name(f"{out.stem}_a{i}{out.suffix or '.json'}") if args.auto_alpha
+                else args.out)
+        fileio.save_model(fileio.ensure_parent(path), model,
+                          feature_scale=inputs.scale, provenance=_provenance(args, inputs.scale))
+        eigs = f"eigenvalues: {_eigs_str(model.eigenvalues)}"
+        print(f"alpha={model.alpha:.6g} {eigs} -> {path}" if args.auto_alpha else
+              f"{args.method} d={args.components} {eigs} ({seconds:.3f} s) -> {path}")
+    if args.auto_alpha:
+        print(f"selected alphas: {_eigs_str([m.alpha for m in models])} ({seconds:.3f} s)")
     return 0
 
 
@@ -196,17 +195,9 @@ def cmd_compare(args) -> int:
     prefix = Path(args.out)
     fileio.ensure_parent(prefix.with_name(prefix.name + "_report.json"))
 
-    # each "seconds" times the fits only
-    t0 = time.perf_counter()
-    pca_model = _fit("pca", inputs, args)
-    pca_secs = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    dpca_model = _fit("dpca", inputs, args)
-    dpca_secs = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    cpca_models = _auto_alpha(inputs, grid, args)
-    cpca_secs = time.perf_counter() - t0
-
+    (pca_model,), pca_secs = _fit("pca", inputs, grid, args)
+    (dpca_model,), dpca_secs = _fit("dpca", inputs, grid, args)
+    cpca_models, cpca_secs = _fit("cpca", inputs, grid, args)
     fitted = {"pca": pca_model, "dpca": dpca_model,
               **{f"cpca_a{i}": m for i, m in enumerate(cpca_models, start=1)}}
     rows = {}
@@ -230,9 +221,7 @@ def cmd_compare(args) -> int:
         "runtime_ratio_cpca_over_dpca": cpca_secs / dpca_secs if dpca_secs > 0 else None,
     }
     report_path = f"{prefix}_report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    fileio.write_json(report_path, report)
 
     table = [("pca", format(pca_secs, ".4f"), rows["pca"]),
              ("dpca", format(dpca_secs, ".4f"), rows["dpca"]),
@@ -289,9 +278,7 @@ def cmd_synth(args) -> int:
              "n_specific": spec.n_specific,
              **{f.name: np.asarray(getattr(spec, f.name)).tolist() for f in fields(spec)},
              "cluster_offsets": offsets.tolist()}
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+    fileio.write_json(truth_path, truth)
     print(f"wrote {target_path} ({pair.target.m} rows), "
           f"{background_path} ({pair.background.m} rows), {truth_path}")
     return 0
@@ -339,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("background", nargs="*",
                        help="background CSV(s); several are row-concatenated")
     add_common_fit_flags(p_fit, with_alpha=True)
-    p_fit.add_argument("--out", default="model.json", help="model file to write")
+    p_fit.add_argument("--out", default="model.json",
+                       help="model file to write; with --auto-alpha, one file per selected "
+                            "alpha, <stem>_a<i><suffix>")
     p_fit.set_defaults(func=cmd_fit)
 
     p_tr = sub.add_parser("transform", help="project data through a saved model")

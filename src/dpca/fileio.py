@@ -26,8 +26,9 @@ by a numpy kernel, a block of cells at a time, with exact integer digits;
 numbers outside ``10**-6 <= |v| < 10**17`` are formatted by ``%`` itself
 (see :func:`_write_table`).
 
-Model files are JSON; Python's float repr in JSON is already
-shortest-round-trip, so numeric fields reload bit-exact.
+Model files are JSON, written by :func:`write_json` as the CLI's other JSON
+files are; Python's float repr in JSON is already shortest-round-trip, so
+numeric fields reload bit-exact.
 """
 
 from __future__ import annotations
@@ -447,6 +448,11 @@ def save_model(path, model: ComponentModel, feature_scale=None, provenance=None)
         },
         "provenance": provenance or {},
     }
+    write_json(path, doc)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON, indented by two spaces, with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

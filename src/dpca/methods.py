@@ -152,21 +152,32 @@ def _data_span(covs: Sequence[CovarianceEstimate], d: int) -> eigencore._Span | 
     needs the eigenvalue floor exactly when the full one does.
     ``eigencore._span_qr`` factors the samples.
 
-    Returns the factorization when every covariance carries its data and
-    ``K <= D / 2``, else None. Measured from D=16 to 2000 on 2 cores, up to
-    that cut-over the reduction beats forming the covariances and solving at
-    order ``D`` for cPCA and dPCA, and PCA, the cheapest dense fit, breaks
-    even near it; beyond it the QR costs more than it saves for PCA.
+    Returns the factorization when the fit reduces (:func:`_solve_order`),
+    else None.
     """
     dim = covs[0].dim
     if covs[-1].dim != dim:  # the background's, when there is one
         raise DimensionError(f"covariance dims disagree: {dim} vs {covs[-1].dim}")
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} components from {dim} features")
-    total = sum(c.sample_count for c in covs) + d
-    if 2 * total > dim or any(c.data is None for c in covs):
+    if _solve_order(covs, d) == dim:
         return None
     return eigencore._span_qr([(c.data, c.sample_count, c.ridge_applied) for c in covs], d)
+
+
+def _solve_order(covs: Sequence[CovarianceEstimate], d: int) -> int:
+    """The order a fit of ``d`` components over ``covs`` solves at.
+
+    ``K = k + d`` (``k`` the total row count) when the fit reduces to the
+    span of its data (:func:`_data_span`): every covariance carries its data
+    and ``K <= D / 2``. Else ``D``. Measured from D=16 to 2000 on 2 cores, up
+    to that cut-over the reduction beats forming the covariances and solving
+    at order ``D`` for cPCA and dPCA, and PCA, the cheapest dense fit, breaks
+    even near it; beyond it the QR costs more than it saves for PCA.
+    """
+    order = sum(c.sample_count for c in covs) + d
+    reduces = 2 * order <= covs[0].dim and all(c.data is not None for c in covs)
+    return order if reduces else covs[0].dim
 
 
 def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],

@@ -319,6 +319,28 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_no_fit_time_includes_the_scipy_import(self, tmp_path):
+        # wide data reduces to order 60 + 200 + 2 = 262 >= eigencore.TOP_D_MIN_DIM,
+        # so the fits need scipy; a fresh interpreter has not imported it yet
+        prefix = tmp_path / "wide"
+        assert run("synth", "--features", 600, "-m", 60, "-n", 200, "--seed", 3,
+                   "--out", prefix) == 0
+        data = [f"{prefix}_target.csv", f"{prefix}_background.csv", "--ridge", "1"]
+        commands = [["fit", "dpca", *data, "--out", str(tmp_path / "m.json")],
+                    ["compare", *data, "--out", str(tmp_path / "cmp")]]
+        script = ("import json, sys, time, types\nfrom dpca import cli\nreads = []\n"
+                  "def clock():\n"
+                  "    reads.append('scipy.linalg' in sys.modules)\n"
+                  "    return time.perf_counter()\n"
+                  "cli.time = types.SimpleNamespace(perf_counter=clock)\n"
+                  "assert all(cli.main(argv) == 0 for argv in json.loads(sys.argv[1]))\n"
+                  "print(json.dumps(reads))")
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        # two reads per fit: fit dpca's one fit, compare's three
+        assert json.loads(done.stdout.splitlines()[-1]) == [True] * 8
+
     def test_module_entry_point(self):
         done = subprocess.run([sys.executable, "-m", "dpca", "--help"],
                               capture_output=True, text=True, env=src_env(), timeout=120)
