@@ -71,8 +71,9 @@ def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     Every flag is checked, also one the command does not use (``--grid``,
     ``--select`` and ``--seed`` without alpha selection): an out-of-range
     or malformed value is a usage error raised before any file is read.
-    scipy is imported here when the command's fits will need it, so its
-    one-time import is in no fit's time.
+    scipy is imported here when the command's fits will run in it, on
+    ``eigencore.TOP_D_MIN_DIM`` features or more, so its one-time import is
+    in no fit's time.
     """
     _check_range("-d", args.components, 1)
     for flag in ("ridge", "floor", "alpha"):
@@ -83,7 +84,7 @@ def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     inputs = fit_inputs(fileio.read_csv(args.target),
                         [fileio.read_csv(p) for p in args.background or ()],
                         ridge=args.ridge, zscore=args.zscore)
-    if methods._solve_order(inputs.covs, args.components) >= eigencore.TOP_D_MIN_DIM:
+    if inputs.covs[0].dim >= eigencore.TOP_D_MIN_DIM:
         import scipy.linalg  # noqa: F401
     return inputs, grid
 

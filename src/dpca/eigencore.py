@@ -15,9 +15,9 @@ is built on four operations:
   factorization succeeds and its estimated reciprocal condition number
   exceeds ``1e3 * floor_rel``), :func:`_cholesky_eig` solves the pencil
   through the Cholesky factor, computing only the top ``d`` pairs, all in
-  the lower triangle. Otherwise :func:`_floored_whitening_eig` whitens with
-  the floored ``whitening_factor(B)`` and takes the top ``d`` pairs of the
-  whitened matrix; only this leaf can apply the floor.
+  the lower triangle. Otherwise :func:`_floored_whitening_eig` whitens ``B``
+  with the floor of ``whitening_factor`` and takes the top ``d`` pairs of
+  the whitened matrix; only this leaf can apply the floor.
 * :func:`power_topd` computes the leading eigenpairs of a dense symmetric
   matrix by deflated power iteration. No fit calls it: it is the
   independent oracle that the acceptance criteria check the dense solve
@@ -40,16 +40,18 @@ factoring only the background's own block; otherwise
 
 Every symmetric eigensolve of the package, in these functions and all three
 leaves, is one call of ``_top_pairs``: the top pairs, largest first, from
-the lower triangle, by LAPACK ``syevr`` for a subset from order
-``TOP_D_MIN_DIM`` (256) up and by numpy's full solve otherwise. It checks
-only that the matrix is finite and fixes no signs: the public functions
-validate their inputs once, and ``sym_eigendecompose`` and the leaves'
-``_pencil_pairs`` fix the signs of what they return.
+the lower triangle. It checks only that the matrix is finite and fixes no
+signs: the public functions validate their inputs once, and
+``_eigendecompose`` and the leaves' ``_pencil_pairs`` fix the signs of what
+they return.
 
 This module is the only one that chooses between numpy's and scipy's BLAS
-and LAPACK; the choice, by matrix order, is ``TOP_D_MIN_DIM``'s. scipy is
-imported inside the functions that call it: importing ``scipy.linalg`` takes
-about 0.3 s and 30 MB, which problems below that order never need.
+and LAPACK, and it chooses once per fit, by the fit's feature count ``D``
+(``TOP_D_MIN_DIM``): from 256 features up every step of the fit runs in
+scipy, and only such fits reduce to the span of their samples; below it
+every step runs in numpy, on the dense matrices. scipy is imported inside
+the functions that call it: importing ``scipy.linalg`` takes about 0.3 s
+and 30 MB, which a fit on fewer features never needs.
 
 All functions are pure; returned arrays are never aliased to the inputs.
 """
@@ -57,7 +59,8 @@ All functions are pure; returned arrays are never aliased to the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from functools import reduce
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,15 +79,15 @@ DEFAULT_FLOOR_REL = 1e-10
 # LAPACK condition estimate can undershoot ||B^{-1}||_1; the margin covers
 # that, so the floor can never apply on the Cholesky route.
 CHOLESKY_RCOND_MARGIN = 1e3
-# Smallest matrix order whose linear algebra runs in scipy: the top-d LAPACK
-# routes of the solvers, and the QR, Gram blocks and lift of a span
-# reduction; below it all of them run in numpy. The usual numpy and scipy
-# wheels each bundle their own OpenBLAS, and the first threaded scipy call
-# after numpy BLAS work (such as forming a covariance) can wait for numpy's
-# idle pool to stop spinning: up to 0.1 s on a 2-core machine. Below this
-# order the full numpy eigensolves cost less than that wait. A reduced fit
-# solves at the order it reduced to, so its reduction, solve and lift run in
-# one library and never hand work from one pool to the other.
+# Smallest feature count whose fits run in scipy: from it up, every step of a
+# fit (the QR, Gram blocks and lift of a span reduction, each eigensolve,
+# each product of a whitening) runs in scipy, and only these fits reduce to
+# the span of their samples; below it every step runs in numpy. The usual
+# numpy and scipy wheels each bundle their own OpenBLAS, and the first
+# threaded scipy call after numpy BLAS work can wait for numpy's idle pool
+# to stop spinning: up to 0.1 s on a 2-core machine. So a fit never hands
+# work from one pool to the other. Below this count numpy's full
+# eigensolves cost less than scipy's import and that wait.
 TOP_D_MIN_DIM = 256
 
 
@@ -213,7 +216,12 @@ def sym_eigendecompose(mat: np.ndarray, d: int | None = None) -> EigenDecomposit
     count = dim if d is None else d
     if not 1 <= count <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} matrix")
-    vals, vecs = _top_pairs(arr, count)
+    return _eigendecompose(arr, count, dim >= TOP_D_MIN_DIM)
+
+
+def _eigendecompose(arr: np.ndarray, count: int, in_scipy: bool) -> EigenDecomposition:
+    """Top ``count`` pairs of a validated symmetric matrix, signs fixed, in the fit's library."""
+    vals, vecs = _top_pairs(arr, count, in_scipy)
     return EigenDecomposition(eigenvalues=vals, eigenvectors=apply_sign_convention(vecs))
 
 
@@ -239,8 +247,13 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
     """
     _check_floor_rel(floor_rel)
     arr = check_symmetric(cov, "matrix")
+    return _whitening(arr, floor_rel, arr.shape[0] >= TOP_D_MIN_DIM)
+
+
+def _whitening(arr: np.ndarray, floor_rel: float, in_scipy: bool) -> WhiteningFactor:
+    """:func:`whitening_factor` of a validated matrix, in the fit's library."""
     # W does not depend on the eigenvectors' signs, so none are fixed
-    vals, vecs = _top_pairs(arr, arr.shape[0])
+    vals, vecs = _top_pairs(arr, arr.shape[0], in_scipy)
     s_max = float(vals[0])
     if s_max <= 0.0:
         raise RankZeroError("covariance has no positive eigenvalue; cannot whiten")
@@ -250,8 +263,7 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
     if floor_value == 0.0 and np.any(floored <= 0.0):
         # floor_rel == 0 with an exactly singular matrix cannot be inverted
         raise RankZeroError("covariance is singular and the eigenvalue floor is zero")
-    inv_root = vecs * (1.0 / np.sqrt(floored))
-    factor = inv_root @ vecs.T
+    factor = _product(in_scipy, vecs * (1.0 / np.sqrt(floored)), vecs.T)
     factor = 0.5 * (factor + factor.T)
     return WhiteningFactor(factor=factor, floor_applied=floor_applied, floor_value=floor_value)
 
@@ -270,8 +282,9 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     estimated reciprocal condition number (LAPACK ``pocon``, 1-norm) exceeds
     ``1e3 * floor_rel``, the leaf is :func:`_cholesky_eig`; since
     ``cond_2(B) <= cond_1(B)``, the floor cannot apply there. Otherwise it is
-    :func:`_floored_whitening_eig`. Either way each eigenvector ``u`` has
-    unit Euclidean norm. For nonsingular ``B`` the eigenvalues equal the
+    :func:`_floored_whitening_eig`, which runs in scipy from that order up
+    and in numpy below it. Either way each eigenvector ``u`` has unit
+    Euclidean norm. For nonsingular ``B`` the eigenvalues equal the
     Rayleigh ratios ``u^T A u / u^T B u``; when the floor applied they are
     those of the whitened matrix and ``floor_applied`` is set. (The third
     leaf, :func:`_whitened_span_eig`, serves reduced dPCA fits only; see
@@ -284,7 +297,7 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     d : int
         Number of leading pairs to return, ``1 <= d <= D``.
     floor_rel : float
-        Eigenvalue floor forwarded to :func:`whitening_factor`.
+        Eigenvalue floor of the whitening (see :func:`whitening_factor`).
 
     Raises
     ------
@@ -301,25 +314,37 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} pencil")
     _check_floor_rel(floor_rel)
-    lower = _comfortable_cholesky(b, floor_rel) if dim >= TOP_D_MIN_DIM else None
+    in_scipy = dim >= TOP_D_MIN_DIM
+    lower = _comfortable_cholesky(b, floor_rel) if in_scipy else None
     if lower is None:
-        return _floored_whitening_eig(a, b, d, floor_rel)
+        return _floored_whitening_eig(a, b, d, floor_rel, in_scipy)
     return _cholesky_eig(a, lower, d)
 
 
-def _floored_whitening_eig(a: np.ndarray, b: np.ndarray, d: int,
-                           floor_rel: float) -> GeneralizedEigenPairs:
+def _floored_whitening_eig(a: np.ndarray, b: np.ndarray, d: int, floor_rel: float,
+                           in_scipy: bool) -> GeneralizedEigenPairs:
     """Leaf solver: top-``d`` pairs of ``(A, B)`` through the floored whitening of ``B``.
 
     With ``W = whitening_factor(B, floor_rel)``, the top ``d`` pairs ``v``
     of the symmetric ``W^T A W`` map back as ``u = W v``. The only leaf that
-    can apply the floor. ``a`` and ``b`` are validated by the caller.
+    can apply the floor. ``a``, ``b`` and ``floor_rel`` are validated by the
+    caller, and every step runs in the library the caller chose.
     """
-    white = whitening_factor(b, floor_rel)
-    transformed = white.factor.T @ a @ white.factor
+    white = _whitening(b, floor_rel, in_scipy)
+    transformed = _product(in_scipy, white.factor.T, a, white.factor)
     transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
-    values, vectors = _top_pairs(transformed, d)
-    return _pencil_pairs(values, white.factor @ vectors, white.floor_applied)
+    values, vectors = _top_pairs(transformed, d, in_scipy)
+    return _pencil_pairs(values, _product(in_scipy, white.factor, vectors),
+                         white.floor_applied)
+
+
+def _product(in_scipy: bool, *factors: np.ndarray) -> np.ndarray:
+    """The matrix product of ``factors``, left to right, by numpy or by scipy's ``gemm``."""
+    if not in_scipy:
+        return reduce(np.matmul, factors)
+    from scipy.linalg import blas
+
+    return reduce(lambda left, right: blas.dgemm(1.0, left, right), factors)
 
 
 def _cholesky_eig(a: np.ndarray, lower: np.ndarray, d: int) -> GeneralizedEigenPairs:
@@ -333,7 +358,7 @@ def _cholesky_eig(a: np.ndarray, lower: np.ndarray, d: int) -> GeneralizedEigenP
     from scipy.linalg import lapack
 
     reduced, _ = lapack.dsygst(a, lower, lower=1)  # result in the lower triangle
-    values, vectors = _top_pairs(reduced, d)
+    values, vectors = _top_pairs(reduced, d, True)
     vectors = scipy.linalg.solve_triangular(lower, vectors, lower=True, trans="T",
                                             check_finite=False)
     return _pencil_pairs(values, vectors, False)
@@ -348,17 +373,18 @@ def _pencil_pairs(values: np.ndarray, vectors: np.ndarray,
         floor_applied=floor_applied)
 
 
-def _top_pairs(arr: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _top_pairs(arr: np.ndarray, count: int, in_scipy: bool) -> tuple[np.ndarray, np.ndarray]:
     """Top ``count`` eigenpairs of a symmetric matrix, largest first: the one eigensolve.
 
-    Every LAPACK eigensolve in the package comes through here. Only the
+    Every LAPACK eigensolve in the package comes through here, in the
+    library its fit runs in (``in_scipy``, see ``TOP_D_MIN_DIM``). Only the
     lower triangle is read, and nothing is sign-fixed or checked for
     symmetry: the callers do that where it matters. Finiteness is checked,
     as a leaf's whitened or reduced matrix can overflow where ``A`` and
-    ``B`` do not, and LAPACK would then return NaN pairs or fail. From
-    order ``TOP_D_MIN_DIM`` up, with ``count`` below the order, only those
-    pairs are computed, by LAPACK ``syevr``; otherwise numpy's full solve is
-    sliced. With 2 OpenBLAS
+    ``B`` do not, and LAPACK would then return NaN pairs or fail. In scipy,
+    with ``count`` below the order, only those pairs are computed, by LAPACK
+    ``syevr``; otherwise the full solve (``syevd``, in numpy or in scipy)
+    is sliced. With 2 OpenBLAS
     threads a top-2 ``syevr`` takes 12.8, 36.6 and 67.1 ms on the lower
     triangle against 14.6, 44.4 and 77.8 ms on the upper one at orders 500,
     802 and 1000 (with 1 thread they are within 2%; 2-vCPU Xeon VM, best of
@@ -370,17 +396,19 @@ def _top_pairs(arr: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(arr).all():
         raise InvalidInputError("the matrix to eigensolve overflows; rescale the data")
     dim = arr.shape[0]
-    vals = None
-    if count < dim and dim >= TOP_D_MIN_DIM:
+    if not in_scipy:
+        vals, vecs = np.linalg.eigh(arr, UPLO="L")
+    else:
         import scipy.linalg
 
-        vals, vecs = scipy.linalg.eigh(arr, lower=True, subset_by_index=[dim - count, dim - 1],
-                                       check_finite=False)
-    if vals is None or vals.shape[0] < count:
-        vals, vecs = np.linalg.eigh(arr, UPLO="L")
-        vals, vecs = vals[dim - count:], vecs[:, dim - count:]
-    order = np.arange(count)[::-1]  # eigh is ascending; reverse it
-    return vals[order], vecs[:, order]
+        vals = None
+        if count < dim:
+            vals, vecs = scipy.linalg.eigh(arr, lower=True, check_finite=False,
+                                           subset_by_index=[dim - count, dim - 1])
+        if vals is None or vals.shape[0] < count:
+            vals, vecs = scipy.linalg.eigh(arr, lower=True, check_finite=False, driver="evd")
+    top = np.arange(vals.shape[0] - 1, vals.shape[0] - count - 1, -1)  # eigh is ascending
+    return vals[top], vecs[:, top]
 
 
 def _comfortable_cholesky(b: np.ndarray, floor_rel: float,
@@ -421,20 +449,16 @@ class _Reflectors(NamedTuple):
     t: np.ndarray
 
 
-# The orthonormal basis of a reduced fit: None (not reduced), Q, or its reflectors.
-_Basis = Union[None, np.ndarray, _Reflectors]
-
-
 class _Span(NamedTuple):
     """The QR factorization of a fit's stacked samples, from :func:`_span_qr`.
 
-    ``basis`` is ``Q`` (``D x K``), as a matrix or as its reflectors;
-    ``triangle`` is ``K x K`` and holds ``R`` in its upper triangle (below
-    it, on the reflector route, lie reflectors); ``parts`` is the
-    ``(X_i, m_i, r_i)`` of each covariance, in the order the fit gave them.
+    ``basis`` is ``Q`` (``D x K``) as its reflectors; ``triangle`` is
+    ``K x K`` and holds ``R`` in its upper triangle (below it lie
+    reflectors); ``parts`` is the ``(X_i, m_i, r_i)`` of each covariance, in
+    the order the fit gave them.
     """
 
-    basis: _Basis
+    basis: _Reflectors
     triangle: np.ndarray
     parts: tuple[tuple[np.ndarray, int, float], ...]
 
@@ -452,20 +476,16 @@ def _span_qr(parts: Sequence[tuple[np.ndarray, int, float]], d: int) -> _Span:
     ``R_i`` (``R``'s columns of part ``i``) is zero below the row where its
     part ends in the stack. So a pencil's background, the last part,
     reduces to ``blockdiag(B11, r_b I)`` with ``B11`` of the order of its
-    row count. From ``K = TOP_D_MIN_DIM`` up the QR is LAPACK's recursive
-    compact-WY ``geqrt``, in place on the stack, and ``Q`` is kept as its
-    reflectors and never formed; below it numpy forms ``Q`` and ``R``.
+    row count. The QR is LAPACK's recursive compact-WY ``geqrt``, in place
+    on the stack, and ``Q`` is kept as its reflectors and never formed.
     """
+    from scipy.linalg import lapack
+
     parts = tuple(parts)
     # stacking rows and transposing gives the Fortran-ordered D x K layout LAPACK works in
     stacked = np.concatenate([x for x, _, _ in parts[::-1]]
                              + [np.zeros((d, parts[0][0].shape[1]))]).T
     order = stacked.shape[1]
-    if order < TOP_D_MIN_DIM:
-        q, upper = np.linalg.qr(stacked)
-        return _Span(q, upper, parts)
-    from scipy.linalg import lapack
-
     factored, t, _ = lapack.dgeqrt(min(64, order), stacked, overwrite_a=1)
     return _Span(_Reflectors(factored, t), factored[:order, :order], parts)
 
@@ -473,26 +493,17 @@ def _span_qr(parts: Sequence[tuple[np.ndarray, int, float]], d: int) -> _Span:
 def _span_grams(span: _Span) -> list[np.ndarray]:
     """Each covariance of ``span`` reduced to it, ``R_i R_i^T / m_i + r_i I``, in order.
 
-    On the reflector route each is formed from the part's nonzero rows of
-    ``R`` only (:func:`_part_gram`) and is ``r_i I`` beyond them. Below it
-    numpy forms the products.
+    Each is formed from the part's nonzero rows of ``R`` only
+    (:func:`_part_gram`) and is ``r_i I`` beyond them.
     """
-    triangle = span.triangle
-    order = triangle.shape[0]
+    order = span.triangle.shape[0]
     blocks, stop = [], 0
     for x, count, ridge in span.parts[::-1]:
         start, stop = stop, stop + x.shape[0]
-        if order >= TOP_D_MIN_DIM:
-            block = np.zeros((order, order), order="F")
-            block[:stop, :stop] = _part_gram(triangle, start, stop, count, ridge)
-            tail = np.arange(stop, order)
-            block[tail, tail] = ridge
-        else:
-            part = triangle[:, start:stop]
-            block = (part @ part.T) / count
-            block = 0.5 * (block + block.T)
-            if ridge > 0:
-                block += ridge * np.eye(order)
+        block = np.zeros((order, order), order="F")
+        block[:stop, :stop] = _part_gram(span.triangle, start, stop, count, ridge)
+        tail = np.arange(stop, order)
+        block[tail, tail] = ridge
         blocks.append(block)
     return blocks[::-1]
 
@@ -523,25 +534,25 @@ def _part_gram(triangle: np.ndarray, start: int, stop: int, count: int,
 def _span_pencil_eig(span: _Span, d: int, floor_rel: float) -> GeneralizedEigenPairs:
     """Top-``d`` pairs of the dPCA pencil ``span`` reduces, by exactly one leaf solver.
 
-    ``span.parts`` is the target's and then the background's. On the
-    reflector route with a background ridge ``r_b > 0``, only the
-    background's own block ``B11 = R_bb R_bb^T / m_b + r_b I`` is formed and
-    factored (:func:`_comfortable_cholesky`, with the margin of the whole
+    ``span.parts`` is the target's and then the background's. With a
+    background ridge ``r_b > 0``, only the background's own block
+    ``B11 = R_bb R_bb^T / m_b + r_b I`` is formed and factored
+    (:func:`_comfortable_cholesky`, with the margin of the whole
     ``blockdiag(B11, r_b I)``), and :func:`_whitened_span_eig` solves the
     pencil. Otherwise, or when the margin is not cleared, both reduced
     matrices are formed from the same ``R`` and :func:`_floored_whitening_eig`
     solves them. The whole reduced background is never factored: without a
     ridge it is singular, and with one its 1-norm condition is the one just
-    estimated from its two blocks.
+    estimated from its two blocks. Every step runs in scipy.
     """
     _check_floor_rel(floor_rel)
     background, count, ridge = span.parts[1]
     lower = None
-    if span.triangle.shape[0] >= TOP_D_MIN_DIM and ridge > 0:
+    if ridge > 0:
         block = _part_gram(span.triangle, 0, background.shape[0], count, ridge)
         lower = _comfortable_cholesky(block, floor_rel, ridge)
     if lower is None:
-        return _floored_whitening_eig(*_span_grams(span), d, floor_rel)
+        return _floored_whitening_eig(*_span_grams(span), d, floor_rel, True)
     return _whitened_span_eig(span.triangle, lower, span.parts, d)
 
 
@@ -577,7 +588,7 @@ def _whitened_span_eig(triangle: np.ndarray, lower: np.ndarray,
         whitened[:rows_b, :rows_b] += blas.dsyrk(ridge_t, np.tril(inverse), lower=1)
         tail = np.arange(rows_b, order)
         whitened[tail, tail] += ridge_t / ridge_b
-    values, vectors = _top_pairs(whitened, d)
+    values, vectors = _top_pairs(whitened, d, True)
     head = scipy.linalg.solve_triangular(lower, vectors[:rows_b], lower=True, trans="T",
                                          check_finite=False)
     return _pencil_pairs(values, np.vstack([head, vectors[rows_b:] / np.sqrt(ridge_b)]), False)
@@ -599,17 +610,15 @@ def _mirror_upper(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _lift(basis: _Basis, vectors: np.ndarray) -> np.ndarray:
+def _lift(basis: _Reflectors | None, vectors: np.ndarray) -> np.ndarray:
     """Map eigenvectors of a reduced problem back to feature space, ``u = Q y``.
 
-    ``Q`` is applied as a matrix or, from its compact-WY reflectors, by LAPACK
-    ``gemqrt``; the columns then follow the sign convention. Unreduced fits
-    (``basis`` None) pass through unchanged.
+    ``Q`` is applied from its compact-WY reflectors by LAPACK ``gemqrt``;
+    the columns then follow the sign convention. Unreduced fits (``basis``
+    None) pass through unchanged.
     """
     if basis is None:
         return vectors
-    if isinstance(basis, np.ndarray):
-        return apply_sign_convention(basis @ vectors)
     from scipy.linalg import lapack
 
     # Q y is the full D x D orthogonal factor applied to y padded with zeros

@@ -15,13 +15,13 @@ directions and their associated eigenvalues:
 
 ``pencil_residual`` certifies that a dPCA model solves its pencil.
 
-On wide data (far fewer samples than features) the three fits solve exactly
-the same problem at the order of the sample count instead of the feature
-count. Every fit takes one path: validate and factor the samples
-(``_data_span``), solve at the reduced order (PCA and cPCA on the reduced
-matrices of ``_reduce_to_data_span``, dPCA from the factor itself), lift
-back to feature space (``eigencore._lift``) and build the model
-(``_model``).
+On wide data (far fewer samples than features, from
+``eigencore.TOP_D_MIN_DIM`` features up) the three fits solve exactly the
+same problem at the order of the sample count instead of the feature count.
+Every fit takes one path: validate and factor the samples (``_data_span``),
+solve at the reduced order (PCA and cPCA on the reduced matrices of
+``_reduce_to_data_span``, dPCA from the factor itself), lift back to
+feature space (``eigencore._lift``) and build the model (``_model``).
 """
 
 from __future__ import annotations
@@ -152,36 +152,29 @@ def _data_span(covs: Sequence[CovarianceEstimate], d: int) -> eigencore._Span | 
     needs the eigenvalue floor exactly when the full one does.
     ``eigencore._span_qr`` factors the samples.
 
-    Returns the factorization when the fit reduces (:func:`_solve_order`),
-    else None.
+    Returns the factorization when the fit reduces, else None. A fit
+    reduces when it runs in scipy (``D >= eigencore.TOP_D_MIN_DIM``), every
+    covariance carries its data and ``K <= D / 2``. Measured from D=16 to
+    2000 on 2 cores, up to that cut-over the reduction beats forming the
+    covariances and solving at order ``D`` for cPCA and dPCA, and PCA, the
+    cheapest dense fit, breaks even near it; beyond it the QR costs more
+    than it saves for PCA. Below ``TOP_D_MIN_DIM`` features a fit runs in
+    numpy and is dense, so it never loads scipy.
     """
     dim = covs[0].dim
     if covs[-1].dim != dim:  # the background's, when there is one
         raise DimensionError(f"covariance dims disagree: {dim} vs {covs[-1].dim}")
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} components from {dim} features")
-    if _solve_order(covs, d) == dim:
+    order = sum(c.sample_count for c in covs) + d
+    if (dim < eigencore.TOP_D_MIN_DIM or 2 * order > dim
+            or any(c.data is None for c in covs)):
         return None
     return eigencore._span_qr([(c.data, c.sample_count, c.ridge_applied) for c in covs], d)
 
 
-def _solve_order(covs: Sequence[CovarianceEstimate], d: int) -> int:
-    """The order a fit of ``d`` components over ``covs`` solves at.
-
-    ``K = k + d`` (``k`` the total row count) when the fit reduces to the
-    span of its data (:func:`_data_span`): every covariance carries its data
-    and ``K <= D / 2``. Else ``D``. Measured from D=16 to 2000 on 2 cores, up
-    to that cut-over the reduction beats forming the covariances and solving
-    at order ``D`` for cPCA and dPCA, and PCA, the cheapest dense fit, breaks
-    even near it; beyond it the QR costs more than it saves for PCA.
-    """
-    order = sum(c.sample_count for c in covs) + d
-    reduces = 2 * order <= covs[0].dim and all(c.data is not None for c in covs)
-    return order if reduces else covs[0].dim
-
-
 def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
-                         d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
+                         d: int) -> tuple[eigencore._Reflectors | None, list[np.ndarray]]:
     """A fit's basis and reduced matrices on wide data (:func:`_data_span`).
 
     Returns ``(None, full matrices)`` when the fit is not reduced.
@@ -190,6 +183,21 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
     if span is None:
         return None, [c.matrix for c in covs]
     return span.basis, eigencore._span_grams(span)
+
+
+def _top(basis: eigencore._Reflectors | None, mat: np.ndarray,
+         d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-``d`` components and eigenvalues of a fit's symmetric matrix.
+
+    ``mat`` is reduced when ``basis`` is not None; it is then symmetric by
+    construction, and it is solved in scipy, the library of every reduced
+    fit, before its pairs are lifted.
+    """
+    if basis is None:
+        eig = eigencore.sym_eigendecompose(mat, d)
+    else:
+        eig = eigencore._eigendecompose(mat, d, True)
+    return eigencore._lift(basis, eig.eigenvectors), eig.eigenvalues
 
 
 def _model(method: str, covs: Sequence[CovarianceEstimate], components: np.ndarray,
@@ -220,24 +228,16 @@ def pca_fit(cxx: CovarianceEstimate, d: int,
     (see the module docstring); the result is the same.
     """
     basis, (a,) = _reduce_to_data_span([cxx], d)
-    eig = eigencore.sym_eigendecompose(a, d)
-    return _model("pca", [cxx], eigencore._lift(basis, eig.eigenvectors), eig.eigenvalues,
-                  target_mean)
+    return _model("pca", [cxx], *_top(basis, a, d), target_mean)
 
 
 def _cpca_reduce(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alphas: np.ndarray,
-                 d: int) -> tuple[eigencore._Basis, list[np.ndarray]]:
+                 d: int) -> tuple[eigencore._Reflectors | None, list[np.ndarray]]:
     """Validate a cPCA request and reduce its covariances, once for all ``alphas``."""
     bad = alphas[~(np.isfinite(alphas) & (alphas >= 0))]
     if bad.size:
         raise InvalidInputError(f"alpha must be finite and nonnegative, got {bad[0]}")
     return _reduce_to_data_span([cxx, cyy], d)
-
-
-def _cpca_top(basis: eigencore._Basis, a: np.ndarray, b: np.ndarray, alpha: float,
-              d: int) -> tuple[np.ndarray, np.ndarray]:
-    eig = eigencore.sym_eigendecompose(a - alpha * b, d)
-    return eigencore._lift(basis, eig.eigenvectors), eig.eigenvalues
 
 
 def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: int,
@@ -252,7 +252,7 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
     module docstring); the result is the same.
     """
     basis, (a, b) = _cpca_reduce(cxx, cyy, np.array([alpha], dtype=np.float64), d)
-    return _model("cpca", [cxx, cyy], *_cpca_top(basis, a, b, alpha, d), target_mean,
+    return _model("cpca", [cxx, cyy], *_top(basis, a - alpha * b, d), target_mean,
                   background_mean, alpha=float(alpha))
 
 
@@ -330,7 +330,7 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
             f"cannot select {n_select} alphas from a grid of {grid_arr.size}")
 
     basis, (a, b) = _cpca_reduce(cxx, cyy, grid_arr, d)
-    pairs = [_cpca_top(basis, a, b, alpha, d) for alpha in grid_arr]
+    pairs = [_top(basis, a - alpha * b, d) for alpha in grid_arr]
     n = grid_arr.size
     affinity = np.eye(n)
     for i in range(n):

@@ -305,12 +305,15 @@ class TestLibraryPath:
 
 class TestStartup:
     def test_small_commands_never_import_scipy(self, tmp_path):
-        # D = 20: every matrix stays below eigencore.TOP_D_MIN_DIM
-        prefix = tmp_path / "exp"
-        target, background = f"{prefix}_target.csv", f"{prefix}_background.csv"
-        commands = [["synth", "--features", "20", "-m", "150", "-n", "200", "--out", str(prefix)],
-                    ["fit", "dpca", target, background, "--out", str(tmp_path / "m.json")],
-                    ["compare", target, background, "--out", str(tmp_path / "cmp")]]
+        # D = 20, and D = 200 on wide data (30 + 60 + 2 <= 200 / 2): fewer
+        # features than eigencore.TOP_D_MIN_DIM, so every fit runs in numpy
+        commands = []
+        for name, features, m, n in (("exp", "20", "150", "200"), ("wide", "200", "30", "60")):
+            prefix = tmp_path / name
+            data = [f"{prefix}_target.csv", f"{prefix}_background.csv"]
+            commands += [["synth", "--features", features, "-m", m, "-n", n, "--out", str(prefix)],
+                         ["fit", "dpca", *data, "--out", str(tmp_path / f"{name}.json")],
+                         ["compare", *data, "--out", str(tmp_path / f"{name}_cmp")]]
         script = ("import json, sys\nfrom dpca.cli import main\n"
                   "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1]))\n"
                   "print('scipy' in sys.modules)")
@@ -320,14 +323,18 @@ class TestStartup:
         assert done.stdout.splitlines()[-1] == "False"
 
     def test_no_fit_time_includes_the_scipy_import(self, tmp_path):
-        # wide data reduces to order 60 + 200 + 2 = 262 >= eigencore.TOP_D_MIN_DIM,
-        # so the fits need scipy; a fresh interpreter has not imported it yet
-        prefix = tmp_path / "wide"
-        assert run("synth", "--features", 600, "-m", 60, "-n", 200, "--seed", 3,
-                   "--out", prefix) == 0
-        data = [f"{prefix}_target.csv", f"{prefix}_background.csv", "--ridge", "1"]
-        commands = [["fit", "dpca", *data, "--out", str(tmp_path / "m.json")],
-                    ["compare", *data, "--out", str(tmp_path / "cmp")]]
+        # 600 features >= eigencore.TOP_D_MIN_DIM, so the fits run in scipy,
+        # also where wide data reduces to an order below it (60 + 140 + 2 =
+        # 202, against 60 + 200 + 2 = 262); a fresh interpreter has not
+        # imported scipy yet
+        commands = []
+        for n in (140, 200):  # the order-202 fits first, in the fresh interpreter
+            prefix = tmp_path / f"wide{n}"
+            assert run("synth", "--features", 600, "-m", 60, "-n", n, "--seed", 3,
+                       "--out", prefix) == 0
+            data = [f"{prefix}_target.csv", f"{prefix}_background.csv", "--ridge", "1"]
+            commands += [["fit", "dpca", *data, "--out", str(tmp_path / f"m{n}.json")],
+                         ["compare", *data, "--out", str(tmp_path / f"cmp{n}")]]
         script = ("import json, sys, time, types\nfrom dpca import cli\nreads = []\n"
                   "def clock():\n"
                   "    reads.append('scipy.linalg' in sys.modules)\n"
@@ -338,8 +345,8 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               capture_output=True, text=True, env=src_env(), timeout=120)
         assert done.returncode == 0, done.stderr
-        # two reads per fit: fit dpca's one fit, compare's three
-        assert json.loads(done.stdout.splitlines()[-1]) == [True] * 8
+        # two reads per fit: fit dpca's one fit, compare's three, for each shape
+        assert json.loads(done.stdout.splitlines()[-1]) == [True] * 16
 
     def test_module_entry_point(self):
         done = subprocess.run([sys.executable, "-m", "dpca", "--help"],

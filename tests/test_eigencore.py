@@ -66,9 +66,14 @@ class TestSymEigendecompose:
                 with pytest.raises(DimensionError):
                     ec.sym_eigendecompose(a, bad)
 
-    def test_top_d_subset_tight_cluster(self):
+    def test_top_d_subset_tight_cluster(self, monkeypatch):
         # rank 2 plus a ridge: the top 5 end in a cluster of 298 equal
-        # eigenvalues, where LAPACK syevr can return fewer pairs than asked for
+        # eigenvalues, where LAPACK syevr can return fewer pairs than asked
+        # for; the full solve that then stands in is scipy's too
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy's eigh reached at order 300")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
         for seed in range(5):
             x = np.random.default_rng(seed).standard_normal((3, 300))
             x -= x.mean(axis=0)
@@ -314,6 +319,7 @@ class TestLeadingBlockBackground:
     ``B11``, from the QR factor of its samples, and solves it with the leaf
     ``_whitened_span_eig``; when that route does not apply, it hands both
     reduced matrices to the floored-whitening leaf and factors nothing more.
+    Every reduced fit runs in scipy, whatever its order.
     ``generalized_eig`` factors every ``B`` it is given whole. Every case is
     checked against scipy's dense solve of the same pencil.
     """
@@ -324,7 +330,7 @@ class TestLeadingBlockBackground:
     def route_spies(monkeypatch):
         """Record each Cholesky factorization's and whitening's order and each leaf solver."""
         factored, whitened, solvers = [], [], []
-        real_cho, real_white = scipy.linalg.cho_factor, ec.whitening_factor
+        real_cho, real_white = scipy.linalg.cho_factor, ec._whitening
 
         def cho(mat, *args, **kwargs):
             factored.append(np.shape(mat)[0])
@@ -335,7 +341,7 @@ class TestLeadingBlockBackground:
             return real_white(mat, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", cho)
-        monkeypatch.setattr(ec, "whitening_factor", white)
+        monkeypatch.setattr(ec, "_whitening", white)
         for name in PENCIL_SOLVERS:
             def solver(*args, real=getattr(ec, name), name=name, **kwargs):
                 solvers.append(name)
@@ -458,7 +464,7 @@ class TestReduceToSpan:
         garbage[np.tril_indices(order, -1)] = rng.standard_normal(order * (order - 1) // 2)
         assert np.array_equal(ec._mirror_upper(garbage), expected)
 
-    # K = 103 in numpy; K = 263 in scipy, from reflectors
+    # K = 103 and 263: both in scipy, from reflectors
     @pytest.mark.parametrize("dim,m,n", [(300, 40, 60), (700, 100, 160)])
     def test_blocks_are_the_reduced_covariances(self, rng, dim, m, n):
         d, ridges = 3, (0.5, 2.0)
@@ -467,10 +473,7 @@ class TestReduceToSpan:
         span = ec._span_qr([(target, m, ridges[0]), (background, n, ridges[1])], d)
         basis, (a, b) = span.basis, ec._span_grams(span)
         order = m + n + d
-        if isinstance(basis, np.ndarray):
-            q = basis
-        else:
-            q, _ = lapack.dgemqrt(basis.reflectors, basis.t, np.eye(dim, order, order="F"), "L", "N")
+        q, _ = lapack.dgemqrt(basis.reflectors, basis.t, np.eye(dim, order, order="F"), "L", "N")
         for block, x, count, ridge in ((a, target, m, ridges[0]), (b, background, n, ridges[1])):
             cov = x.T @ x / count + ridge * np.eye(dim)
             np.testing.assert_allclose(block, q.T @ cov @ q, rtol=0, atol=1e-12 * np.linalg.norm(cov))
@@ -514,7 +517,7 @@ class TestOneEigensolve:
         tree = ast.parse((self.SOURCE / "eigencore.py").read_text())
         callers = [func for func in self.functions(tree) if "_top_pairs" in self.called(func)]
         assert {func.name for func in callers} == {
-            "sym_eigendecompose", "whitening_factor", "_floored_whitening_eig",
+            "_eigendecompose", "_whitening", "_floored_whitening_eig",
             "_cholesky_eig", "_whitened_span_eig"}
         for func in callers:
             steps = [node.step for node in ast.walk(func) if isinstance(node, ast.Slice)]
@@ -532,12 +535,13 @@ class TestOneEigensolve:
         ec.whitening_factor(b)
         assert calls == ["check_symmetric"]
         del calls[:]
-        # the leaf whitens B (one check) and fixes its pairs' signs once
-        ec._floored_whitening_eig(a, b, 2, ec.DEFAULT_FLOOR_REL)
-        assert calls == ["check_symmetric", "apply_sign_convention"]
+        # A and B are checked once each; the leaf whitens the checked B and
+        # fixes its pairs' signs once
+        ec.generalized_eig(a, b, 2)
+        assert calls == ["check_symmetric", "check_symmetric", "apply_sign_convention"]
 
     def test_every_pair_on_the_cholesky_route(self, rng, pencil_solves):
-        # d equal to the order takes numpy's full solve of the reduced pencil
+        # d equal to the order takes scipy's full solve of the reduced pencil
         order = ec.TOP_D_MIN_DIM + 4
         a, b = random_spd(rng, order), random_spd(rng, order)
         out = ec.generalized_eig(a, b, order)

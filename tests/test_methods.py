@@ -207,7 +207,7 @@ class TestConditionLadder:
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
     def test_routes_agree_with_references(self, rng, monkeypatch, dim, cond):
         whitenings = []
-        real_whitening = ec.whitening_factor
+        real_whitening = ec._whitening
 
         def counted(*args, **kwargs):
             whitenings.append(args)
@@ -215,7 +215,7 @@ class TestConditionLadder:
 
         a, b = random_spd(rng, dim), ladder_background(rng, dim, cond)
         d = min(3, dim)
-        monkeypatch.setattr(ec, "whitening_factor", counted)
+        monkeypatch.setattr(ec, "_whitening", counted)
         pairs = ec.generalized_eig(a, b, d)
         monkeypatch.undo()
 
@@ -380,7 +380,7 @@ class TestAlphaSelection:
         assert np.array_equal(one.selected, two.selected)
         assert np.array_equal(one.cluster_assignment, two.cluster_assignment)
 
-    # dense; wide below the scipy order (103); wide from it (303)
+    # dense; wide, reduced to orders 103 and 303, both in scipy
     @pytest.mark.parametrize("dim,m,n", [(20, 200, 300), (300, 40, 60), (700, 100, 200)])
     def test_selected_pairs_equal_cpca_fit(self, rng, dim, m, n):
         cxx, cyy = TestWideDataReduction.wide_pair(rng, dim, m, n, (1.0, 1.0))
@@ -393,15 +393,14 @@ class TestAlphaSelection:
 
 
 class TestWideDataReduction:
-    """Fits on wide data (k + d <= D/2) against dense solves of the D x D matrices.
+    """Fits on wide data (k + d <= D/2, D >= 256) against dense solves of the D x D matrices.
 
-    The reduction solves at order k + d (k the total sample count); the
-    references call ``sym_eigendecompose`` / ``generalized_eig`` on the full
-    covariance matrices.
+    The reduction solves at order k + d (k the total sample count), in
+    scipy whatever that order; the references call ``sym_eigendecompose`` /
+    ``generalized_eig`` on the full covariance matrices.
     """
 
-    # K = k + d for dPCA/cPCA: 103, 253 and 303; PCA's 263 on the last shape
-    # also takes the reflector route (K >= ec.TOP_D_MIN_DIM)
+    # K = k + d for dPCA/cPCA: 103, 253 and 303; for PCA 43, 103 and 263
     SHAPES = [(300, 40, 60), (600, 100, 150), (700, 260, 40)]
     RIDGES = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1e-3, 0.0)]
 
@@ -416,13 +415,15 @@ class TestWideDataReduction:
 
     @staticmethod
     def solve_orders(monkeypatch):
-        """Record ``(name, order)`` of every ``sym_eigendecompose`` call and leaf pencil solve.
+        """Record ``(name, order)`` of every PCA/cPCA eigensolve and leaf pencil solve.
 
-        A leaf solves through ``eigencore._top_pairs`` and makes no
-        ``sym_eigendecompose`` call, so a dPCA fit records its leaf alone.
+        ``_eigendecompose`` is the one PCA/cPCA solve, dense (through
+        ``sym_eigendecompose``) or reduced. A leaf solves through
+        ``eigencore._top_pairs`` and makes no ``_eigendecompose`` call, so a
+        dPCA fit records its leaf alone.
         """
         orders = []
-        for name in ("sym_eigendecompose",) + PENCIL_SOLVERS:
+        for name in ("_eigendecompose",) + PENCIL_SOLVERS:
             real = getattr(ec, name)
 
             def spy(mat, *args, real=real, name=name, **kwargs):
@@ -445,15 +446,14 @@ class TestWideDataReduction:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dpc = methods.dpca_fit(cxx, cyy, d)
-        # from the reflector route up, a background ridge lets the fit solve from R
-        span_route = m + n + d >= ec.TOP_D_MIN_DIM and ridges[1] > 0
-        assert self.leaves(orders) == ["_whitened_span_eig" if span_route
+        # at every reduced order, a background ridge lets the fit solve from R
+        assert self.leaves(orders) == ["_whitened_span_eig" if ridges[1] > 0
                                        else "_floored_whitening_eig"]
         assert {order for _, order in orders} == {m + n + d}  # solved at the reduced order
         del orders[:]
         pc = methods.pca_fit(cxx, d)
         monkeypatch.undo()
-        assert orders == [("sym_eigendecompose", m + d)]
+        assert orders == [("_eigendecompose", m + d)]
 
         ref = ec.generalized_eig(cxx.matrix, cyy.matrix, d)
         floor_warnings = [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
@@ -477,7 +477,7 @@ class TestWideDataReduction:
             orders = self.solve_orders(monkeypatch)
             model = methods.cpca_fit(cxx, cyy, alpha, d)
             monkeypatch.undo()
-            assert orders == [("sym_eigendecompose", m + n + d)]
+            assert orders == [("_eigendecompose", m + n + d)]
             dense = ec.sym_eigendecompose(cxx.matrix - alpha * cyy.matrix, d)
             assert_top_d_matches(model, dense.eigenvalues, dense.eigenvectors)
 
@@ -520,7 +520,7 @@ class TestWideDataReduction:
         assert orders == [(factored, factored)]
 
     def test_complement_eigenvalue_in_top_d(self, rng, monkeypatch):
-        # 20 background rows: every solve runs in numpy
+        # 20 background rows: dPCA and cPCA solve at order 28, in scipy
         self.check_complement_eigenvalue_in_top_d(rng, monkeypatch, 300, 20)
 
     def test_complement_eigenvalue_in_top_d_on_reflector_route(self, rng, monkeypatch):
@@ -540,9 +540,7 @@ class TestWideDataReduction:
         cpc = methods.cpca_fit(cxx, cyy, 1000.0, d)
         monkeypatch.undo()
         assert {order for _, order in orders} == {3 + d, 3 + n + d}
-        span_route = 3 + n + d >= ec.TOP_D_MIN_DIM  # with the background ridge 1
-        assert self.leaves(orders) == ["_whitened_span_eig" if span_route
-                                       else "_floored_whitening_eig"]
+        assert self.leaves(orders) == ["_whitened_span_eig"]  # with the background ridge 1
 
         a, b = cxx.matrix, cyy.matrix
         pca_ref = ec.sym_eigendecompose(a, d).eigenvalues
@@ -577,11 +575,13 @@ class TestWideDataReduction:
         np.testing.assert_allclose(sel.affinity, dense.affinity, atol=1e-10)
         np.testing.assert_array_equal(sel.selected, dense.selected)
 
-    @pytest.mark.parametrize("n,library", [(152, "numpy"), (153, "scipy")])
-    def test_qr_library_follows_the_solve_order(self, rng, monkeypatch, n, library):
-        # 100 + n + 3 is 255 or 256 = ec.TOP_D_MIN_DIM: the QR runs in the
-        # library the solve at that order runs in
-        cxx, cyy = self.wide_pair(rng, 600, 100, n, (1.0, 1.0))
+    @pytest.mark.parametrize("dim,n,library", [(600, 152, "scipy"), (600, 153, "scipy"),
+                                               (255, 20, "none")])
+    def test_qr_library_follows_the_feature_count(self, rng, monkeypatch, dim, n, library):
+        # in 600 features the QR runs in scipy at K = 100 + n + 3 = 255 as at
+        # 256 = ec.TOP_D_MIN_DIM; in 255 features a fit as wide (K = 123 <=
+        # 255 / 2) runs in numpy, dense, with no QR
+        cxx, cyy = self.wide_pair(rng, dim, 100, n, (1.0, 1.0))
         calls = []
         spied = ((np.linalg, "qr", "numpy"), (scipy.linalg.lapack, "dgeqrt", "scipy"))
         for module, attr, name in spied:
@@ -592,11 +592,44 @@ class TestWideDataReduction:
             monkeypatch.setattr(module, attr, spy)
         dpc = methods.dpca_fit(cxx, cyy, 3)
         monkeypatch.undo()
-        assert calls == [library]
+        assert calls == ([] if library == "none" else [library])
         ref = ec.generalized_eig(cxx.matrix, cyy.matrix, 3)
         np.testing.assert_allclose(dpc.eigenvalues, ref.eigenvalues, rtol=1e-12)
         spans = [np.linalg.qr(vecs)[0] for vecs in (dpc.components, ref.eigenvectors)]
         assert methods.subspace_affinity(*spans) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("ridge", [1.0, 0.0])
+    def test_every_step_of_a_wide_fit_runs_in_scipy(self, rng, monkeypatch, ridge):
+        # 600 features reduce to K = 60 + 140 + 2 = 202 (PCA: 62), below
+        # ec.TOP_D_MIN_DIM: the QR is geqrt and each eigensolve scipy's, top-d
+        # subset or, for the floored whitening of the reduced background
+        # (no ridge), full; numpy's QR and eigh are never called
+        cxx, cyy = self.wide_pair(rng, 600, 60, 140, (ridge, ridge))
+        calls = []
+        spied = ((np.linalg, "qr"), (np.linalg, "eigh"), (scipy.linalg.lapack, "dgeqrt"),
+                 (scipy.linalg, "eigh"))
+        for module, attr in spied:
+            def spy(*args, real=getattr(module, attr), name=f"{module.__name__}.{attr}",
+                    **kwargs):
+                calls.append(name + (".subset" if "subset_by_index" in kwargs else ""))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, spy)
+        fits = {"pca": lambda: methods.pca_fit(cxx, 2),
+                "cpca": lambda: methods.cpca_fit(cxx, cyy, 3.0, 2),
+                "dpca": lambda: methods.dpca_fit(cxx, cyy, 2)}
+        traced = {}
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            for name, fit in fits.items():
+                del calls[:]
+                fit()
+                traced[name] = list(calls)
+        monkeypatch.undo()
+        qr, subset = "scipy.linalg.lapack.dgeqrt", "scipy.linalg.eigh.subset"
+        whitening = [] if ridge else ["scipy.linalg.eigh"]
+        assert traced == {"pca": [qr, subset], "cpca": [qr, subset],
+                          "dpca": [qr, *whitening, subset]}
 
     def test_reflector_route_never_forms_q(self, rng, monkeypatch):
         # PCA at order 263, cPCA and dPCA at 303: Q stays as reflectors
@@ -654,7 +687,7 @@ class TestWideDataReduction:
         assert {order for _, order in orders} == {300}
         del orders[:]
         methods.pca_fit(cxx, 3)
-        assert orders == [("sym_eigendecompose", 103)]
+        assert orders == [("_eigendecompose", 103)]
 
 
 class TestOneLeafPerFit:
@@ -710,12 +743,14 @@ class TestOneLeafPerFit:
 
 
 class TestScalingOracles:
-    """Scaling oracles on every pencil route, through ``dpca_fit``.
+    """Scaling and feature-permutation oracles on every pencil route, through ``dpca_fit``.
 
     Scaling the target covariance by ``c`` scales the pencil's eigenvalues
     by ``c``; scaling the background's divides them by ``c``; either way the
     top-``d`` subspace stays. A data-backed estimate is scaled by scaling
-    its data by ``sqrt(c)`` and its ridge by ``c``. Each fit takes ``d + 1``
+    its data by ``sqrt(c)`` and its ridge by ``c``. Permuting the features
+    of both datasets (the rows and columns of both matrices) permutes the
+    components' rows and keeps the eigenvalues. Each fit takes ``d + 1``
     pairs, so the gap below the ``d``-th is known. The allowed error is a
     multiple of ``eps * cond(B) * lam_1`` for the eigenvalues and of that
     over the gap for the sine of the largest principal angle.
@@ -730,46 +765,64 @@ class TestScalingOracles:
     ROUTES = {
         "dense_whitening": (40, None, None, 0.0, 0.0, "_floored_whitening_eig"),
         "dense_cholesky": (ec.TOP_D_MIN_DIM + 4, None, None, 0.0, 0.0, "_cholesky_eig"),
-        # K = m + n + d + 1 = 263 and 103
+        # K = m + n + d + 1 = 263 and 103, both in scipy; a background ridge
+        # of 1e-7 leaves rcond(B) near 2e-9, inside the Cholesky margin
+        # 1e3 * floor_rel, and B's smallest eigenvalue 50 times above the floor
         "reduced_whitening_from_r": (600, 60, 200, 0.5, 1.0, "_whitened_span_eig"),
-        "reduced_floored_whitening": (300, 40, 60, 0.5, 1.0, "_floored_whitening_eig"),
+        "reduced_floored_whitening": (300, 40, 60, 0.5, 1e-7, "_floored_whitening_eig"),
     }
 
     @classmethod
-    def estimates(cls, route, seed, scale_target=1.0, scale_background=1.0):
-        """``(cxx, cyy)`` of ``route`` from ``seed``, each side scaled by its factor."""
+    def estimates(cls, route, seed, scale_target=1.0, scale_background=1.0, features=None):
+        """``(cxx, cyy)`` of ``route`` from ``seed``, each side scaled by its factor.
+
+        ``features``, a permutation, reorders the features of both sides.
+        """
         dim, m, n, ridge_t, ridge_b = cls.ROUTES[route][:5]
         rng = np.random.default_rng(seed)
+        order = np.arange(dim) if features is None else features
         if m is None:
-            return (cov(scale_target * random_spd(rng, dim)),
-                    cov(scale_background * random_spd(rng, dim)))
+            return tuple(cov(c * random_spd(rng, dim)[np.ix_(order, order)])
+                         for c in (scale_target, scale_background))
         target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
         background = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
-        return tuple(sample_covariance(center(DataMatrix(x * np.sqrt(c))), ridge=r * c)
+        return tuple(sample_covariance(center(DataMatrix(x[:, order] * np.sqrt(c))), ridge=r * c)
                      for x, r, c in ((target, ridge_t, scale_target),
                                      (background, ridge_b, scale_background)))
 
     @classmethod
-    def check_scaling(cls, pencil_solves, route, seed, c, side):
+    def fit_both(cls, pencil_solves, route, seed, **changed):
+        """The base fit of ``route``, the fit of its ``changed`` estimates, and the error bound."""
         d = cls.D_COMPONENTS
         base_inputs = cls.estimates(route, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error", FloorAppliedWarning)
             pencil_solves.clear()
             base = methods.dpca_fit(*base_inputs, d + 1)
-            scaled = methods.dpca_fit(*cls.estimates(route, seed, **{f"scale_{side}": c}), d + 1)
+            other = methods.dpca_fit(*cls.estimates(route, seed, **changed), d + 1)
         leaf = cls.ROUTES[route][5]
         assert pencil_solves == [leaf, leaf]
         background = np.linalg.eigvalsh(base_inputs[1].matrix)
+        err = 100 * np.finfo(float).eps * background[-1] / background[0] * base.eigenvalues[0]
+        return base, other, err
+
+    @classmethod
+    def assert_same_span(cls, base_components, other_components, lam, err):
+        # the components are B-orthogonal: compare the spans they orthonormalize to
+        d = cls.D_COMPONENTS
+        q0, q1 = (np.linalg.qr(comps[:, :d])[0] for comps in (base_components, other_components))
+        sine = np.linalg.norm(q1 - q0 @ (q0.T @ q1), 2)
+        assert sine <= err / (lam[d - 1] - lam[d])
+
+    @classmethod
+    def check_scaling(cls, pencil_solves, route, seed, c, side):
+        d = cls.D_COMPONENTS
+        base, scaled, err = cls.fit_both(pencil_solves, route, seed, **{f"scale_{side}": c})
         lam = base.eigenvalues
-        err = 100 * np.finfo(float).eps * background[-1] / background[0] * lam[0]
         expected = lam[:d] * (c if side == "target" else 1.0 / c)
         np.testing.assert_allclose(scaled.eigenvalues[:d], expected, rtol=0,
                                    atol=err * expected[0] / lam[0])
-        # the components are B-orthogonal: compare the spans they orthonormalize to
-        q0, q1 = (np.linalg.qr(model.components[:, :d])[0] for model in (base, scaled))
-        sine = np.linalg.norm(q1 - q0 @ (q0.T @ q1), 2)
-        assert sine <= err / (lam[d - 1] - lam[d])
+        cls.assert_same_span(base.components, scaled.components, lam, err)
 
     @pytest.mark.parametrize("route", ROUTES)
     @settings(max_examples=4, deadline=None,
@@ -784,6 +837,19 @@ class TestScalingOracles:
     @given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
     def test_background_scaling_divides_eigenvalues(self, pencil_solves, route, seed, scale):
         self.check_scaling(pencil_solves, route, seed, scale, "background")
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), shuffle=st.integers(0, 2**32 - 1))
+    def test_feature_permutation_permutes_components(self, pencil_solves, route, seed, shuffle):
+        d = self.D_COMPONENTS
+        features = np.random.default_rng(shuffle).permutation(self.ROUTES[route][0])
+        base, permuted, err = self.fit_both(pencil_solves, route, seed, features=features)
+        np.testing.assert_allclose(permuted.eigenvalues[:d], base.eigenvalues[:d], rtol=0,
+                                   atol=err)
+        self.assert_same_span(base.components[features], permuted.components,
+                              base.eigenvalues, err)
 
 
 class TestTransform:
