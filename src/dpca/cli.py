@@ -68,6 +68,9 @@ def _check_range(name: str, value, lo, hi=np.inf) -> None:
 def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     """Load the target and background CSVs into fit inputs, with the parsed ``--grid``.
 
+    The inputs consume the tables, so ``inputs.target`` is the centered
+    target and each table is held once.
+
     Every flag is checked, also one the command does not use (``--grid``,
     ``--select`` and ``--seed`` without alpha selection): an out-of-range
     or malformed value is a usage error raised before any file is read.
@@ -81,9 +84,10 @@ def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     grid = parse_grid(args.grid)
     _check_range("--select", args.select, 1, grid.size)
     _check_range("--seed", args.seed, 0)
+    # the command never reads the raw tables again, so they are centered in place
     inputs = fit_inputs(fileio.read_csv(args.target),
                         [fileio.read_csv(p) for p in args.background or ()],
-                        ridge=args.ridge, zscore=args.zscore)
+                        ridge=args.ridge, zscore=args.zscore, consume=True)
     if inputs.covs[0].dim >= eigencore.TOP_D_MIN_DIM:
         import scipy.linalg  # noqa: F401
     return inputs, grid
@@ -192,6 +196,13 @@ def _metrics(coords: np.ndarray, labels, seed: int) -> dict:
 
 
 def cmd_compare(args) -> int:
+    """Fit PCA, dPCA and auto-alpha cPCA, then write their embeddings and a report.
+
+    Each embedding projects the centered target that the fits were built
+    from, ``inputs.target.values @ components``: the same numbers as
+    ``transform`` of the raw target, whose ``raw - mean`` is the same
+    subtraction, without a second copy of the target.
+    """
     inputs, grid = _prepare(args)
     prefix = Path(args.out)
     fileio.ensure_parent(prefix.with_name(prefix.name + "_report.json"))
@@ -202,12 +213,13 @@ def cmd_compare(args) -> int:
     fitted = {"pca": pca_model, "dpca": dpca_model,
               **{f"cpca_a{i}": m for i, m in enumerate(cpca_models, start=1)}}
     rows = {}
+    labels = inputs.target.labels
     for name, model in fitted.items():
-        emb = methods.transform(model, inputs.target)
+        coords = inputs.target.values @ model.components
         path = f"{prefix}_{name}.csv"
-        fileio.write_embedding_csv(path, emb.coordinates, emb.labels)
+        fileio.write_embedding_csv(path, coords, labels)
         rows[name] = {"eigenvalues": model.eigenvalues.tolist(), "embedding_csv": path,
-                      **_metrics(emb.coordinates, emb.labels, args.seed)}
+                      **_metrics(coords, labels, args.seed)}
     keys = _alpha_keys([m.alpha for m in cpca_models])
     per_alpha = {key: rows[f"cpca_a{i}"] for i, key in enumerate(keys, start=1)}
     report = {

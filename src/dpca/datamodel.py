@@ -1,7 +1,14 @@
-"""Dataset containers, centering, sample covariances, and the inputs a fit takes."""
+"""Dataset containers, centering, sample covariances, and the inputs a fit takes.
+
+:func:`center` and :func:`sample_covariance` never write their inputs.
+:func:`fit_inputs` writes no caller's array either, unless it is asked to
+``consume`` the tables: then it z-scores and centers their arrays in place,
+so a caller that never reads the raw tables again holds each of them once.
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,7 +180,8 @@ class FitInputs:
     """What the fits take from a target and its backgrounds.
 
     ``target`` is the target as the fits see it: divided by ``scale`` when
-    the inputs were z-scored, ``scale`` being None otherwise. ``covs`` and
+    the inputs were z-scored, ``scale`` being None otherwise, and also
+    centered when :func:`fit_inputs` consumed the tables. ``covs`` and
     ``means`` hold the covariance estimates and column means, the target's
     first and then the fused background's, if there is one.
     """
@@ -184,8 +192,76 @@ class FitInputs:
     means: tuple[np.ndarray, ...]
 
 
+# the pooled z-score reads its tables this many bytes of rows at a time
+_STD_BLOCK_BYTES = 1 << 20
+
+
+def _pooled_std(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.vstack(arrays).std(axis=0)``, bit for bit, without the stack.
+
+    numpy sums the rows of a multi-column C-ordered array one after another
+    along axis 0, so each pooled sum (the column sums, then the squared
+    deviations from their mean) continues one accumulation from block to
+    block and from table to table: a block is copied below the running
+    total and the rows are summed as one array. The total starts at zero,
+    which can change only the sign of a zero column sum, and no squared
+    deviation sees that sign. numpy sums a single column pairwise instead,
+    which blocks cannot continue, so one-column tables are stacked: their
+    stack is one column.
+    """
+    width = arrays[0].shape[1]
+    if width == 1:
+        return np.vstack(arrays).std(axis=0)
+    rows = max(1, _STD_BLOCK_BYTES // (8 * width))
+    buf = np.empty((rows + 1, width))
+    count = sum(arr.shape[0] for arr in arrays)
+
+    def pooled_mean(fill):
+        buf[0] = 0.0
+        for arr in arrays:
+            for lo in range(0, arr.shape[0], rows):
+                block = arr[lo:lo + rows]
+                fill(buf[1:block.shape[0] + 1], block)
+                buf[0] = buf[:block.shape[0] + 1].sum(axis=0)
+        return buf[0] / count
+
+    mean = pooled_mean(np.copyto)
+
+    def squared_deviations(out, block):
+        np.subtract(block, mean, out=out)
+        np.square(out, out=out)
+
+    return np.sqrt(pooled_mean(squared_deviations))
+
+
+@contextmanager
+def _writing(arr: np.ndarray):
+    """``arr`` made writeable for the block, and read-only again after it."""
+    arr.flags.writeable = True
+    try:
+        yield arr
+    finally:
+        arr.flags.writeable = False
+
+
+def _center_in_place(data: DataMatrix) -> CenteredDataset:
+    """:func:`center` on an array that nothing else reads, by subtracting in place.
+
+    ``x - mean`` is the same subtraction either way, and it is still checked
+    for finiteness, because it can overflow.
+    """
+    vals = data.values
+    mean = vals.mean(axis=0)
+    with _writing(vals):
+        np.subtract(vals, mean, out=vals)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInputError("data contains non-finite values")
+    return CenteredDataset(data=data, mean=mean)
+
+
 def fit_inputs(target: DataMatrix, backgrounds: Sequence[DataMatrix] = (),
-               ridge: float = 0.0, zscore: bool = False) -> FitInputs:
+               ridge: float = 0.0, zscore: bool = False, *,
+               consume: bool = False) -> FitInputs:
     """Means and covariance estimates of a target and its backgrounds, ready to fit.
 
     Several backgrounds are fused into one by :func:`concat_rows`. With
@@ -193,6 +269,14 @@ def fit_inputs(target: DataMatrix, backgrounds: Sequence[DataMatrix] = (),
     pooled target and background rows, so the two stay directly comparable;
     a constant feature keeps scale 1. Each dataset is then centered and its
     :func:`sample_covariance` formed with ``ridge``.
+
+    By default no input array is written and ``target`` is returned as the
+    fits see it, uncentered. With ``consume`` the caller gives the tables
+    up: their arrays are z-scored and centered in place, still read-only
+    afterwards, and the returned ``target`` is the centered one. A table
+    whose array does not own its memory, or that shares it with the other
+    table, is copied instead. Either way an array built here and not
+    returned (the fused or the z-scored background) is centered in place.
 
     Raises
     ------
@@ -208,11 +292,25 @@ def fit_inputs(target: DataMatrix, backgrounds: Sequence[DataMatrix] = (),
             raise InvalidInputError(
                 f"feature count mismatch: target has {target.n_features}, "
                 f"background has {datasets[1].n_features}")
+    # the arrays this call may write: the caller's when consumed, and its own
+    writable = [consume and d.values.flags.owndata for d in datasets]
+    if len(backgrounds) > 1:
+        writable[1] = True
+    elif backgrounds and np.may_share_memory(target.values, datasets[1].values):
+        writable = [False, False]  # neither may write what the other reads
     scale = None
     if zscore:
-        scale = np.vstack([d.values for d in datasets]).std(axis=0)
+        scale = _pooled_std([d.values for d in datasets])
         scale[scale == 0] = 1.0
-        datasets = [d.scaled(scale) for d in datasets]
-    centered = [center(d) for d in datasets]
-    return FitInputs(datasets[0], scale, tuple(sample_covariance(c, ridge) for c in centered),
+        for i, d in enumerate(datasets):
+            if writable[i]:
+                with _writing(d.values) as vals:
+                    np.divide(vals, scale, out=vals)
+            else:
+                datasets[i] = d.scaled(scale)
+                # a scaled copy is this call's own, unless it is the returned target
+                writable[i] = i > 0 or consume
+    centered = [_center_in_place(d) if w else center(d) for d, w in zip(datasets, writable)]
+    return FitInputs(centered[0].data if consume else datasets[0], scale,
+                     tuple(sample_covariance(c, ridge) for c in centered),
                      tuple(c.mean for c in centered))

@@ -6,6 +6,7 @@ lines. Sizes and tolerances are fixed here, not tuned at runtime.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,8 +254,8 @@ def test_criterion_9_cli_round_trips(tmp_path, rng):
                          "--out", str(epath)]) == 0
         spath = tmp_path / f"{tag}.svg"
         assert cli_main(["plot", str(epath), "--out", str(spath)]) == 0
-        digests.append((open(f"{prefix}_target.csv", "rb").read(),
-                        open(f"{prefix}_background.csv", "rb").read(),
+        digests.append((Path(f"{prefix}_target.csv").read_bytes(),
+                        Path(f"{prefix}_background.csv").read_bytes(),
                         epath.read_bytes(), spath.read_bytes()))
     assert digests[0] == digests[1]
 
