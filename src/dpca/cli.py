@@ -68,8 +68,8 @@ def _check_range(name: str, value, lo, hi=np.inf) -> None:
 def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     """Load the target and background CSVs into fit inputs, with the parsed ``--grid``.
 
-    The inputs consume the tables, so ``inputs.target`` is the centered
-    target and each table is held once.
+    The inputs consume the tables, so each table is held once: it is
+    z-scored and centered where it was parsed.
 
     Every flag is checked, also one the command does not use (``--grid``,
     ``--select`` and ``--seed`` without alpha selection): an out-of-range
@@ -84,7 +84,7 @@ def _prepare(args) -> tuple[FitInputs, np.ndarray]:
     grid = parse_grid(args.grid)
     _check_range("--select", args.select, 1, grid.size)
     _check_range("--seed", args.seed, 0)
-    # the command never reads the raw tables again, so they are centered in place
+    # the command never reads the raw tables again, so they are taken, not copied
     inputs = fit_inputs(fileio.read_csv(args.target),
                         [fileio.read_csv(p) for p in args.background or ()],
                         ridge=args.ridge, zscore=args.zscore, consume=True)
@@ -112,8 +112,7 @@ def _fit(method: str, inputs: FitInputs, grid: np.ndarray, args,
     else:
         selection = methods.cpca_select_alphas(
             *inputs.covs, grid, args.components, args.select, seed=args.seed)
-        models = [methods._model("cpca", inputs.covs, components, values, *inputs.means,
-                                 alpha=float(a))
+        models = [methods._model("cpca", inputs.covs, components, values, *inputs.means, alpha=a)
                   for a, components, values in zip(selection.selected, selection.components,
                                                    selection.eigenvalues)]
     return models, time.perf_counter() - started
@@ -198,10 +197,10 @@ def _metrics(coords: np.ndarray, labels, seed: int) -> dict:
 def cmd_compare(args) -> int:
     """Fit PCA, dPCA and auto-alpha cPCA, then write their embeddings and a report.
 
-    Each embedding projects the centered target that the fits were built
-    from, ``inputs.target.values @ components``: the same numbers as
-    ``transform`` of the raw target, whose ``raw - mean`` is the same
-    subtraction, without a second copy of the target.
+    Each embedding projects ``inputs.target``, the centered target that the
+    fits were built from: ``inputs.target.values @ components`` gives the
+    same numbers as ``transform`` of the raw target, whose ``raw - mean`` is
+    the same subtraction, without a second copy of the target.
     """
     inputs, grid = _prepare(args)
     prefix = Path(args.out)

@@ -1,9 +1,10 @@
 """Dataset containers, centering, sample covariances, and the inputs a fit takes.
 
 :func:`center` and :func:`sample_covariance` never write their inputs.
-:func:`fit_inputs` writes no caller's array either, unless it is asked to
-``consume`` the tables: then it z-scores and centers their arrays in place,
-so a caller that never reads the raw tables again holds each of them once.
+:func:`fit_inputs` takes one path: each table is copied once, or taken
+as it is when the caller asks it to ``consume`` the tables, and is then
+z-scored and centered in place. So a caller that consumes tables it never
+reads again holds each of them once.
 """
 
 from __future__ import annotations
@@ -179,9 +180,9 @@ def concat_rows(parts: Sequence[DataMatrix]) -> DataMatrix:
 class FitInputs:
     """What the fits take from a target and its backgrounds.
 
-    ``target`` is the target as the fits see it: divided by ``scale`` when
-    the inputs were z-scored, ``scale`` being None otherwise, and also
-    centered when :func:`fit_inputs` consumed the tables. ``covs`` and
+    ``target`` is the centered target that the target covariance holds:
+    divided by ``scale`` when the inputs were z-scored, ``scale`` being None
+    otherwise, then less its column mean ``means[0]``. ``covs`` and
     ``means`` hold the covariance estimates and column means, the target's
     first and then the fused background's, if there is one.
     """
@@ -270,13 +271,13 @@ def fit_inputs(target: DataMatrix, backgrounds: Sequence[DataMatrix] = (),
     a constant feature keeps scale 1. Each dataset is then centered and its
     :func:`sample_covariance` formed with ``ridge``.
 
-    By default no input array is written and ``target`` is returned as the
-    fits see it, uncentered. With ``consume`` the caller gives the tables
-    up: their arrays are z-scored and centered in place, still read-only
-    afterwards, and the returned ``target`` is the centered one. A table
-    whose array does not own its memory, or that shares it with the other
-    table, is copied instead. Either way an array built here and not
-    returned (the fused or the z-scored background) is centered in place.
+    ``consume`` decides only whether each table is copied. By default every
+    table is copied once and no input array is written. With ``consume`` the
+    caller gives the tables up: a table whose array owns its memory and
+    shares none with the other table is taken as it is, and the others are
+    copied. The fused background is always this call's own. Each array is
+    then divided and centered in place and is read-only afterwards, so the
+    result is the same either way, and ``target`` is the centered target.
 
     Raises
     ------
@@ -292,25 +293,24 @@ def fit_inputs(target: DataMatrix, backgrounds: Sequence[DataMatrix] = (),
             raise InvalidInputError(
                 f"feature count mismatch: target has {target.n_features}, "
                 f"background has {datasets[1].n_features}")
-    # the arrays this call may write: the caller's when consumed, and its own
-    writable = [consume and d.values.flags.owndata for d in datasets]
+    # a table is taken when consumed, owning its memory and sharing none with
+    # the other; the fused background is this call's own
+    shared = len(datasets) > 1 and np.may_share_memory(target.values, datasets[1].values)
+    taken = [consume and d.values.flags.owndata and not shared for d in datasets]
     if len(backgrounds) > 1:
-        writable[1] = True
-    elif backgrounds and np.may_share_memory(target.values, datasets[1].values):
-        writable = [False, False]  # neither may write what the other reads
+        taken[1] = True
+    # the copy keeps the layout that ``raw - mean`` would give, as centering does
+    datasets = [d if mine else DataMatrix._adopt(d.values.copy(order="K"), d.labels,
+                                                finite_checked=True)
+                for d, mine in zip(datasets, taken)]
     scale = None
     if zscore:
         scale = _pooled_std([d.values for d in datasets])
         scale[scale == 0] = 1.0
-        for i, d in enumerate(datasets):
-            if writable[i]:
-                with _writing(d.values) as vals:
-                    np.divide(vals, scale, out=vals)
-            else:
-                datasets[i] = d.scaled(scale)
-                # a scaled copy is this call's own, unless it is the returned target
-                writable[i] = i > 0 or consume
-    centered = [_center_in_place(d) if w else center(d) for d, w in zip(datasets, writable)]
-    return FitInputs(centered[0].data if consume else datasets[0], scale,
+        for d in datasets:
+            with _writing(d.values) as vals:
+                np.divide(vals, scale, out=vals)
+    centered = [_center_in_place(d) for d in datasets]
+    return FitInputs(centered[0].data, scale,
                      tuple(sample_covariance(c, ridge) for c in centered),
                      tuple(c.mean for c in centered))

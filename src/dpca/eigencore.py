@@ -42,8 +42,8 @@ Every symmetric eigensolve of the package, in these functions and all three
 leaves, is one call of ``_top_pairs``: the top pairs, largest first, from
 the lower triangle. It checks only that the matrix is finite and fixes no
 signs: the public functions validate their inputs once, and
-``_eigendecompose`` and the leaves' ``_pencil_pairs`` fix the signs of what
-they return.
+``sym_eigendecompose``, the leaves' ``_pencil_pairs`` and ``_lift`` fix the
+signs of what they return.
 
 This module is the only one that chooses between numpy's and scipy's BLAS
 and LAPACK, and it chooses once per fit, by the fit's feature count ``D``
@@ -216,12 +216,7 @@ def sym_eigendecompose(mat: np.ndarray, d: int | None = None) -> EigenDecomposit
     count = dim if d is None else d
     if not 1 <= count <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} matrix")
-    return _eigendecompose(arr, count, dim >= TOP_D_MIN_DIM)
-
-
-def _eigendecompose(arr: np.ndarray, count: int, in_scipy: bool) -> EigenDecomposition:
-    """Top ``count`` pairs of a validated symmetric matrix, signs fixed, in the fit's library."""
-    vals, vecs = _top_pairs(arr, count, in_scipy)
+    vals, vecs = _top_pairs(arr, count, dim >= TOP_D_MIN_DIM)
     return EigenDecomposition(eigenvalues=vals, eigenvectors=apply_sign_convention(vecs))
 
 
@@ -436,29 +431,20 @@ def _comfortable_cholesky(b: np.ndarray, floor_rel: float,
     return lower if info == 0 and rcond > CHOLESKY_RCOND_MARGIN * floor_rel else None
 
 
-class _Reflectors(NamedTuple):
-    """``Q`` of a QR factorization as LAPACK ``geqrt`` leaves it, in compact-WY form.
+class _Span(NamedTuple):
+    """The QR factorization of a fit's stacked samples, from :func:`_span_qr`.
 
-    ``Q = I - V T V^T``: ``reflectors`` holds the Householder vectors ``V``
-    below its diagonal (the factored stack; the rest is ``R`` and unused
-    here), and ``t`` the upper-triangular block factors ``T``, one per
-    column block.
+    ``Q`` (``D x K``) is kept as LAPACK ``geqrt`` leaves it, in compact-WY
+    form ``Q = I - V T V^T``: ``reflectors`` is the factored stack, with the
+    Householder vectors ``V`` below its diagonal, and ``t`` holds the
+    upper-triangular block factors ``T``, one per column block.
+    ``triangle`` is the stack's leading ``K x K`` block and holds ``R`` in
+    its upper triangle (below it lie reflectors); ``parts`` is the
+    ``(X_i, m_i, r_i)`` of each covariance, in the order the fit gave them.
     """
 
     reflectors: np.ndarray
     t: np.ndarray
-
-
-class _Span(NamedTuple):
-    """The QR factorization of a fit's stacked samples, from :func:`_span_qr`.
-
-    ``basis`` is ``Q`` (``D x K``) as its reflectors; ``triangle`` is
-    ``K x K`` and holds ``R`` in its upper triangle (below it lie
-    reflectors); ``parts`` is the ``(X_i, m_i, r_i)`` of each covariance, in
-    the order the fit gave them.
-    """
-
-    basis: _Reflectors
     triangle: np.ndarray
     parts: tuple[tuple[np.ndarray, int, float], ...]
 
@@ -487,7 +473,7 @@ def _span_qr(parts: Sequence[tuple[np.ndarray, int, float]], d: int) -> _Span:
                              + [np.zeros((d, parts[0][0].shape[1]))]).T
     order = stacked.shape[1]
     factored, t, _ = lapack.dgeqrt(min(64, order), stacked, overwrite_a=1)
-    return _Span(_Reflectors(factored, t), factored[:order, :order], parts)
+    return _Span(factored, t, factored[:order, :order], parts)
 
 
 def _span_grams(span: _Span) -> list[np.ndarray]:
@@ -610,21 +596,22 @@ def _mirror_upper(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _lift(basis: _Reflectors | None, vectors: np.ndarray) -> np.ndarray:
-    """Map eigenvectors of a reduced problem back to feature space, ``u = Q y``.
+def _lift(span: _Span | None, vectors: np.ndarray) -> np.ndarray:
+    """Map eigenvectors of a problem reduced to ``span`` back to feature space, ``u = Q y``.
 
     ``Q`` is applied from its compact-WY reflectors by LAPACK ``gemqrt``;
-    the columns then follow the sign convention. Unreduced fits (``basis``
-    None) pass through unchanged.
+    the columns then follow the sign convention, so the reduced pairs need
+    no signs fixed before. Unreduced fits (``span`` None) pass through
+    unchanged.
     """
-    if basis is None:
+    if span is None:
         return vectors
     from scipy.linalg import lapack
 
     # Q y is the full D x D orthogonal factor applied to y padded with zeros
-    padded = np.zeros((basis.reflectors.shape[0], vectors.shape[1]), order="F")
+    padded = np.zeros((span.reflectors.shape[0], vectors.shape[1]), order="F")
     padded[:vectors.shape[0]] = vectors
-    lifted, _ = lapack.dgemqrt(basis.reflectors, basis.t, padded, "L", "N", overwrite_c=1)
+    lifted, _ = lapack.dgemqrt(span.reflectors, span.t, padded, "L", "N", overwrite_c=1)
     return apply_sign_convention(lifted)
 
 

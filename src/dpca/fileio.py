@@ -464,8 +464,10 @@ def load_model(path) -> ModelFile:
     Anything that is not such a file is an :class:`InvalidInputError` naming
     ``path``: text that is not JSON, a document that is not an object, a
     missing field, and values the model would reject (non-finite components,
-    eigenvalues or means, for one) or a ``feature_scale`` that is not a
-    finite positive vector of length ``n_features``.
+    eigenvalues or means, or an ``alpha`` or ridge that is not a finite
+    nonnegative number, for one), an ``n_features`` or ``n_components``
+    other than the shape of ``components``, or a ``feature_scale`` that is
+    not a finite positive vector of length ``n_features``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -493,6 +495,10 @@ def load_model(path) -> ModelFile:
             ridge_background=reg.get("ridge_background"),
             floor_rel=reg.get("floor_rel"),
         )
+        for name, size in (("n_features", model.n_features), ("n_components", model.n_components)):
+            if type(doc[name]) is not int or doc[name] != size:  # JSON true == 1
+                raise InvalidInputError(f"{name} is {doc[name]!r}, but components are "
+                                        f"{model.n_features} x {model.n_components}")
         scale = doc.get("feature_scale")
         if scale is not None:
             scale = np.asarray(scale, dtype=np.float64)

@@ -26,6 +26,7 @@ feature space (``eigencore._lift``) and build the model (``_model``).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,13 +49,25 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _scalar(name: str, value, optional: bool = False) -> float | None:
+    """``value`` as a float when it is a finite real >= 0, not a bool; None if ``optional``."""
+    if value is None and optional:
+        return None
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0 <= value < np.inf):
+        raise InvalidInputError(f"{name} must be a finite nonnegative number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ComponentModel:
     """A fitted projection: unit-norm components plus their eigenvalues.
 
     ``target_mean`` is subtracted before projecting; ``alpha`` is present
     exactly when ``method == "cpca"``. The ridge/floor fields record the
-    regularization that went into the fit.
+    regularization that went into the fit. Each scalar is stored as a
+    finite nonnegative float; ``alpha``, ``ridge_background`` and
+    ``floor_rel`` may also be None.
     """
 
     method: str
@@ -89,6 +102,9 @@ class ComponentModel:
             raise InvalidInputError("alpha must be present exactly for cpca models")
         if mean.shape != (comps.shape[0],):
             raise DimensionError(f"target_mean must have length {comps.shape[0]}")
+        for name in ("alpha", "ridge_target", "ridge_background", "floor_rel"):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name),
+                                                   optional=name != "ridge_target"))
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "target_mean", mean)
@@ -174,30 +190,30 @@ def _data_span(covs: Sequence[CovarianceEstimate], d: int) -> eigencore._Span | 
 
 
 def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
-                         d: int) -> tuple[eigencore._Reflectors | None, list[np.ndarray]]:
-    """A fit's basis and reduced matrices on wide data (:func:`_data_span`).
+                         d: int) -> tuple[eigencore._Span | None, list[np.ndarray]]:
+    """A fit's span and reduced matrices on wide data (:func:`_data_span`).
 
     Returns ``(None, full matrices)`` when the fit is not reduced.
     """
     span = _data_span(covs, d)
     if span is None:
         return None, [c.matrix for c in covs]
-    return span.basis, eigencore._span_grams(span)
+    return span, eigencore._span_grams(span)
 
 
-def _top(basis: eigencore._Reflectors | None, mat: np.ndarray,
+def _top(span: eigencore._Span | None, mat: np.ndarray,
          d: int) -> tuple[np.ndarray, np.ndarray]:
     """The top-``d`` components and eigenvalues of a fit's symmetric matrix.
 
-    ``mat`` is reduced when ``basis`` is not None; it is then symmetric by
-    construction, and it is solved in scipy, the library of every reduced
-    fit, before its pairs are lifted.
+    ``mat`` is reduced to ``span`` when that is not None; it is then
+    symmetric by construction, its top pairs are taken in scipy, the library
+    of every reduced fit, and lifting them fixes their signs.
     """
-    if basis is None:
+    if span is None:
         eig = eigencore.sym_eigendecompose(mat, d)
-    else:
-        eig = eigencore._eigendecompose(mat, d, True)
-    return eigencore._lift(basis, eig.eigenvectors), eig.eigenvalues
+        return eig.eigenvectors, eig.eigenvalues
+    values, vectors = eigencore._top_pairs(mat, d, True)
+    return eigencore._lift(span, vectors), values
 
 
 def _model(method: str, covs: Sequence[CovarianceEstimate], components: np.ndarray,
@@ -227,12 +243,12 @@ def pca_fit(cxx: CovarianceEstimate, d: int,
     On wide data the eigenproblem is solved in the span of the target samples
     (see the module docstring); the result is the same.
     """
-    basis, (a,) = _reduce_to_data_span([cxx], d)
-    return _model("pca", [cxx], *_top(basis, a, d), target_mean)
+    span, (a,) = _reduce_to_data_span([cxx], d)
+    return _model("pca", [cxx], *_top(span, a, d), target_mean)
 
 
 def _cpca_reduce(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alphas: np.ndarray,
-                 d: int) -> tuple[eigencore._Reflectors | None, list[np.ndarray]]:
+                 d: int) -> tuple[eigencore._Span | None, list[np.ndarray]]:
     """Validate a cPCA request and reduce its covariances, once for all ``alphas``."""
     bad = alphas[~(np.isfinite(alphas) & (alphas >= 0))]
     if bad.size:
@@ -251,9 +267,9 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
     is solved in the span of the target and background samples (see the
     module docstring); the result is the same.
     """
-    basis, (a, b) = _cpca_reduce(cxx, cyy, np.array([alpha], dtype=np.float64), d)
-    return _model("cpca", [cxx, cyy], *_top(basis, a - alpha * b, d), target_mean,
-                  background_mean, alpha=float(alpha))
+    span, (a, b) = _cpca_reduce(cxx, cyy, np.array([alpha], dtype=np.float64), d)
+    return _model("cpca", [cxx, cyy], *_top(span, a - alpha * b, d), target_mean,
+                  background_mean, alpha=alpha)
 
 
 def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
@@ -279,9 +295,9 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
     """
     span = _data_span([cxx, cyy], d)
     if span is None:
-        basis, pairs = None, eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
+        pairs = eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
     else:
-        basis, pairs = span.basis, eigencore._span_pencil_eig(span, d, floor_rel)
+        pairs = eigencore._span_pencil_eig(span, d, floor_rel)
     if pairs.floor_applied:
         warnings.warn(
             f"the background covariance has eigenvalues below floor_rel={floor_rel:g} times "
@@ -289,13 +305,13 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
             "they were floored, so the floor, not the data, determines the dPCA result. "
             "Add a ridge to the background covariance (ridge= in sample_covariance, "
             "--ridge on the command line).", FloorAppliedWarning, stacklevel=2)
-    comps = eigencore._lift(basis, pairs.eigenvectors)
+    comps = eigencore._lift(span, pairs.eigenvectors)
     if orthonormalize and d > 1:
         q, r = np.linalg.qr(comps)
         q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]  # keep column orientation
         comps = eigencore.apply_sign_convention(q)
     return _model("dpca", [cxx, cyy], comps, pairs.eigenvalues, target_mean, background_mean,
-                  floor_rel=float(floor_rel))
+                  floor_rel=floor_rel)
 
 
 def subspace_affinity(u: np.ndarray, v: np.ndarray) -> float:
@@ -329,8 +345,8 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
         raise InvalidInputError(
             f"cannot select {n_select} alphas from a grid of {grid_arr.size}")
 
-    basis, (a, b) = _cpca_reduce(cxx, cyy, grid_arr, d)
-    pairs = [_top(basis, a - alpha * b, d) for alpha in grid_arr]
+    span, (a, b) = _cpca_reduce(cxx, cyy, grid_arr, d)
+    pairs = [_top(span, a - alpha * b, d) for alpha in grid_arr]
     n = grid_arr.size
     affinity = np.eye(n)
     for i in range(n):

@@ -213,8 +213,20 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-CASES = pytest.mark.parametrize("backgrounds,zscore", [(0, False), (1, False), (2, False),
-                                                       (0, True), (1, True), (2, True)])
+CASE_VALUES = [(0, False), (1, False), (2, False), (0, True), (1, True), (2, True)]
+CASES = pytest.mark.parametrize("backgrounds,zscore", CASE_VALUES)
+# each case in every layout; the C-ordered ones keep the plain case ids
+LAYOUT_CASES = pytest.mark.parametrize("backgrounds,zscore,layout", [
+    pytest.param(b, z, layout, id=f"{b}-{z}" if layout == "C" else f"{layout}-{b}-{z}")
+    for layout in ("C", "F", "view") for b, z in CASE_VALUES])
+
+
+def in_layout(table, layout):
+    """A new copy of ``table``: C-ordered, F-ordered, or a strided view of a wider array."""
+    if layout == "view":
+        wide = np.repeat(table.values, 2, axis=1)
+        return DataMatrix._adopt(wide[:, ::2], table.labels)
+    return DataMatrix(np.asarray(table.values, order=layout), table.labels)
 
 
 class TestFitInputs:
@@ -226,26 +238,31 @@ class TestFitInputs:
         for d, old in zip((target, *parts), before):
             assert same_bits(d.values, old)
             assert not d.values.flags.writeable
-        expected = target.values / inputs.scale if zscore else target.values
-        assert same_bits(inputs.target.values, expected)
+        scaled = target.values / inputs.scale if zscore else target.values
+        # the target the fits see: scaled, then less its mean, as its covariance holds it
+        assert same_bits(inputs.target.values, scaled - scaled.mean(axis=0))
+        assert same_bits(inputs.target.values, inputs.covs[0].data)
         assert inputs.target.labels is target.labels
 
-    @CASES
-    def test_consume_gives_the_default_fit(self, rng, backgrounds, zscore):
+    @LAYOUT_CASES
+    def test_consume_gives_the_default_fit(self, rng, backgrounds, zscore, layout):
         target, parts = table_pair(rng, backgrounds)
-        copies = [DataMatrix(d.values, d.labels) for d in (target, *parts)]
-        default = fit_inputs(copies[0], copies[1:], ridge=0.5, zscore=zscore)
+        copy, copies = in_layout(target, layout), [in_layout(p, layout) for p in parts]
+        target, parts = in_layout(target, layout), [in_layout(p, layout) for p in parts]
+        default = fit_inputs(copy, copies, ridge=0.5, zscore=zscore)
         consumed = fit_inputs(target, parts, ridge=0.5, zscore=zscore, consume=True)
         assert (consumed.scale is None) == (default.scale is None)
         if zscore:
             assert same_bits(consumed.scale, default.scale)
+        assert same_bits(consumed.target.values, default.target.values)
+        assert consumed.target.values.flags.f_contiguous == (layout == "F")
+        assert default.target.values.flags.f_contiguous == (layout == "F")
+        assert np.array_equal(consumed.target.labels, default.target.labels)
         for mine, theirs in zip(consumed.means, default.means, strict=True):
             assert same_bits(mine, theirs)
         for mine, theirs in zip(consumed.covs, default.covs, strict=True):
             assert same_bits(mine.data, theirs.data)
             assert same_bits(mine.matrix, theirs.matrix)
-        assert same_bits(consumed.target.values, default.target.values - default.means[0])
-        assert np.array_equal(consumed.target.labels, target.labels)
 
     @pytest.mark.parametrize("zscore", [False, True])
     def test_consume_holds_each_table_once(self, rng, zscore):
@@ -296,6 +313,21 @@ class TestPooledStd:
             tables[0][:, 0] = -0.0  # the sum starts at +0.0; the std must not see it
             monkeypatch.setattr(datamodel, "_STD_BLOCK_BYTES", 8 * width * int(rng.integers(1, 50)))
             assert same_bits(datamodel._pooled_std(tables), np.vstack(tables).std(axis=0))
+
+
+def test_default_copies_each_table_once():
+    # z-scored, the default holds one copy of each table plus a finiteness
+    # mask and the pooled std's block buffer (1.14x measured); dividing
+    # copies of the tables and then centering copies of those took 1.48x
+    pair = gen_pair(default_subgroup_spec(n_features=50, seed=1), 8000, 12000,
+                    spread_offsets(2, 1, 6.0))
+    tracemalloc.start()
+    try:
+        fit_inputs(pair.target, [pair.background], zscore=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * (pair.target.values.nbytes + pair.background.values.nbytes)
 
 
 @pytest.mark.parametrize("zscore", [False, True])

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -20,3 +22,6 @@ def test_library_quickstart_runs():
     assert model.target_mean is not None and model.background_mean is not None
     assert model.background_mean.shape == model.target_mean.shape == (100,)
     assert embedding.coordinates.shape == (2000, 2)
+    # transform of the raw target projects the centered target the fit was built from
+    inputs = namespace["inputs"]
+    assert np.array_equal(embedding.coordinates, inputs.target.values @ model.components)

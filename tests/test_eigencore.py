@@ -471,9 +471,9 @@ class TestReduceToSpan:
         target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
         background = rng.standard_normal((n, dim))
         span = ec._span_qr([(target, m, ridges[0]), (background, n, ridges[1])], d)
-        basis, (a, b) = span.basis, ec._span_grams(span)
+        a, b = ec._span_grams(span)
         order = m + n + d
-        q, _ = lapack.dgemqrt(basis.reflectors, basis.t, np.eye(dim, order, order="F"), "L", "N")
+        q, _ = lapack.dgemqrt(span.reflectors, span.t, np.eye(dim, order, order="F"), "L", "N")
         for block, x, count, ridge in ((a, target, m, ridges[0]), (b, background, n, ridges[1])):
             cov = x.T @ x / count + ridge * np.eye(dim)
             np.testing.assert_allclose(block, q.T @ cov @ q, rtol=0, atol=1e-12 * np.linalg.norm(cov))
@@ -514,14 +514,17 @@ class TestOneEigensolve:
         assert not hasattr(ec, "_top_subset_eigh")
 
     def test_callers_do_not_reverse_the_pairs(self):
-        tree = ast.parse((self.SOURCE / "eigencore.py").read_text())
-        callers = [func for func in self.functions(tree) if "_top_pairs" in self.called(func)]
-        assert {func.name for func in callers} == {
-            "_eigendecompose", "_whitening", "_floored_whitening_eig",
-            "_cholesky_eig", "_whitened_span_eig"}
-        for func in callers:
+        callers = {f"{path.stem}.{func.name}": func
+                   for path in sorted(self.SOURCE.glob("*.py"))
+                   for func in self.functions(ast.parse(path.read_text()))
+                   if "_top_pairs" in self.called(func)}
+        assert set(callers) == {
+            "eigencore.sym_eigendecompose", "eigencore._whitening",
+            "eigencore._floored_whitening_eig", "eigencore._cholesky_eig",
+            "eigencore._whitened_span_eig", "methods._top"}
+        for name, func in callers.items():
             steps = [node.step for node in ast.walk(func) if isinstance(node, ast.Slice)]
-            assert all(step is None for step in steps), func.name
+            assert all(step is None for step in steps), name
 
     def test_validation_and_signs_once(self, rng, monkeypatch):
         calls = []

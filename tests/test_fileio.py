@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import tracemalloc
 from fractions import Fraction
@@ -988,6 +989,38 @@ class TestModelRoundTrip:
         path.write_text(path.read_text().replace('"format_version": 1',
                                                  f'"format_version": {version}'))
         with pytest.raises(InvalidInputError, match=f"unsupported model format version {loaded}$"):
+            fileio.load_model(path)
+
+    @pytest.mark.parametrize("field,value", [("n_features", 7), ("n_components", 9),
+                                             ("n_features", 5.0), ("n_components", True)])
+    def test_shape_fields_must_match_components(self, tmp_path, rng, field, value):
+        # the model is 5 features by 2 components; 5.0 and true compare equal to ints
+        path = tmp_path / "model.json"
+        model = make_models(rng)[0]
+        fileio.save_model(path, model)
+        doc = json.loads(path.read_text())
+        assert (doc["n_features"], doc["n_components"]) == (5, 2)
+        fileio.write_json(path, {**doc, field: value})
+        with pytest.raises(InvalidInputError, match=f"malformed model file: {field} is"):
+            fileio.load_model(path)
+        del doc[field]
+        fileio.write_json(path, doc)
+        with pytest.raises(InvalidInputError, match=f"missing field '{field}'"):
+            fileio.load_model(path)
+
+    @pytest.mark.parametrize("field,value", [("alpha", "abc"), ("alpha", -2.0),
+                                             ("ridge_target", "zz"), ("ridge_background", -1.0),
+                                             ("floor_rel", True)])
+    def test_bad_scalar_rejected(self, tmp_path, rng, field, value):
+        path = tmp_path / "model.json"
+        fileio.save_model(path, make_models(rng)[1])  # the cPCA model
+        doc = json.loads(path.read_text())
+        if field == "alpha":
+            doc["alpha"] = value
+        else:
+            doc["regularization"][field] = value
+        fileio.write_json(path, doc)
+        with pytest.raises(InvalidInputError, match=f"malformed model file: {field} must be"):
             fileio.load_model(path)
 
     @pytest.mark.parametrize("scale", [[1.0] * 4, [1.0] * 6, [[1.0] * 5]])

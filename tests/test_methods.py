@@ -415,15 +415,14 @@ class TestWideDataReduction:
 
     @staticmethod
     def solve_orders(monkeypatch):
-        """Record ``(name, order)`` of every PCA/cPCA eigensolve and leaf pencil solve.
+        """Record ``(name, order)`` of every symmetric eigensolve and leaf pencil solve.
 
-        ``_eigendecompose`` is the one PCA/cPCA solve, dense (through
-        ``sym_eigendecompose``) or reduced. A leaf solves through
-        ``eigencore._top_pairs`` and makes no ``_eigendecompose`` call, so a
-        dPCA fit records its leaf alone.
+        ``_top_pairs`` is the one eigensolve: a PCA/cPCA fit, dense (through
+        ``sym_eigendecompose``) or reduced, records it alone, and a dPCA fit
+        records its leaf and then the leaf's eigensolve.
         """
         orders = []
-        for name in ("_eigendecompose",) + PENCIL_SOLVERS:
+        for name in ("_top_pairs",) + PENCIL_SOLVERS:
             real = getattr(ec, name)
 
             def spy(mat, *args, real=real, name=name, **kwargs):
@@ -453,7 +452,7 @@ class TestWideDataReduction:
         del orders[:]
         pc = methods.pca_fit(cxx, d)
         monkeypatch.undo()
-        assert orders == [("_eigendecompose", m + d)]
+        assert orders == [("_top_pairs", m + d)]
 
         ref = ec.generalized_eig(cxx.matrix, cyy.matrix, d)
         floor_warnings = [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
@@ -477,7 +476,7 @@ class TestWideDataReduction:
             orders = self.solve_orders(monkeypatch)
             model = methods.cpca_fit(cxx, cyy, alpha, d)
             monkeypatch.undo()
-            assert orders == [("_eigendecompose", m + n + d)]
+            assert orders == [("_top_pairs", m + n + d)]
             dense = ec.sym_eigendecompose(cxx.matrix - alpha * cyy.matrix, d)
             assert_top_d_matches(model, dense.eigenvalues, dense.eigenvectors)
 
@@ -687,7 +686,7 @@ class TestWideDataReduction:
         assert {order for _, order in orders} == {300}
         del orders[:]
         methods.pca_fit(cxx, 3)
-        assert orders == [("_eigendecompose", 103)]
+        assert orders == [("_top_pairs", 103)]
 
 
 class TestOneLeafPerFit:
@@ -988,6 +987,28 @@ class TestComponentModelInvariants:
             methods.ComponentModel(method="cpca", components=np.eye(2),
                                    eigenvalues=np.array([2.0, 1.0]),
                                    target_mean=np.zeros(2))
+
+    @pytest.mark.parametrize("field,method,value", [
+        *(("alpha", "cpca", bad) for bad in (np.nan, np.inf, -1.0, "abc", True)),
+        *((field, "dpca", bad) for field in ("ridge_target", "ridge_background", "floor_rel")
+          for bad in (np.nan, -np.inf, -1e-3, "x", False)),
+        ("ridge_target", "pca", None)])
+    def test_bad_scalar_rejected(self, field, method, value):
+        fields = {"alpha": 1.0} if method == "cpca" else {}
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite nonnegative"):
+            methods.ComponentModel(method=method, components=np.eye(2),
+                                   eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(2),
+                                   **{**fields, field: value})
+
+    def test_scalars_stored_as_floats(self):
+        model = methods.ComponentModel(method="cpca", components=np.eye(2),
+                                       eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(2),
+                                       alpha=np.float32(2.5), ridge_target=1,
+                                       ridge_background=np.int64(0), floor_rel=None)
+        assert [type(v) for v in (model.alpha, model.ridge_target, model.ridge_background)] \
+            == [float, float, float]
+        assert (model.alpha, model.ridge_target, model.ridge_background) == (2.5, 1.0, 0.0)
+        assert model.floor_rel is None
 
     def test_unit_columns_enforced(self):
         with pytest.raises(InvalidInputError):
