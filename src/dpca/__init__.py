@@ -6,11 +6,9 @@ eigensolver, plus factor-model generators for benchmarking and a CLI.
 """
 
 from .datamodel import (
-    CenteredDataset,
     CovarianceEstimate,
     DataMatrix,
     center,
-    concat_rows,
     fit_inputs,
     sample_covariance,
 )
@@ -40,6 +38,7 @@ from .methods import (
     cpca_fit,
     cpca_select_alphas,
     dpca_fit,
+    fit,
     pca_fit,
     pencil_residual,
     transform,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaSelection",
-    "CenteredDataset",
     "ComponentModel",
     "CovarianceEstimate",
     "DataMatrix",
@@ -78,11 +76,11 @@ __all__ = [
     "SymmetryError",
     "WhiteningFactor",
     "center",
-    "concat_rows",
     "cpca_fit",
     "cpca_select_alphas",
     "default_subgroup_spec",
     "dpca_fit",
+    "fit",
     "fit_inputs",
     "gen_background",
     "gen_pair",

@@ -95,26 +95,10 @@ def _prepare(args) -> tuple[FitInputs, np.ndarray]:
 
 def _fit(method: str, inputs: FitInputs, grid: np.ndarray, args,
          alpha: float | None = None) -> tuple[list[methods.ComponentModel], float]:
-    """The models of one fit, and the seconds the fit alone took.
-
-    cPCA without ``alpha`` gives a model at each alpha that auto-selection
-    picks over ``grid``. The selection has already solved at each selected
-    alpha; its pairs are the ones ``cpca_fit`` would return, so nothing is
-    refitted. Every other fit gives one model.
-    """
+    """The models of one fit (:func:`methods.fit`), and the seconds the fit alone took."""
     started = time.perf_counter()
-    if method == "pca":
-        models = [methods.pca_fit(inputs.covs[0], args.components, target_mean=inputs.means[0])]
-    elif method == "dpca":
-        models = [methods.dpca_fit(*inputs.covs, args.components, args.floor, *inputs.means)]
-    elif alpha is not None:
-        models = [methods.cpca_fit(*inputs.covs, alpha, args.components, *inputs.means)]
-    else:
-        selection = methods.cpca_select_alphas(
-            *inputs.covs, grid, args.components, args.select, seed=args.seed)
-        models = [methods._model("cpca", inputs.covs, components, values, *inputs.means, alpha=a)
-                  for a, components, values in zip(selection.selected, selection.components,
-                                                   selection.eigenvalues)]
+    models = methods.fit(method, inputs, args.components, alpha=alpha, grid=grid,
+                         select=args.select, seed=args.seed, floor_rel=args.floor)
     return models, time.perf_counter() - started
 
 
@@ -276,23 +260,24 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     offsets = synthgen.spread_offsets(args.clusters, args.specific, args.separation)
-    pair = synthgen.gen_pair(spec, args.target_samples, args.background_samples, offsets)
 
     prefix = Path(args.out)
     fileio.ensure_parent(prefix.with_name(prefix.name + "_target.csv"))
     target_path = f"{prefix}_target.csv"
     background_path = f"{prefix}_background.csv"
     truth_path = f"{prefix}_truth.json"
-    fileio.write_data_csv(target_path, pair.target)
-    fileio.write_data_csv(background_path, pair.background)
+    # one generated table at a time: each is written and dropped before the
+    # next is drawn, from its own random stream, so the order cannot move a byte
+    fileio.write_data_csv(target_path, synthgen.gen_target(spec, args.target_samples, offsets))
+    fileio.write_data_csv(background_path, synthgen.gen_background(spec, args.background_samples))
     # every FactorModelSpec field, in declaration order, which is the file's key order
     truth = {"n_features": spec.n_features, "n_shared": spec.n_shared,
              "n_specific": spec.n_specific,
              **{f.name: np.asarray(getattr(spec, f.name)).tolist() for f in fields(spec)},
              "cluster_offsets": offsets.tolist()}
     fileio.write_json(truth_path, truth)
-    print(f"wrote {target_path} ({pair.target.m} rows), "
-          f"{background_path} ({pair.background.m} rows), {truth_path}")
+    print(f"wrote {target_path} ({args.target_samples} rows), "
+          f"{background_path} ({args.background_samples} rows), {truth_path}")
     return 0
 
 

@@ -213,7 +213,8 @@ def _pooled_std(arrays: Sequence[np.ndarray]) -> np.ndarray:
     width = arrays[0].shape[1]
     if width == 1:
         return np.vstack(arrays).std(axis=0)
-    rows = max(1, _STD_BLOCK_BYTES // (8 * width))
+    # a block need not be longer than the longest table
+    rows = max(1, min(_STD_BLOCK_BYTES // (8 * width), max(arr.shape[0] for arr in arrays)))
     buf = np.empty((rows + 1, width))
     count = sum(arr.shape[0] for arr in arrays)
 

@@ -13,7 +13,10 @@ directions and their associated eigenvalues:
   target variance to background variance. Parameter-free, and it needs a
   single pencil solve.
 
-``pencil_residual`` certifies that a dPCA model solves its pencil.
+``fit`` is the one entry point from the ``FitInputs`` of
+``datamodel.fit_inputs`` to models: it runs the method's fit above on the
+inputs' covariances and means. ``pencil_residual`` certifies that a dPCA
+model solves its pencil.
 
 On wide data (far fewer samples than features, from
 ``eigencore.TOP_D_MIN_DIM`` features up) the three fits solve exactly the
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import eigencore
 from .cluster import spectral_cluster
-from .datamodel import CovarianceEstimate, DataMatrix
+from .datamodel import CovarianceEstimate, DataMatrix, FitInputs
 from .errors import DimensionError, FloorAppliedWarning, InvalidInputError
 
 METHODS = ("pca", "cpca", "dpca")
@@ -370,6 +373,40 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
                           selected=grid_arr[chosen],
                           components=tuple(pairs[i][0] for i in chosen),
                           eigenvalues=tuple(pairs[i][1] for i in chosen))
+
+
+def fit(method: str, inputs: FitInputs, d: int, *, alpha: float | None = None,
+        grid: Sequence[float] = (), select: int = 4, seed: int = 0,
+        floor_rel: float = eigencore.DEFAULT_FLOOR_REL) -> list[ComponentModel]:
+    """The models of one ``method`` fit to ``inputs``, with the inputs' means.
+
+    PCA fits the target alone, also when ``inputs`` hold a background; cPCA
+    and dPCA need one. cPCA at ``alpha`` and every other fit give one model.
+    cPCA without ``alpha`` gives one model per alpha that
+    :func:`cpca_select_alphas` picks from ``grid`` (``select`` of them,
+    clustered with ``seed``), built from the selection's own pairs, so
+    nothing is refitted. ``floor_rel`` is dPCA's eigenvalue floor.
+
+    Raises
+    ------
+    InvalidInputError
+        For an unknown method, or cPCA or dPCA on inputs without a
+        background, before any solve; and as the fit itself raises, e.g. for
+        cPCA with neither ``alpha`` nor a nonempty ``grid``.
+    """
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method == "pca":
+        return [pca_fit(inputs.covs[0], d, target_mean=inputs.means[0])]
+    if len(inputs.covs) < 2:
+        raise InvalidInputError(f"{method} needs background data")
+    if method == "dpca":
+        return [dpca_fit(*inputs.covs, d, floor_rel, *inputs.means)]
+    if alpha is not None:
+        return [cpca_fit(*inputs.covs, alpha, d, *inputs.means)]
+    selection = cpca_select_alphas(*inputs.covs, grid, d, select, seed=seed)
+    return [_model("cpca", inputs.covs, *pairs, *inputs.means, alpha=a) for a, *pairs
+            in zip(selection.selected, selection.components, selection.eigenvalues)]
 
 
 def transform(model: ComponentModel, raw: DataMatrix) -> EmbeddingResult:

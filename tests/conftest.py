@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def reference_read(path):
     if 2 * sum(map(number, rows[0])) < len(rows[0]):
         rows = rows[1:]
     return np.array([[float(cell) for cell in row] for row in rows])
+
+
+def assert_same_model(one, two):
+    """Two fitted models agree in every field, their arrays bit for bit."""
+    for field in dataclasses.fields(one):
+        a, b = getattr(one, field.name), getattr(two, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
 
 
 @pytest.fixture

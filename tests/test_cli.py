@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,9 +276,10 @@ class TestLibraryPath:
         ("dpca", 1, ()),
         ("dpca", 2, ()),
         ("cpca", 1, ("--alpha", "2", "--zscore", "--ridge", "0.5")),
+        ("cpca", 1, ("--auto-alpha", "--zscore", "--select", "3", "--seed", "3")),
     ])
     def test_fit_writes_the_library_model(self, tmp_path, method, backgrounds, flags):
-        # read_csv -> fit_inputs -> fit -> save_model is the path fit runs
+        # read_csv -> fit_inputs -> dpca.fit -> save_model is the path fit runs
         prefix = tmp_path / "exp"
         run("synth", "--features", 20, "-m", 150, "-n", 200, "--seed", 4, "--out", prefix)
         target = f"{prefix}_target.csv"
@@ -292,15 +294,17 @@ class TestLibraryPath:
         inputs = dpca.fit_inputs(fileio.read_csv(target), [fileio.read_csv(p) for p in parts],
                                  ridge=0.5 if "--ridge" in flags else 0.0,
                                  zscore="--zscore" in flags)
-        target_mean, background_mean = inputs.means
-        if method == "dpca":
-            model = dpca.dpca_fit(*inputs.covs, 2, target_mean=target_mean,
-                                  background_mean=background_mean)
+        if "--auto-alpha" in flags:
+            models = dpca.fit(method, inputs, 2, grid=parse_grid(cli.DEFAULT_GRID), select=3, seed=3)
+            cli_paths = [tmp_path / f"cli_a{i}.json" for i in range(1, len(models) + 1)]
         else:
-            model = dpca.cpca_fit(*inputs.covs, 2.0, 2, target_mean, background_mean)
-        provenance = json.loads(cli_path.read_text())["provenance"]
-        fileio.save_model(lib_path, model, feature_scale=inputs.scale, provenance=provenance)
-        assert lib_path.read_bytes() == cli_path.read_bytes()
+            models = dpca.fit(method, inputs, 2, alpha=2.0 if method == "cpca" else None)
+            cli_paths = [cli_path]
+        assert sorted(tmp_path.glob("cli*.json")) == cli_paths
+        for model, path in zip(models, cli_paths):
+            provenance = json.loads(path.read_text())["provenance"]
+            fileio.save_model(lib_path, model, feature_scale=inputs.scale, provenance=provenance)
+            assert lib_path.read_bytes() == path.read_bytes()
 
 
 class TestStartup:
@@ -397,6 +401,20 @@ def loadtxt_calls(monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", counted)
     return calls
+
+
+def test_synth_holds_one_generated_table_at_a_time(tmp_path):
+    # the background, its noise draw and the write buffers: 2.21x the
+    # background measured, where holding the target too took 2.89x
+    features, m, n = 50, 4000, 6000
+    run("synth", "-m", 10, "-n", 10, "--out", tmp_path / "warm")  # one-time allocations
+    tracemalloc.start()
+    try:
+        assert run("synth", "--features", features, "-m", m, "-n", n, "--out", tmp_path / "s") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (8 * n * features)
 
 
 class TestReadRoute:

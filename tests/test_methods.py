@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from dpca import eigencore as ec
 from dpca import methods
-from dpca.datamodel import CovarianceEstimate, DataMatrix, center, sample_covariance
+from dpca.datamodel import CovarianceEstimate, DataMatrix, center, fit_inputs, sample_covariance
 from dpca.errors import DimensionError, FloorAppliedWarning, InvalidInputError
+from dpca.synthgen import default_subgroup_spec, gen_pair, spread_offsets
 
-from conftest import PENCIL_SOLVERS, random_orthogonal, random_spd
+from conftest import PENCIL_SOLVERS, assert_same_model, random_orthogonal, random_spd
 
 
 def cov(mat, ridge=0.0):
@@ -390,6 +391,65 @@ class TestAlphaSelection:
             model = methods.cpca_fit(cxx, cyy, float(alpha), 3)
             assert np.array_equal(components, model.components)
             assert np.array_equal(values, model.eigenvalues)
+
+
+# a dense fit; and a wide one with a ridge, reduced to the span of its samples
+FIT_SHAPES = pytest.mark.parametrize("dim,m,n,ridge", [(20, 150, 200, 0.0), (300, 30, 60, 1.0)],
+                                     ids=["dense", "wide"])
+
+
+class TestFit:
+    """``methods.fit`` makes the direct call of its method on the inputs' covariances and means."""
+
+    @staticmethod
+    def inputs(dim=20, m=150, n=200, ridge=0.0, backgrounds=1):
+        pair = gen_pair(default_subgroup_spec(n_features=dim, seed=2), m, n,
+                        spread_offsets(2, 1, 6.0))
+        return fit_inputs(pair.target, [pair.background] * backgrounds, ridge=ridge)
+
+    @FIT_SHAPES
+    @pytest.mark.parametrize("method,backgrounds,kwargs", [
+        ("pca", 0, {}),
+        ("pca", 1, {}),  # the background is left out, as compare's PCA leaves it
+        ("dpca", 1, {}),
+        ("dpca", 1, {"floor_rel": 1e-6}),
+        ("cpca", 1, {"alpha": 2.5}),
+    ])
+    def test_equals_the_direct_call(self, dim, m, n, ridge, method, backgrounds, kwargs):
+        inputs = self.inputs(dim, m, n, ridge, backgrounds)
+        covs, means = inputs.covs, inputs.means
+        (model,) = methods.fit(method, inputs, 2, **kwargs)
+        if method == "pca":
+            direct = methods.pca_fit(covs[0], 2, target_mean=means[0])
+        elif method == "dpca":
+            direct = methods.dpca_fit(covs[0], covs[1], 2, target_mean=means[0],
+                                      background_mean=means[1], **kwargs)
+        else:
+            direct = methods.cpca_fit(covs[0], covs[1], 2.5, 2, means[0], means[1])
+        assert_same_model(model, direct)
+
+    @FIT_SHAPES
+    def test_auto_alpha_gives_a_model_per_selected_alpha(self, dim, m, n, ridge):
+        inputs = self.inputs(dim, m, n, ridge)
+        grid = np.geomspace(0.001, 1000, 15)
+        models = methods.fit("cpca", inputs, 2, grid=grid, select=3, seed=1)
+        selection = methods.cpca_select_alphas(*inputs.covs, grid, 2, 3, seed=1)
+        assert [model.alpha for model in models] == selection.selected.tolist()
+        for model in models:
+            assert_same_model(model, methods.cpca_fit(*inputs.covs, model.alpha, 2, *inputs.means))
+
+    def test_errors_come_before_any_fit(self, monkeypatch):
+        inputs, target_only = self.inputs(), self.inputs(backgrounds=0)
+        # every fit validates its covariances there first
+        monkeypatch.setattr(methods, "_data_span", lambda *args: pytest.fail("a fit started"))
+        with pytest.raises(InvalidInputError, match="unknown method 'ica'"):
+            methods.fit("ica", inputs, 2)
+        for method in ("dpca", "cpca"):
+            with pytest.raises(InvalidInputError, match=f"{method} needs background data"):
+                methods.fit(method, target_only, 2, alpha=1.0)
+        # cPCA with neither an alpha nor a grid: the selection's own error
+        with pytest.raises(InvalidInputError, match="alpha grid must be a nonempty 1-D sequence"):
+            methods.fit("cpca", inputs, 2)
 
 
 class TestWideDataReduction:
