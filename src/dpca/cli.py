@@ -102,12 +102,12 @@ def _fit(method: str, inputs: FitInputs, grid: np.ndarray, args,
     return models, time.perf_counter() - started
 
 
-def _provenance(args, scale) -> dict:
+def _provenance(args) -> dict:
     return {
         "target_file": str(args.target),
         "background_files": [str(p) for p in (args.background or [])],
         "seed": args.seed,
-        "zscore": bool(scale is not None),
+        "zscore": args.zscore,
         "created_utc": _utc_now(),
     }
 
@@ -146,8 +146,7 @@ def cmd_fit(args) -> int:
     for i, model in enumerate(models, start=1):
         path = (out.with_name(f"{out.stem}_a{i}{out.suffix or '.json'}") if args.auto_alpha
                 else args.out)
-        fileio.save_model(fileio.ensure_parent(path), model,
-                          feature_scale=inputs.scale, provenance=_provenance(args, inputs.scale))
+        fileio.save_model(fileio.ensure_parent(path), model, provenance=_provenance(args))
         eigs = f"eigenvalues: {_eigs_str(model.eigenvalues)}"
         print(f"alpha={model.alpha:.6g} {eigs} -> {path}" if args.auto_alpha else
               f"{args.method} d={args.components} {eigs} ({seconds:.3f} s) -> {path}")
@@ -157,12 +156,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    stored = fileio.load_model(args.model)
-    data = fileio.read_csv(args.data)
-    # data of another width is left unscaled, for transform's DimensionError
-    if stored.feature_scale is not None and data.n_features == stored.model.n_features:
-        data = data.scaled(stored.feature_scale)
-    emb = methods.transform(stored.model, data)
+    emb = methods.transform(fileio.load_model(args.model).model, fileio.read_csv(args.data))
     fileio.write_embedding_csv(fileio.ensure_parent(args.out), emb.coordinates, emb.labels)
     print(f"wrote {emb.coordinates.shape[0]}x{emb.coordinates.shape[1]} embedding -> {args.out}")
     return 0
@@ -183,8 +177,8 @@ def cmd_compare(args) -> int:
 
     Each embedding projects ``inputs.target``, the centered target that the
     fits were built from: ``inputs.target.values @ components`` gives the
-    same numbers as ``transform`` of the raw target, whose ``raw - mean`` is
-    the same subtraction, without a second copy of the target.
+    same numbers as ``transform`` of the raw target, whose ``raw / scale -
+    mean`` is the same arithmetic, without a second copy of the target.
     """
     inputs, grid = _prepare(args)
     prefix = Path(args.out)

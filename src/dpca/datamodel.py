@@ -78,10 +78,6 @@ class DataMatrix:
     def n_features(self) -> int:
         return self.values.shape[1]
 
-    def scaled(self, scale: np.ndarray) -> DataMatrix:
-        """These samples with each feature divided by its ``scale`` entry; labels kept."""
-        return DataMatrix._adopt(self.values / scale, self.labels)
-
 
 @dataclass(frozen=True)
 class CenteredDataset:

@@ -418,18 +418,16 @@ def write_embedding_csv(path, coordinates: np.ndarray, labels=None) -> None:
 class ModelFile:
     """A serialized fit: the model plus CLI-level context.
 
-    ``feature_scale`` is the per-feature divisor applied before fitting when
-    z-scoring was requested (None otherwise); transform must re-apply it.
     ``provenance`` records input file names, the seed, and a timestamp, and
     carries no numeric content.
     """
 
     model: ComponentModel
-    feature_scale: np.ndarray | None = None
     provenance: dict | None = None
 
 
-def save_model(path, model: ComponentModel, feature_scale=None, provenance=None) -> None:
+def save_model(path, model: ComponentModel, provenance=None) -> None:
+    """Write ``model`` as a JSON model file, its ``feature_scale`` included, with ``provenance``."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "method": model.method,
@@ -438,7 +436,7 @@ def save_model(path, model: ComponentModel, feature_scale=None, provenance=None)
         "alpha": model.alpha,
         "target_mean": model.target_mean.tolist(),
         "background_mean": None if model.background_mean is None else model.background_mean.tolist(),
-        "feature_scale": None if feature_scale is None else np.asarray(feature_scale, dtype=np.float64).tolist(),
+        "feature_scale": None if model.feature_scale is None else model.feature_scale.tolist(),
         "components": model.components.tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
         "regularization": {
@@ -463,11 +461,12 @@ def load_model(path) -> ModelFile:
 
     Anything that is not such a file is an :class:`InvalidInputError` naming
     ``path``: text that is not JSON, a document that is not an object, a
-    missing field, and values the model would reject (non-finite components,
-    eigenvalues or means, or an ``alpha`` or ridge that is not a finite
-    nonnegative number, for one), an ``n_features`` or ``n_components``
-    other than the shape of ``components``, or a ``feature_scale`` that is
-    not a finite positive vector of length ``n_features``.
+    missing field, values the model would reject (non-finite components,
+    eigenvalues, means or ``feature_scale``, a mean or ``feature_scale``
+    that is not a vector of length ``n_features``, a ``feature_scale`` that
+    is not positive, or an ``alpha`` or ridge that is not a finite
+    nonnegative number, for some), and an ``n_features`` or
+    ``n_components`` other than the shape of ``components``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -494,24 +493,18 @@ def load_model(path) -> ModelFile:
             ridge_target=reg.get("ridge_target", 0.0),
             ridge_background=reg.get("ridge_background"),
             floor_rel=reg.get("floor_rel"),
+            feature_scale=None if doc.get("feature_scale") is None
+            else np.asarray(doc["feature_scale"], dtype=np.float64),
         )
         for name, size in (("n_features", model.n_features), ("n_components", model.n_components)):
             if type(doc[name]) is not int or doc[name] != size:  # JSON true == 1
                 raise InvalidInputError(f"{name} is {doc[name]!r}, but components are "
                                         f"{model.n_features} x {model.n_components}")
-        scale = doc.get("feature_scale")
-        if scale is not None:
-            scale = np.asarray(scale, dtype=np.float64)
-            if scale.shape != (model.n_features,):
-                raise InvalidInputError(f"feature_scale has shape {scale.shape}, "
-                                        f"expected ({model.n_features},)")
-            if not np.all((scale > 0) & (scale < np.inf)):  # nan fails both
-                raise InvalidInputError("feature_scale must be finite and positive")
     except KeyError as exc:
         raise InvalidInputError(f"{path}: model file is missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError, InvalidInputError) as exc:
         raise InvalidInputError(f"{path}: malformed model file: {exc}") from exc
-    return ModelFile(model=model, feature_scale=scale, provenance=doc.get("provenance") or {})
+    return ModelFile(model=model, provenance=doc.get("provenance") or {})
 
 
 def ensure_parent(path) -> Path:

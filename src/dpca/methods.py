@@ -15,8 +15,9 @@ directions and their associated eigenvalues:
 
 ``fit`` is the one entry point from the ``FitInputs`` of
 ``datamodel.fit_inputs`` to models: it runs the method's fit above on the
-inputs' covariances and means. ``pencil_residual`` certifies that a dPCA
-model solves its pencil.
+inputs' covariances and means, and the models carry the inputs' z-score
+scale, so ``transform`` projects raw data as the fit saw it.
+``pencil_residual`` certifies that a dPCA model solves its pencil.
 
 On wide data (far fewer samples than features, from
 ``eigencore.TOP_D_MIN_DIM`` features up) the three fits solve exactly the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -66,11 +67,15 @@ def _scalar(name: str, value, optional: bool = False) -> float | None:
 class ComponentModel:
     """A fitted projection: unit-norm components plus their eigenvalues.
 
-    ``target_mean`` is subtracted before projecting; ``alpha`` is present
-    exactly when ``method == "cpca"``. The ridge/floor fields record the
-    regularization that went into the fit. Each scalar is stored as a
-    finite nonnegative float; ``alpha``, ``ridge_background`` and
-    ``floor_rel`` may also be None.
+    Raw data projects as ``(raw / feature_scale - target_mean) @
+    components``: ``feature_scale`` is the z-score divisor of a fit to
+    z-scored inputs and None otherwise, and ``target_mean`` is the mean of
+    the (scaled) target. ``alpha`` is present exactly when ``method ==
+    "cpca"``. The ridge/floor fields record the regularization that went
+    into the fit. Each scalar is stored as a finite nonnegative float;
+    ``alpha``, ``ridge_background`` and ``floor_rel`` may also be None. The
+    means and the scale are finite vectors of one entry per feature, and the
+    scale is positive.
     """
 
     method: str
@@ -82,18 +87,21 @@ class ComponentModel:
     ridge_target: float = 0.0
     ridge_background: float | None = None
     floor_rel: float | None = None
+    feature_scale: np.ndarray | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        comps = _frozen_array(self.components)
-        vals = _frozen_array(self.eigenvalues)
-        mean = _frozen_array(self.target_mean)
-        background = None if self.background_mean is None else _frozen_array(self.background_mean)
-        for name, arr in (("components", comps), ("eigenvalues", vals), ("target_mean", mean),
-                          ("background_mean", background)):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{name} must be finite")
+        arrays = {}
+        for name in ("components", "eigenvalues", "target_mean", "background_mean",
+                     "feature_scale"):
+            arr = getattr(self, name)
+            if arr is not None or name in ("components", "eigenvalues", "target_mean"):
+                arr = _frozen_array(arr)
+                if not np.all(np.isfinite(arr)):
+                    raise InvalidInputError(f"{name} must be finite")
+            arrays[name] = arr
+        comps, vals = arrays["components"], arrays["eigenvalues"]
         if comps.ndim != 2 or vals.ndim != 1 or comps.shape[1] != vals.shape[0]:
             raise DimensionError("components must be (D, d) with one eigenvalue per column")
         norms = np.linalg.norm(comps, axis=0)
@@ -103,15 +111,17 @@ class ComponentModel:
             raise InvalidInputError("eigenvalues must be sorted descending")
         if (self.alpha is not None) != (self.method == "cpca"):
             raise InvalidInputError("alpha must be present exactly for cpca models")
-        if mean.shape != (comps.shape[0],):
-            raise DimensionError(f"target_mean must have length {comps.shape[0]}")
+        for name in ("target_mean", "background_mean", "feature_scale"):
+            if arrays[name] is not None and arrays[name].shape != (comps.shape[0],):
+                raise DimensionError(f"{name} must have length {comps.shape[0]}, "
+                                     f"got shape {arrays[name].shape}")
+        if arrays["feature_scale"] is not None and np.any(arrays["feature_scale"] <= 0):
+            raise InvalidInputError("feature_scale must be positive")
         for name in ("alpha", "ridge_target", "ridge_background", "floor_rel"):
             object.__setattr__(self, name, _scalar(name, getattr(self, name),
                                                    optional=name != "ridge_target"))
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "target_mean", mean)
-        object.__setattr__(self, "background_mean", background)
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
 
     @property
     def n_features(self) -> int:
@@ -275,6 +285,40 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
                   background_mean, alpha=alpha)
 
 
+def _dpca(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int, floor_rel: float,
+          target_mean: np.ndarray | None, background_mean: np.ndarray | None,
+          orthonormalize: bool = False) -> tuple[ComponentModel, bool]:
+    """:func:`dpca_fit`'s model, and whether the eigenvalue floor was applied."""
+    span = _data_span([cxx, cyy], d)
+    if span is None:
+        pairs = eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
+    else:
+        pairs = eigencore._span_pencil_eig(span, d, floor_rel)
+    comps = eigencore._lift(span, pairs.eigenvectors)
+    if orthonormalize and d > 1:
+        q, r = np.linalg.qr(comps)
+        q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]  # keep column orientation
+        comps = eigencore.apply_sign_convention(q)
+    return _model("dpca", [cxx, cyy], comps, pairs.eigenvalues, target_mean, background_mean,
+                  floor_rel=floor_rel), pairs.floor_applied
+
+
+def _warn_floor(model: ComponentModel, floor_applied: bool) -> ComponentModel:
+    """``model``, after a :class:`~dpca.errors.FloorAppliedWarning` if its floor was applied.
+
+    Called straight from the public function, so the warning names that
+    function's caller.
+    """
+    if floor_applied:
+        warnings.warn(
+            f"the background covariance has eigenvalues below floor_rel={model.floor_rel:g} "
+            "times its largest (rank-deficient, e.g. fewer background samples than features); "
+            "they were floored, so the floor, not the data, determines the dPCA result. "
+            "Add a ridge to the background covariance (ridge= in sample_covariance, "
+            "--ridge on the command line).", FloorAppliedWarning, stacklevel=3)
+    return model
+
+
 def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
              floor_rel: float = eigencore.DEFAULT_FLOOR_REL,
              target_mean: np.ndarray | None = None,
@@ -296,25 +340,8 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
     was applied to the background covariance, because the floor then
     determines the result; a ridge on the background covariance avoids it.
     """
-    span = _data_span([cxx, cyy], d)
-    if span is None:
-        pairs = eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
-    else:
-        pairs = eigencore._span_pencil_eig(span, d, floor_rel)
-    if pairs.floor_applied:
-        warnings.warn(
-            f"the background covariance has eigenvalues below floor_rel={floor_rel:g} times "
-            "its largest (rank-deficient, e.g. fewer background samples than features); "
-            "they were floored, so the floor, not the data, determines the dPCA result. "
-            "Add a ridge to the background covariance (ridge= in sample_covariance, "
-            "--ridge on the command line).", FloorAppliedWarning, stacklevel=2)
-    comps = eigencore._lift(span, pairs.eigenvectors)
-    if orthonormalize and d > 1:
-        q, r = np.linalg.qr(comps)
-        q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]  # keep column orientation
-        comps = eigencore.apply_sign_convention(q)
-    return _model("dpca", [cxx, cyy], comps, pairs.eigenvalues, target_mean, background_mean,
-                  floor_rel=floor_rel)
+    return _warn_floor(*_dpca(cxx, cyy, d, floor_rel, target_mean, background_mean,
+                              orthonormalize))
 
 
 def subspace_affinity(u: np.ndarray, v: np.ndarray) -> float:
@@ -378,14 +405,20 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
 def fit(method: str, inputs: FitInputs, d: int, *, alpha: float | None = None,
         grid: Sequence[float] = (), select: int = 4, seed: int = 0,
         floor_rel: float = eigencore.DEFAULT_FLOOR_REL) -> list[ComponentModel]:
-    """The models of one ``method`` fit to ``inputs``, with the inputs' means.
+    """The models of one ``method`` fit to ``inputs``, with the inputs' means and scale.
 
     PCA fits the target alone, also when ``inputs`` hold a background; cPCA
     and dPCA need one. cPCA at ``alpha`` and every other fit give one model.
     cPCA without ``alpha`` gives one model per alpha that
     :func:`cpca_select_alphas` picks from ``grid`` (``select`` of them,
     clustered with ``seed``), built from the selection's own pairs, so
-    nothing is refitted. ``floor_rel`` is dPCA's eigenvalue floor.
+    nothing is refitted. ``floor_rel`` is dPCA's eigenvalue floor, and a
+    :class:`~dpca.errors.FloorAppliedWarning` names this function's caller.
+
+    Each model is the direct call's (:func:`pca_fit`, :func:`cpca_fit`,
+    :func:`dpca_fit`) on ``inputs.covs`` and ``inputs.means``, with
+    ``feature_scale`` set to ``inputs.scale``; so :func:`transform` of the
+    raw target gives ``inputs.target.values @ model.components``.
 
     Raises
     ------
@@ -396,25 +429,38 @@ def fit(method: str, inputs: FitInputs, d: int, *, alpha: float | None = None,
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method == "pca":
-        return [pca_fit(inputs.covs[0], d, target_mean=inputs.means[0])]
-    if len(inputs.covs) < 2:
+    if method != "pca" and len(inputs.covs) < 2:
         raise InvalidInputError(f"{method} needs background data")
-    if method == "dpca":
-        return [dpca_fit(*inputs.covs, d, floor_rel, *inputs.means)]
-    if alpha is not None:
-        return [cpca_fit(*inputs.covs, alpha, d, *inputs.means)]
-    selection = cpca_select_alphas(*inputs.covs, grid, d, select, seed=seed)
-    return [_model("cpca", inputs.covs, *pairs, *inputs.means, alpha=a) for a, *pairs
-            in zip(selection.selected, selection.components, selection.eigenvalues)]
+    if method == "pca":
+        models = [pca_fit(inputs.covs[0], d, target_mean=inputs.means[0])]
+    elif method == "dpca":
+        models = [_warn_floor(*_dpca(*inputs.covs, d, floor_rel, *inputs.means))]
+    elif alpha is not None:
+        models = [cpca_fit(*inputs.covs, alpha, d, *inputs.means)]
+    else:
+        selection = cpca_select_alphas(*inputs.covs, grid, d, select, seed=seed)
+        models = [_model("cpca", inputs.covs, *pairs, *inputs.means, alpha=a) for a, *pairs
+                  in zip(selection.selected, selection.components, selection.eigenvalues)]
+    return [replace(model, feature_scale=inputs.scale) for model in models]
 
 
 def transform(model: ComponentModel, raw: DataMatrix) -> EmbeddingResult:
-    """Project data onto a fitted model: subtract the stored mean, multiply."""
+    """Project raw data onto a fitted model: ``(raw / feature_scale - target_mean) @ components``.
+
+    The division is left out when the model has no ``feature_scale``. The
+    width is checked first, so data of another width is a
+    :class:`~dpca.errors.DimensionError` also when it would broadcast
+    against the scale.
+    """
     if raw.n_features != model.n_features:
         raise DimensionError(
             f"data has {raw.n_features} features, model expects {model.n_features}")
-    coords = (raw.values - model.target_mean) @ model.components
+    if model.feature_scale is None:
+        centered = raw.values - model.target_mean
+    else:  # subtracting in place holds one copy of the table, not two
+        centered = raw.values / model.feature_scale
+        centered -= model.target_mean
+    coords = centered @ model.components
     return EmbeddingResult(coordinates=coords, model=model, labels=raw.labels)
 
 

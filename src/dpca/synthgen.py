@@ -136,6 +136,29 @@ def random_spec(n_features: int, n_shared: int, n_specific: int,
     )
 
 
+# the noise is drawn and added this many bytes of rows at a time
+_NOISE_BLOCK_BYTES = 1 << 20
+
+
+def _add_noise(rows: np.ndarray, rng: np.random.Generator, std: float) -> None:
+    """``rows += std * rng.standard_normal(rows.shape)``, bit for bit, a block of rows at a time.
+
+    The generator fills an array in C order, so drawing the rows block by
+    block draws the numbers of one whole draw, and scaling and adding are
+    elementwise; only one block of noise is held. Nothing is drawn unless
+    ``std > 0``.
+    """
+    if not std > 0:
+        return
+    block = max(1, _NOISE_BLOCK_BYTES // (8 * rows.shape[1]))
+    buf = np.empty((min(block, rows.shape[0]), rows.shape[1]))
+    for lo in range(0, rows.shape[0], block):
+        noise = buf[:rows.shape[0] - lo]
+        rng.standard_normal(out=noise)
+        noise *= std
+        rows[lo:lo + block] += noise
+
+
 def gen_background(spec: FactorModelSpec, n: int) -> DataMatrix:
     """Draw ``n`` background samples: mean + shared subspace + noise.
 
@@ -149,10 +172,7 @@ def gen_background(spec: FactorModelSpec, n: int) -> DataMatrix:
     coeffs = rng.standard_normal((n, spec.n_shared)) * spec.background_coeff_std
     rows = coeffs @ np.asarray(spec.shared_basis).T
     rows += spec.background_mean
-    if spec.noise_std > 0:
-        noise = rng.standard_normal((n, spec.n_features))
-        noise *= spec.noise_std
-        rows += noise
+    _add_noise(rows, rng, spec.noise_std)
     return DataMatrix._adopt(rows)
 
 
@@ -180,10 +200,7 @@ def gen_target(spec: FactorModelSpec, m: int,
     rows = shared @ np.asarray(spec.shared_basis).T
     rows += spec.target_mean
     rows += specific @ np.asarray(spec.specific_basis).T
-    if spec.noise_std > 0:
-        noise = rng.standard_normal((m, spec.n_features))
-        noise *= spec.noise_std
-        rows += noise
+    _add_noise(rows, rng, spec.noise_std)
     return DataMatrix._adopt(rows, labels)
 
 

@@ -143,12 +143,12 @@ class TestPipeline:
         model_path = tmp_path / "m.json"
         assert run("fit", "pca", target, "-d", 1, "--zscore", "--out", model_path) == 0
         stored = fileio.load_model(model_path)
-        assert stored.feature_scale is not None
+        assert stored.model.feature_scale is not None
         emb = tmp_path / "e.csv"
         assert run("transform", model_path, target, "--out", emb) == 0
         # recompute the expected projection by hand
         raw = fileio.read_csv(target)
-        scaled = raw.values / stored.feature_scale
+        scaled = raw.values / stored.model.feature_scale
         expected = (scaled - stored.model.target_mean) @ stored.model.components
         got = fileio.read_csv(emb).values
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -303,7 +303,7 @@ class TestLibraryPath:
         assert sorted(tmp_path.glob("cli*.json")) == cli_paths
         for model, path in zip(models, cli_paths):
             provenance = json.loads(path.read_text())["provenance"]
-            fileio.save_model(lib_path, model, feature_scale=inputs.scale, provenance=provenance)
+            fileio.save_model(lib_path, model, provenance=provenance)
             assert lib_path.read_bytes() == path.read_bytes()
 
 
@@ -404,8 +404,9 @@ def loadtxt_calls(monkeypatch):
 
 
 def test_synth_holds_one_generated_table_at_a_time(tmp_path):
-    # the background, its noise draw and the write buffers: 2.21x the
-    # background measured, where holding the target too took 2.89x
+    # one table, one block of its noise and the write buffers: 1.91x the
+    # background measured, where drawing the noise whole took 2.21x and
+    # holding the target too 2.89x
     features, m, n = 50, 4000, 6000
     run("synth", "-m", 10, "-n", 10, "--out", tmp_path / "warm")  # one-time allocations
     tracemalloc.start()
@@ -415,6 +416,23 @@ def test_synth_holds_one_generated_table_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * (8 * n * features)
+
+
+def test_zscored_transform_holds_one_copy_of_the_table(tmp_path):
+    # the parsed table and one scaled, centered copy: 2.07x the table
+    # measured, where dividing and subtracting into new arrays took 3.07x
+    features, m = 50, 20000
+    run("synth", "--features", features, "-m", m, "-n", 100, "--seed", 1, "--out", tmp_path / "s")
+    target, model = tmp_path / "s_target.csv", tmp_path / "z.json"
+    assert run("fit", "pca", target, "--zscore", "--out", model) == 0
+    run("transform", model, target, "--out", tmp_path / "warm.csv")  # one-time allocations
+    tracemalloc.start()
+    try:
+        assert run("transform", model, target, "--out", tmp_path / "e.csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (8 * m * features)
 
 
 class TestReadRoute:
@@ -695,6 +713,19 @@ class TestExitCodes:
         assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
         err = capsys.readouterr().err
         assert f"{model}: malformed model file: {field}" in err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("mean", [[0.0] * 7, [[0.0, 0.0]]], ids=["7_values", "2d"])
+    def test_data_model_file_background_mean_shape(self, tmp_path, rng, capsys, mean):
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        background = write_gaussian_csv(tmp_path / "b.csv", rng, 40, [1.0, 1.0])
+        model = tmp_path / "m.json"
+        assert run("fit", "dpca", target, background, "--out", model) == 0
+        fileio.write_json(model, {**json.loads(model.read_text()), "background_mean": mean})
+        capsys.readouterr()
+        assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
+        assert (f"{model}: malformed model file: background_mean must have length 2"
+                in capsys.readouterr().err)
         assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("width", [1, 3])

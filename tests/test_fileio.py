@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -14,7 +15,7 @@ from dpca import csvparse, fileio, methods
 from dpca.datamodel import CovarianceEstimate, DataMatrix
 from dpca.errors import DimensionError, InvalidInputError
 
-from conftest import random_spd, reference_read, reference_table
+from conftest import assert_same_model, random_spd, reference_read, reference_table
 
 
 class TestCsvRoundTrip:
@@ -959,12 +960,13 @@ class TestModelRoundTrip:
             assert back.floor_rel == model.floor_rel
 
     def test_feature_scale_round_trip(self, tmp_path, rng):
-        model = make_models(rng)[0]
-        scale = rng.uniform(0.5, 2.0, size=5)
-        path = tmp_path / "model.json"
-        fileio.save_model(path, model, feature_scale=scale)
-        stored = fileio.load_model(path)
-        assert np.array_equal(stored.feature_scale, scale)
+        for i, model in enumerate(make_models(rng)):
+            model = dataclasses.replace(model, feature_scale=rng.uniform(0.5, 2.0, size=5))
+            path = tmp_path / f"model{i}.json"
+            fileio.save_model(path, model)
+            back = fileio.load_model(path).model
+            assert back.feature_scale.tobytes() == model.feature_scale.tobytes()
+            assert_same_model(back, model)
 
     def test_provenance_preserved(self, tmp_path, rng):
         model = make_models(rng)[0]
@@ -1025,9 +1027,21 @@ class TestModelRoundTrip:
 
     @pytest.mark.parametrize("scale", [[1.0] * 4, [1.0] * 6, [[1.0] * 5]])
     def test_feature_scale_of_wrong_shape_rejected(self, tmp_path, rng, scale):
+        # the model refuses such a scale, so the file is written by hand
         path = tmp_path / "model.json"
-        fileio.save_model(path, make_models(rng)[0], feature_scale=scale)
+        fileio.save_model(path, make_models(rng)[0])
+        fileio.write_json(path, {**json.loads(path.read_text()), "feature_scale": scale})
         with pytest.raises(InvalidInputError, match="malformed model file: feature_scale"):
+            fileio.load_model(path)
+
+    @pytest.mark.parametrize("mean", [[1.0] * 7, [[1.0] * 5], [1.0] * 4])
+    def test_background_mean_of_wrong_shape_rejected(self, tmp_path, rng, mean):
+        path = tmp_path / "model.json"
+        fileio.save_model(path, make_models(rng)[2])  # the dPCA model, 5 features
+        fileio.write_json(path, {**json.loads(path.read_text()), "background_mean": mean})
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"{path}: malformed model file: background_mean "
+                                           "must have length 5")):
             fileio.load_model(path)
 
     def test_not_json_rejected(self, tmp_path):

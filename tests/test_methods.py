@@ -5,6 +5,7 @@ common eigenbasis, ranks the candidate directions by brute force, and checks
 the fits pick exactly those directions in that order.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -169,6 +170,21 @@ class TestDpcaFit:
             warnings.simplefilter("error", FloorAppliedWarning)
             methods.dpca_fit(sample_covariance(target, ridge=1.0),
                              sample_covariance(background, ridge=1.0), 2)
+
+
+    def test_floor_warning_through_fit_names_the_caller(self, rng):
+        # 5 background rows in 20 features: the floor is applied. Under the
+        # default filter a warning shows once per location, so two call
+        # sites here show two warnings only when each names its own line.
+        inputs = fit_inputs(DataMatrix(rng.standard_normal((40, 20))),
+                            [DataMatrix(rng.standard_normal((5, 20)))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            methods.fit("dpca", inputs, 2)
+            methods.fit("dpca", inputs, 2)
+        assert [w.category for w in caught] == [FloorAppliedWarning] * 2
+        assert {w.filename for w in caught} == {__file__}
+        assert caught[0].lineno != caught[1].lineno
 
 
 class TestDpcaWhitenedRoute:
@@ -427,6 +443,29 @@ class TestFit:
         else:
             direct = methods.cpca_fit(covs[0], covs[1], 2.5, 2, means[0], means[1])
         assert_same_model(model, direct)
+
+    @FIT_SHAPES
+    @pytest.mark.parametrize("method,kwargs", [("pca", {}), ("dpca", {}),
+                                               ("cpca", {"alpha": 2.5}),
+                                               ("cpca", {"grid": [0.1, 1.0, 10.0], "select": 2})])
+    def test_zscored_model_carries_the_scale(self, dim, m, n, ridge, method, kwargs):
+        pair = gen_pair(default_subgroup_spec(n_features=dim, seed=2), m, n,
+                        spread_offsets(2, 1, 6.0))
+        inputs = fit_inputs(pair.target, [pair.background], ridge=ridge, zscore=True)
+        models = methods.fit(method, inputs, 2, **kwargs)
+        if method == "pca":
+            direct = [methods.pca_fit(inputs.covs[0], 2, target_mean=inputs.means[0])]
+        elif method == "dpca":
+            direct = [methods.dpca_fit(*inputs.covs, 2, target_mean=inputs.means[0],
+                                       background_mean=inputs.means[1])]
+        else:
+            direct = [methods.cpca_fit(*inputs.covs, model.alpha, 2, *inputs.means)
+                      for model in models]
+        assert len(models) == len(direct)
+        for model, plain in zip(models, direct):
+            assert model.feature_scale.tobytes() == inputs.scale.tobytes()
+            assert plain.feature_scale is None
+            assert_same_model(dataclasses.replace(model, feature_scale=None), plain)
 
     @FIT_SHAPES
     def test_auto_alpha_gives_a_model_per_selected_alpha(self, dim, m, n, ridge):
@@ -951,6 +990,28 @@ class TestTransform:
         with pytest.raises(DimensionError):
             methods.transform(model, DataMatrix(rng.standard_normal((4, 2))))
 
+    @pytest.mark.parametrize("dim,m,n", [(20, 150, 200), (100, 2000, 3000)],
+                             ids=["small", "paper"])
+    @pytest.mark.parametrize("method", ["pca", "dpca"])
+    def test_zscored_fit_projects_the_raw_target(self, dim, m, n, method):
+        # the raw target through the model is the centered, scaled target the fit holds
+        pair = gen_pair(default_subgroup_spec(n_features=dim, seed=0), m, n,
+                        spread_offsets(2, 1, 6.0))
+        inputs = fit_inputs(pair.target, [pair.background], zscore=True)
+        (model,) = methods.fit(method, inputs, 2)
+        out = methods.transform(model, pair.target)
+        assert out.coordinates.tobytes() == (inputs.target.values @ model.components).tobytes()
+        np.testing.assert_array_equal(out.labels, pair.target.labels)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_width_checked_before_the_scale(self, rng, width):
+        # one column would broadcast against the scale
+        model = methods.ComponentModel(method="pca", components=np.eye(3)[:, :2],
+                                       eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(3),
+                                       feature_scale=np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(DimensionError, match=f"data has {width} features, model expects 3"):
+            methods.transform(model, DataMatrix(rng.standard_normal((4, width))))
+
 
 class TestPencilResidual:
     def test_valid_model_is_small(self, rng):
@@ -1028,11 +1089,12 @@ class TestNonFiniteParameters:
 
 class TestComponentModelInvariants:
     @pytest.mark.parametrize("field", ["components", "eigenvalues", "target_mean",
-                                       "background_mean"])
+                                       "background_mean", "feature_scale"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, field, bad):
         fields = {"components": np.eye(2), "eigenvalues": np.array([2.0, 1.0]),
-                  "target_mean": np.zeros(2), "background_mean": np.zeros(2)}
+                  "target_mean": np.zeros(2), "background_mean": np.zeros(2),
+                  "feature_scale": np.ones(2)}
         fields[field] = fields[field].copy()
         fields[field].flat[0] = bad
         with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
@@ -1100,3 +1162,28 @@ class TestComponentModelInvariants:
         with pytest.raises(DimensionError, match="target_mean must have length 3"):
             methods.ComponentModel(method="pca", components=np.eye(3)[:, :2],
                                    eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(2))
+
+    @pytest.mark.parametrize("field", ["background_mean", "feature_scale"])
+    @pytest.mark.parametrize("value", [np.ones(2), np.ones(7), np.ones((1, 3)), np.ones((3, 1))],
+                             ids=["short", "long", "row", "column"])
+    def test_vector_shapes(self, field, value):
+        with pytest.raises(DimensionError, match=rf"{field} must have length 3, got shape"):
+            methods.ComponentModel(method="pca", components=np.eye(3)[:, :2],
+                                   eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(3),
+                                   **{field: value})
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, -np.finfo(float).tiny])
+    def test_feature_scale_must_be_positive(self, bad):
+        with pytest.raises(InvalidInputError, match="feature_scale must be positive"):
+            methods.ComponentModel(method="pca", components=np.eye(3)[:, :2],
+                                   eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(3),
+                                   feature_scale=np.array([1.0, bad, 2.0]))
+
+    def test_feature_scale_frozen_and_owned(self):
+        scale = np.array([1.0, 2.0, 3.0])
+        model = methods.ComponentModel(method="pca", components=np.eye(3)[:, :2],
+                                       eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(3),
+                                       feature_scale=scale)
+        scale[0] = 5.0  # the caller's array stays theirs
+        assert model.feature_scale.tolist() == [1.0, 2.0, 3.0]
+        assert not model.feature_scale.flags.writeable

@@ -1,6 +1,7 @@
 """Factor-model generators: degenerate cases, population covariance, recovery."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,28 @@ class TestInPlaceSums:
         assert target.values.tobytes() == rows.tobytes()
         assert np.array_equal(target.labels, labels)
         assert not background.values.flags.writeable and not target.values.flags.writeable
+
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_noise_drawn_in_blocks_is_the_whole_draw(self, monkeypatch, block_rows):
+        # blocks of 1, 7 and 64 rows of 30 features, over 257 and 301 rows
+        monkeypatch.setattr(synthgen, "_NOISE_BLOCK_BYTES", 8 * 30 * block_rows)
+        self.test_bit_equal_to_the_expressions(0.7)
+
+
+def test_background_holds_one_block_of_noise():
+    # the table, its coefficients and one 1 MiB block of noise: 1.19x the
+    # table measured, where drawing the noise whole took 2.19x
+    spec = synthgen.default_subgroup_spec(n_features=50, seed=1)
+    synthgen.gen_background(spec, 10)  # one-time allocations
+    n = 20000
+    tracemalloc.start()
+    try:
+        synthgen.gen_background(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (8 * n * 50)
 
 
 class TestSubgroupConstruction:
