@@ -19,7 +19,7 @@ import numpy as np
 from . import eigencore, fileio, methods, svgplot, synthgen
 from .cluster import MAX_ACCURACY_CLASSES, cluster_label_accuracy, silhouette_score
 from .datamodel import FitInputs, fit_inputs
-from .errors import DpcaError, NumericalError
+from .errors import DpcaError, InvalidInputError, NumericalError, check_range
 
 DEFAULT_GRID = "0.001:1000:15log"
 
@@ -59,10 +59,12 @@ def _utc_now() -> str:
 
 
 def _check_range(name: str, value, lo, hi=np.inf) -> None:
-    """Reject a flag value that is not finite or lies outside ``lo..hi``."""
-    if value is not None and not (np.isfinite(value) and lo <= value <= hi):
-        bound = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
-        raise UsageError(f"{name} must be a finite number {bound}, got {value}")
+    """:func:`~dpca.errors.check_range` of a flag that was given, as a usage error."""
+    if value is not None:
+        try:
+            check_range(name, value, lo, hi)
+        except InvalidInputError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _prepare(args) -> tuple[FitInputs, np.ndarray]:

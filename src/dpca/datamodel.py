@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from . import eigencore
+from .errors import DimensionError, InvalidInputError, check_range
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,10 @@ class CovarianceEstimate:
     Built either from the matrix itself, or (by :func:`sample_covariance`)
     from the centered data ``X``: then ``data`` is a read-only reference to
     ``X`` (not a copy) and the ``D x D`` ``matrix`` is formed the first time
-    it is read. Fits on wide data (many more features than samples) work from
-    ``data`` and never form it; ``dim`` never forms it either. ``data`` is None
-    when the estimate was built from a matrix.
+    it is read, in the library of the fit it serves
+    (``eigencore._data_covariance``). Fits on wide data (many more features
+    than samples) work from ``data`` and never form it; ``dim`` never forms
+    it either. ``data`` is None when the estimate was built from a matrix.
     """
 
     __slots__ = ("_matrix", "data", "sample_count", "ridge_applied")
@@ -115,12 +117,8 @@ class CovarianceEstimate:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            x = self.data
-            cov = (x.T @ x) / self.sample_count
-            cov = 0.5 * (cov + cov.T)
-            if self.ridge_applied > 0:
-                cov = cov + self.ridge_applied * np.eye(x.shape[1])
-            self._matrix = cov
+            self._matrix = eigencore._data_covariance(self.data, self.sample_count,
+                                                      self.ridge_applied)
         return self._matrix
 
     @property
@@ -145,12 +143,13 @@ def sample_covariance(centered: CenteredDataset, ridge: float = 0.0) -> Covarian
 
     The divisor is the sample count ``m``, not ``m - 1``. A positive ridge
     makes rank-deficient covariances invertible before a pencil solve; the
-    amount added is recorded on the estimate. The estimate keeps a reference
-    to the centered values and forms the ``D x D`` matrix only when its
-    ``matrix`` is first read (see :class:`CovarianceEstimate`).
+    amount added is recorded on the estimate. ``ridge`` must pass
+    :func:`~dpca.errors.check_range` (a finite number >= 0, not a bool). The
+    estimate keeps a reference to the centered values and forms the ``D x
+    D`` matrix only when its ``matrix`` is first read (see
+    :class:`CovarianceEstimate`).
     """
-    if not 0 <= ridge < np.inf:
-        raise InvalidInputError(f"ridge must be finite and nonnegative, got {ridge}")
+    check_range("ridge", ridge)
     x = centered.data.values
     return CovarianceEstimate(sample_count=x.shape[0], ridge_applied=float(ridge), data=x)
 

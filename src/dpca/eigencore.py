@@ -49,7 +49,9 @@ This module is the only one that chooses between numpy's and scipy's BLAS
 and LAPACK, and it chooses once per fit, by the fit's feature count ``D``
 (``TOP_D_MIN_DIM``): from 256 features up every step of the fit runs in
 scipy, and only such fits reduce to the span of their samples; below it
-every step runs in numpy, on the dense matrices. scipy is imported inside
+every step runs in numpy, on the dense matrices. A dense covariance formed
+from its data (``_data_covariance``, which ``CovarianceEstimate.matrix``
+calls) is one of those steps. scipy is imported inside
 the functions that call it: importing ``scipy.linalg`` takes about 0.3 s
 and 30 MB, which a fit on fewer features never needs.
 
@@ -70,6 +72,7 @@ from .errors import (
     NonConvergenceError,
     RankZeroError,
     SymmetryError,
+    check_range,
 )
 
 SYMMETRY_RTOL = 1e-12
@@ -80,9 +83,10 @@ DEFAULT_FLOOR_REL = 1e-10
 # that, so the floor can never apply on the Cholesky route.
 CHOLESKY_RCOND_MARGIN = 1e3
 # Smallest feature count whose fits run in scipy: from it up, every step of a
-# fit (the QR, Gram blocks and lift of a span reduction, each eigensolve,
-# each product of a whitening) runs in scipy, and only these fits reduce to
-# the span of their samples; below it every step runs in numpy. The usual
+# fit (a dense covariance formed from its data, the QR, Gram blocks and lift
+# of a span reduction, each eigensolve, each product of a whitening) runs in
+# scipy, and only these fits reduce to the span of their samples; below it
+# every step runs in numpy. The usual
 # numpy and scipy wheels each bundle their own OpenBLAS, and the first
 # threaded scipy call after numpy BLAS work can wait for numpy's idle pool
 # to stop spinning: up to 0.1 s on a 2-core machine. So a fit never hands
@@ -240,7 +244,7 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
     RankZeroError
         If the largest eigenvalue is not positive (zero matrix).
     """
-    _check_floor_rel(floor_rel)
+    check_range("floor_rel", floor_rel)
     arr = check_symmetric(cov, "matrix")
     return _whitening(arr, floor_rel, arr.shape[0] >= TOP_D_MIN_DIM)
 
@@ -261,11 +265,6 @@ def _whitening(arr: np.ndarray, floor_rel: float, in_scipy: bool) -> WhiteningFa
     factor = _product(in_scipy, vecs * (1.0 / np.sqrt(floored)), vecs.T)
     factor = 0.5 * (factor + factor.T)
     return WhiteningFactor(factor=factor, floor_applied=floor_applied, floor_value=floor_value)
-
-
-def _check_floor_rel(floor_rel: float) -> None:
-    if not 0 <= floor_rel < np.inf:
-        raise InvalidInputError(f"floor_rel must be finite and nonnegative, got {floor_rel}")
 
 
 def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
@@ -308,7 +307,7 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     dim = a.shape[0]
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} pencil")
-    _check_floor_rel(floor_rel)
+    check_range("floor_rel", floor_rel)
     in_scipy = dim >= TOP_D_MIN_DIM
     lower = _comfortable_cholesky(b, floor_rel) if in_scipy else None
     if lower is None:
@@ -529,9 +528,9 @@ def _span_pencil_eig(span: _Span, d: int, floor_rel: float) -> GeneralizedEigenP
     matrices are formed from the same ``R`` and :func:`_floored_whitening_eig`
     solves them. The whole reduced background is never factored: without a
     ridge it is singular, and with one its 1-norm condition is the one just
-    estimated from its two blocks. Every step runs in scipy.
+    estimated from its two blocks. Every step runs in scipy. ``floor_rel``
+    was checked by the fit.
     """
-    _check_floor_rel(floor_rel)
     background, count, ridge = span.parts[1]
     lower = None
     if ridge > 0:
@@ -578,6 +577,29 @@ def _whitened_span_eig(triangle: np.ndarray, lower: np.ndarray,
     head = scipy.linalg.solve_triangular(lower, vectors[:rows_b], lower=True, trans="T",
                                          check_finite=False)
     return _pencil_pairs(values, np.vstack([head, vectors[rows_b:] / np.sqrt(ridge_b)]), False)
+
+
+def _data_covariance(x: np.ndarray, count: int, ridge: float) -> np.ndarray:
+    """``X^T X / m + r I`` of centered data ``x`` (``count`` rows ``m``), in the fit's library.
+
+    Below ``TOP_D_MIN_DIM`` features numpy forms ``X^T X / m`` and symmetrizes
+    it. From there up scipy's ``dsyrk`` forms its upper triangle from the
+    Fortran-ordered ``x.T``, so ``x`` is not copied, and it is mirrored; the
+    fit that reads it then never waits on numpy's BLAS pool.
+    """
+    if x.shape[1] < TOP_D_MIN_DIM:
+        cov = (x.T @ x) / count
+        cov = 0.5 * (cov + cov.T)
+        if ridge > 0:
+            cov = cov + ridge * np.eye(x.shape[1])
+        return cov
+    from scipy.linalg import blas
+
+    cov = _mirror_upper(blas.dsyrk(1.0, x.T))
+    cov /= count
+    if ridge > 0:
+        cov[np.diag_indices(x.shape[1])] += ridge
+    return cov
 
 
 def _mirror_upper(block: np.ndarray) -> np.ndarray:
@@ -647,7 +669,7 @@ def power_topd(mat: np.ndarray, d: int, tol: float = 1e-10, max_iter: int = 5000
         If some pair fails to converge within ``max_iter``; carries the best
         iterate and its residual.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")

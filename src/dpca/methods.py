@@ -30,7 +30,6 @@ feature space (``eigencore._lift``) and build the model (``_model``).
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -40,7 +39,7 @@ import numpy as np
 from . import eigencore
 from .cluster import spectral_cluster
 from .datamodel import CovarianceEstimate, DataMatrix, FitInputs
-from .errors import DimensionError, FloorAppliedWarning, InvalidInputError
+from .errors import DimensionError, FloorAppliedWarning, InvalidInputError, check_range
 
 METHODS = ("pca", "cpca", "dpca")
 
@@ -53,16 +52,6 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-def _scalar(name: str, value, optional: bool = False) -> float | None:
-    """``value`` as a float when it is a finite real >= 0, not a bool; None if ``optional``."""
-    if value is None and optional:
-        return None
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not 0 <= value < np.inf):
-        raise InvalidInputError(f"{name} must be a finite nonnegative number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ComponentModel:
     """A fitted projection: unit-norm components plus their eigenvalues.
@@ -72,8 +61,9 @@ class ComponentModel:
     z-scored inputs and None otherwise, and ``target_mean`` is the mean of
     the (scaled) target. ``alpha`` is present exactly when ``method ==
     "cpca"``. The ridge/floor fields record the regularization that went
-    into the fit. Each scalar is stored as a finite nonnegative float;
-    ``alpha``, ``ridge_background`` and ``floor_rel`` may also be None. The
+    into the fit. Each scalar is stored as a float that passes
+    :func:`~dpca.errors.check_range` (finite and nonnegative); ``alpha``,
+    ``ridge_background`` and ``floor_rel`` may also be None. The
     means and the scale are finite vectors of one entry per feature, and the
     scale is positive.
     """
@@ -118,8 +108,9 @@ class ComponentModel:
         if arrays["feature_scale"] is not None and np.any(arrays["feature_scale"] <= 0):
             raise InvalidInputError("feature_scale must be positive")
         for name in ("alpha", "ridge_target", "ridge_background", "floor_rel"):
-            object.__setattr__(self, name, _scalar(name, getattr(self, name),
-                                                   optional=name != "ridge_target"))
+            value = getattr(self, name)
+            if value is not None or name == "ridge_target":
+                object.__setattr__(self, name, float(check_range(name, value)))
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
@@ -260,15 +251,6 @@ def pca_fit(cxx: CovarianceEstimate, d: int,
     return _model("pca", [cxx], *_top(span, a, d), target_mean)
 
 
-def _cpca_reduce(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alphas: np.ndarray,
-                 d: int) -> tuple[eigencore._Span | None, list[np.ndarray]]:
-    """Validate a cPCA request and reduce its covariances, once for all ``alphas``."""
-    bad = alphas[~(np.isfinite(alphas) & (alphas >= 0))]
-    if bad.size:
-        raise InvalidInputError(f"alpha must be finite and nonnegative, got {bad[0]}")
-    return _reduce_to_data_span([cxx, cyy], d)
-
-
 def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: int,
              target_mean: np.ndarray | None = None,
              background_mean: np.ndarray | None = None) -> ComponentModel:
@@ -280,7 +262,8 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
     is solved in the span of the target and background samples (see the
     module docstring); the result is the same.
     """
-    span, (a, b) = _cpca_reduce(cxx, cyy, np.array([alpha], dtype=np.float64), d)
+    check_range("alpha", alpha)
+    span, (a, b) = _reduce_to_data_span([cxx, cyy], d)
     return _model("cpca", [cxx, cyy], *_top(span, a - alpha * b, d), target_mean,
                   background_mean, alpha=alpha)
 
@@ -289,6 +272,7 @@ def _dpca(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int, floor_rel: f
           target_mean: np.ndarray | None, background_mean: np.ndarray | None,
           orthonormalize: bool = False) -> tuple[ComponentModel, bool]:
     """:func:`dpca_fit`'s model, and whether the eigenvalue floor was applied."""
+    check_range("floor_rel", floor_rel)  # before the samples are factored
     span = _data_span([cxx, cyy], d)
     if span is None:
         pairs = eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
@@ -368,14 +352,17 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
     eigenvalues, so no refit is needed. On wide data the covariances are
     reduced to the span of the samples once for the whole grid.
     """
-    grid_arr = np.asarray(list(grid), dtype=np.float64)
+    grid_arr = np.asarray(list(grid), dtype=object)  # each alpha is checked as it was passed
     if grid_arr.ndim != 1 or grid_arr.size == 0:
         raise InvalidInputError("alpha grid must be a nonempty 1-D sequence")
     if not 1 <= n_select <= grid_arr.size:
         raise InvalidInputError(
             f"cannot select {n_select} alphas from a grid of {grid_arr.size}")
 
-    span, (a, b) = _cpca_reduce(cxx, cyy, grid_arr, d)
+    for alpha in grid_arr:
+        check_range("alpha", alpha)
+    grid_arr = grid_arr.astype(np.float64)
+    span, (a, b) = _reduce_to_data_span([cxx, cyy], d)
     pairs = [_top(span, a - alpha * b, d) for alpha in grid_arr]
     n = grid_arr.size
     affinity = np.eye(n)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import DataMatrix
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError, InvalidInputError, check_range
 
 _BACKGROUND_STREAM = 0
 _TARGET_STREAM = 1
@@ -33,6 +33,8 @@ class FactorModelSpec:
     The two blocks together must have orthonormal columns. Coefficient
     standard deviations are per-coordinate; ``background_coeff_std`` drives
     the background's shared coefficients, ``shared_coeff_std`` the target's.
+    The means must be finite, and each std entry and ``noise_std`` must pass
+    :func:`~dpca.errors.check_range` (a finite number >= 0, not a bool).
     """
 
     shared_basis: np.ndarray
@@ -57,7 +59,7 @@ class FactorModelSpec:
             raise DimensionError(f"subspace dims {k}+{d_s} exceed feature dim {dim}")
         stacked = np.hstack([shared, specific])
         gram_err = np.linalg.norm(stacked.T @ stacked - np.eye(k + d_s))
-        if gram_err > 1e-10:
+        if not gram_err <= 1e-10:  # NaN fails it too
             raise InvalidInputError(
                 f"stacked basis is not orthonormal (Gram error {gram_err:.2e})")
         for name, vec, want in (("target_mean", self.target_mean, dim),
@@ -65,13 +67,15 @@ class FactorModelSpec:
                                 ("background_coeff_std", self.background_coeff_std, k),
                                 ("shared_coeff_std", self.shared_coeff_std, k),
                                 ("specific_coeff_std", self.specific_coeff_std, d_s)):
+            if "std" in name:  # each entry is checked as it was passed
+                for i, std in enumerate(np.asarray(vec, dtype=object).ravel()):
+                    check_range(f"{name}[{i}]", std)
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (want,):
                 raise DimensionError(f"{name} must have length {want}, got shape {arr.shape}")
-            if "std" in name and np.any(arr < 0):
-                raise InvalidInputError(f"{name} must be nonnegative")
-        if self.noise_std < 0:
-            raise InvalidInputError("noise_std must be nonnegative")
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInputError(f"{name} must be finite")
+        check_range("noise_std", self.noise_std)
 
     @property
     def n_features(self) -> int:
@@ -220,6 +224,7 @@ def spread_offsets(n_clusters: int, n_specific: int, scale: float) -> np.ndarray
     """
     if n_clusters < 1:
         raise InvalidInputError("need at least one cluster")
+    check_range("scale", scale, -np.inf)
     offsets = np.zeros((n_clusters, n_specific))
     if n_clusters > 1:
         offsets[:, 0] = scale * (2.0 * np.arange(n_clusters) / (n_clusters - 1) - 1.0)

@@ -678,6 +678,31 @@ class TestExitCodes:
         assert f"{named} must be" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,flag,code", [
+        (("fit", "dpca", "t.csv", "b.csv"), "-d", 3),
+        (("fit", "dpca", "t.csv", "b.csv"), "--select", 2),
+        (("fit", "dpca", "t.csv", "b.csv"), "--seed", 0),
+        (("fit", "cpca", "t.csv", "b.csv", "--auto-alpha"), "--seed", 0),
+        (("compare", "t.csv", "b.csv"), "-d", 3),
+        (("compare", "t.csv", "b.csv"), "--select", 2),
+        (("compare", "t.csv", "b.csv"), "--seed", 0),
+        (("synth", "--features", "10", "-m", "40", "-n", "50"), "--shared", 2),
+        (("synth", "--features", "10", "-m", "40", "-n", "50"), "--specific", 2),
+        (("synth", "--features", "10", "-m", "40", "-n", "50"), "--clusters", 2),
+        (("synth", "--features", "10", "-m", "40", "-n", "50"), "--seed", 0),
+    ], ids=["fit-d", "fit-select", "fit-seed", "fit-auto-alpha-seed", "compare-d",
+            "compare-select", "compare-seed", "synth-shared", "synth-specific",
+            "synth-clusters", "synth-seed"])
+    def test_integer_flag_beyond_int64(self, tmp_path, rng, capsys, argv, flag, code):
+        # 10**30 passes no int64 conversion; it is checked like any other value. synth's
+        # --features, -m and -n size the generated tables and are left out.
+        write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0], labels=np.arange(30) % 2)
+        write_gaussian_csv(tmp_path / "b.csv", rng, 30, [1.0, 1.0])
+        argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+        assert run(*argv, flag, 10**30, "--out", tmp_path / "o") == code
+        err = capsys.readouterr().err
+        assert err == "" if code == 0 else "1" + "0" * 30 in err
+
     @pytest.mark.parametrize("doc", [[1, 2], None])
     def test_data_model_file_not_an_object(self, tmp_path, rng, capsys, doc):
         target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])

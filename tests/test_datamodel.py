@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpca import datamodel, fileio
+from dpca import eigencore as ec
 from dpca.datamodel import (CovarianceEstimate, DataMatrix, center, concat_rows, fit_inputs,
                             sample_covariance)
 from dpca.errors import DimensionError, InvalidInputError
@@ -133,7 +134,7 @@ class TestSampleCovariance:
     @pytest.mark.parametrize("ridge", [np.nan, np.inf])
     def test_non_finite_ridge_rejected(self, ridge):
         # a NaN ridge would fail every "> 0" test and be skipped silently
-        with pytest.raises(InvalidInputError, match="ridge must be finite"):
+        with pytest.raises(InvalidInputError, match="ridge must be a finite number"):
             sample_covariance(center(DataMatrix([[1.0, 2.0], [3.0, 5.0]])), ridge=ridge)
 
     def test_single_sample_degenerate(self):
@@ -167,6 +168,34 @@ class TestSampleCovariance:
                 eager = eager + ridge * np.eye(7)
             assert np.array_equal(est.matrix, eager)
             assert est.matrix is est.matrix  # formed once
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_wide_matrix_formed_in_scipy_from_the_data(self, rng, monkeypatch, ridge):
+        # a fit on TOP_D_MIN_DIM features or more runs in scipy, so its covariance does too
+        from scipy.linalg import blas
+
+        dim = ec.TOP_D_MIN_DIM + 4
+        centered = center(DataMatrix(rng.standard_normal((2000, dim))))
+        x = centered.data.values
+        calls = []
+
+        def counted(*args, real=blas.dsyrk, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blas, "dsyrk", counted)
+        est = sample_covariance(centered, ridge=ridge)
+        tracemalloc.start()
+        try:
+            cov = est.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [(dim, 2000)]
+        assert peak < x.nbytes / 2  # the product is formed from x itself, not a copy
+        assert np.array_equal(cov, cov.T)
+        numpy_cov = (x.T @ x) / 2000 + ridge * np.eye(dim)
+        np.testing.assert_allclose(cov, numpy_cov, rtol=0, atol=1e-13 * np.abs(numpy_cov).max())
 
     def test_estimate_from_matrix_or_data(self, rng):
         mat = np.eye(3)

@@ -835,7 +835,7 @@ class TestOneLeafPerFit:
     @pytest.mark.parametrize("route", ROUTES)
     def test_negative_floor_rejected(self, rng, pencil_solves, route):
         cxx, cyy = self.route_inputs(rng, route)
-        with pytest.raises(InvalidInputError, match="floor_rel must be finite and nonnegative"):
+        with pytest.raises(InvalidInputError, match="floor_rel must be a finite number >= 0"):
             methods.dpca_fit(cxx, cyy, 3, floor_rel=-1.0)
         assert pencil_solves == []
 
@@ -1071,19 +1071,19 @@ class TestNonFiniteParameters:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_cpca_alpha(self, rng, bad):
         a, b = cov(random_spd(rng, 4)), cov(random_spd(rng, 4))
-        with pytest.raises(InvalidInputError, match="alpha must be finite"):
+        with pytest.raises(InvalidInputError, match="alpha must be a finite number"):
             methods.cpca_fit(a, b, bad, 2)
-        with pytest.raises(InvalidInputError, match="alpha must be finite"):
+        with pytest.raises(InvalidInputError, match="alpha must be a finite number"):
             methods.cpca_select_alphas(a, b, [0.1, bad, 10.0], 2, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_floor_rel(self, rng, bad):
         a, b = random_spd(rng, 4), random_spd(rng, 4)
-        with pytest.raises(InvalidInputError, match="floor_rel must be finite"):
+        with pytest.raises(InvalidInputError, match="floor_rel must be a finite number"):
             methods.dpca_fit(cov(a), cov(b), 2, floor_rel=bad)
-        with pytest.raises(InvalidInputError, match="floor_rel must be finite"):
+        with pytest.raises(InvalidInputError, match="floor_rel must be a finite number"):
             ec.generalized_eig(a, b, 2, floor_rel=bad)
-        with pytest.raises(InvalidInputError, match="floor_rel must be finite"):
+        with pytest.raises(InvalidInputError, match="floor_rel must be a finite number"):
             ec.whitening_factor(b, floor_rel=bad)
 
 
@@ -1117,7 +1117,7 @@ class TestComponentModelInvariants:
         ("ridge_target", "pca", None)])
     def test_bad_scalar_rejected(self, field, method, value):
         fields = {"alpha": 1.0} if method == "cpca" else {}
-        with pytest.raises(InvalidInputError, match=f"{field} must be a finite nonnegative"):
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number >= 0"):
             methods.ComponentModel(method=method, components=np.eye(2),
                                    eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(2),
                                    **{**fields, field: value})

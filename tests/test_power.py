@@ -84,3 +84,10 @@ def test_argument_validation(rng):
         ec.power_topd(np.eye(2), 1, max_iter=0)
     with pytest.raises(DimensionError):
         ec.power_topd(mat, 6)
+
+
+def test_nan_tol_rejected(rng):
+    # a NaN tolerance never converges: every pair would run to max_iter
+    mat, _ = spd_with_gaps(rng, 5)
+    with pytest.raises(InvalidInputError, match="tol must be positive, got nan"):
+        ec.power_topd(mat, 1, tol=np.nan)

@@ -42,7 +42,7 @@ class TestSpecValidation:
          r"subspace dims 2\+2 exceed feature dim 3"),
         ({"specific_basis": np.eye(6)[:, :1]}, InvalidInputError, "not orthonormal"),
         ({"target_mean": np.zeros(5)}, DimensionError, "target_mean must have length 6"),
-        ({"noise_std": -0.5}, InvalidInputError, "noise_std must be nonnegative"),
+        ({"noise_std": -0.5}, InvalidInputError, "noise_std must be a finite number >= 0"),
     ], ids=["basis_not_2d", "bases_disagree", "too_many_dims", "not_orthonormal",
             "mean_length", "negative_noise"])
     def test_spec_built_directly_is_checked(self, changes, error, message):
@@ -54,6 +54,36 @@ class TestSpecValidation:
             specific_coeff_std=np.ones(1), noise_std=0.1)
         with pytest.raises(error, match=message):
             dataclasses.replace(spec, **changes)
+
+
+class TestNonFiniteSpec:
+    """NaN fails every check of a spec, also those written as comparisons."""
+
+    SPEC = synthgen.FactorModelSpec(
+        shared_basis=np.eye(6)[:, :2], specific_basis=np.eye(6)[:, 2:3],
+        target_mean=np.zeros(6), background_mean=np.zeros(6),
+        background_coeff_std=np.ones(2), shared_coeff_std=np.ones(2),
+        specific_coeff_std=np.ones(1), noise_std=0.1)
+
+    @pytest.mark.parametrize("field", ["shared_basis", "specific_basis"])
+    def test_nan_basis_rejected(self, field):
+        basis = getattr(self.SPEC, field).copy()
+        basis[0, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="not orthonormal"):
+            dataclasses.replace(self.SPEC, **{field: basis})
+
+    @pytest.mark.parametrize("field", ["target_mean", "background_mean"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, field, bad):
+        mean = np.zeros(6)
+        mean[3] = bad
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            dataclasses.replace(self.SPEC, **{field: mean})
+
+    def test_random_spec_nan_noise_rejected(self):
+        # a NaN noise_std fails "std > 0", so the data would be drawn without noise
+        with pytest.raises(InvalidInputError, match="noise_std must be a finite number"):
+            synthgen.random_spec(6, 2, 1, 1.0, 1.0, 1.0, np.nan)
 
 
 class TestGenBackground:
