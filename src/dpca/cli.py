@@ -243,6 +243,12 @@ def cmd_synth(args) -> int:
     if args.shared + args.specific > args.features:
         raise UsageError(
             f"shared+specific dims ({args.shared}+{args.specific}) exceed features ({args.features})")
+    # numpy indexes no array of more cells than intp holds: the bases are
+    # features x (shared + specific), the tables rows x features
+    cells = np.iinfo(np.intp).max
+    _check_range("--features", args.features, 1, cells // (args.shared + args.specific))
+    for name, value in (("-m", args.target_samples), ("-n", args.background_samples)):
+        _check_range(name, value, 1, cells // args.features)
     shared_std = (np.full(args.shared, args.shared_std) if args.shared_std is not None
                   else synthgen.default_shared_std(args.shared))
     background_std = (synthgen.BACKGROUND_STD_RATIO * shared_std if args.background_std is None

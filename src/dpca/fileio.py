@@ -28,7 +28,10 @@ numbers outside ``10**-6 <= |v| < 10**17`` are formatted by ``%`` itself
 
 Model files are JSON, written by :func:`write_json` as the CLI's other JSON
 files are; Python's float repr in JSON is already shortest-round-trip, so
-numeric fields reload bit-exact.
+numeric fields reload bit-exact. The file's layout is stated once, in
+``_MODEL_LAYOUT``: :func:`save_model` writes by it and :func:`load_model`
+reads by it, and :class:`~dpca.methods.ComponentModel` alone converts,
+defaults and checks the values read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import csv
 import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,6 +53,17 @@ from .errors import DimensionError, InvalidInputError
 from .methods import ComponentModel
 
 MODEL_FORMAT_VERSION = 1
+
+# The model file after "format_version", in file order: each key is a
+# ComponentModel attribute (an array as nested lists), and the section
+# "regularization" holds three more; "provenance" follows. save_model and
+# load_model both walk this, so a key is added here and nowhere else.
+_MODEL_LAYOUT = {
+    None: ("method", "n_features", "n_components", "alpha", "target_mean",
+           "background_mean", "feature_scale", "components", "eigenvalues"),
+    "regularization": ("ridge_target", "ridge_background", "floor_rel"),
+}
+_MODEL_DEFAULTS = {f.name: f.default for f in fields(ComponentModel)}
 
 
 def _next_row(fh, offset: int):
@@ -427,25 +441,14 @@ class ModelFile:
 
 
 def save_model(path, model: ComponentModel, provenance=None) -> None:
-    """Write ``model`` as a JSON model file, its ``feature_scale`` included, with ``provenance``."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "method": model.method,
-        "n_features": model.n_features,
-        "n_components": model.n_components,
-        "alpha": model.alpha,
-        "target_mean": model.target_mean.tolist(),
-        "background_mean": None if model.background_mean is None else model.background_mean.tolist(),
-        "feature_scale": None if model.feature_scale is None else model.feature_scale.tolist(),
-        "components": model.components.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "regularization": {
-            "ridge_target": model.ridge_target,
-            "ridge_background": model.ridge_background,
-            "floor_rel": model.floor_rel,
-        },
-        "provenance": provenance or {},
-    }
+    """Write ``model`` as a JSON model file by :data:`_MODEL_LAYOUT`, with ``provenance``."""
+    doc = {"format_version": MODEL_FORMAT_VERSION}
+    for section, names in _MODEL_LAYOUT.items():
+        part = doc if section is None else doc.setdefault(section, {})
+        for name in names:
+            value = getattr(model, name)
+            part[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    doc["provenance"] = provenance or {}
     write_json(path, doc)
 
 
@@ -457,16 +460,28 @@ def write_json(path, doc) -> None:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file written by :func:`save_model`.
+    """Read a model file written by :func:`save_model`, by :data:`_MODEL_LAYOUT`.
 
-    Anything that is not such a file is an :class:`InvalidInputError` naming
-    ``path``: text that is not JSON, a document that is not an object, a
-    missing field, values the model would reject (non-finite components,
-    eigenvalues, means or ``feature_scale``, a mean or ``feature_scale``
-    that is not a vector of length ``n_features``, a ``feature_scale`` that
-    is not positive, or an ``alpha`` or ridge that is not a finite
-    nonnegative number, for some), and an ``n_features`` or
-    ``n_components`` other than the shape of ``components``.
+    The file's values go to :class:`~dpca.methods.ComponentModel` as they
+    were read; the model converts and checks them, and sets the default of
+    a key the file leaves out. Anything that is not such a file is an
+    :class:`InvalidInputError` naming ``path``:
+
+    - text that is not JSON, a document that is not an object, or a
+      ``format_version`` other than the integer :data:`MODEL_FORMAT_VERSION`;
+    - a missing key whose field has no default (``method``,
+      ``target_mean``, ``components``, ``eigenvalues``), or a missing
+      ``n_features`` or ``n_components``;
+    - a ``regularization`` that is not an object;
+    - a value the model rejects: an unknown method; components, eigenvalues,
+      means or ``feature_scale`` that are not finite (an integer beyond the
+      largest double among them), a mean or ``feature_scale`` that is not a
+      vector of length ``n_features``, a ``feature_scale`` that is not
+      positive; an ``alpha``, ridge or ``floor_rel`` that is not a finite
+      nonnegative number a double holds; an ``alpha`` on a model other than
+      cPCA, or none on one;
+    - an ``n_features`` or ``n_components`` other than the shape of
+      ``components``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -481,28 +496,24 @@ def load_model(path) -> ModelFile:
         raise InvalidInputError(
             f"{path}: unsupported model format version {version!r}")
     try:
-        reg = doc.get("regularization", {})
-        model = ComponentModel(
-            method=doc["method"],
-            components=np.asarray(doc["components"], dtype=np.float64),
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=np.float64),
-            target_mean=np.asarray(doc["target_mean"], dtype=np.float64),
-            alpha=doc.get("alpha"),
-            background_mean=None if doc.get("background_mean") is None
-            else np.asarray(doc["background_mean"], dtype=np.float64),
-            ridge_target=reg.get("ridge_target", 0.0),
-            ridge_background=reg.get("ridge_background"),
-            floor_rel=reg.get("floor_rel"),
-            feature_scale=None if doc.get("feature_scale") is None
-            else np.asarray(doc["feature_scale"], dtype=np.float64),
-        )
-        for name, size in (("n_features", model.n_features), ("n_components", model.n_components)):
-            if type(doc[name]) is not int or doc[name] != size:  # JSON true == 1
-                raise InvalidInputError(f"{name} is {doc[name]!r}, but components are "
+        read = {}
+        for section, names in _MODEL_LAYOUT.items():
+            part = doc if section is None else doc.get(section, {})
+            # a key is required when its field has no default, and when it is no
+            # field but the shape of components (n_features, n_components); a
+            # section that is not an object has no get(), so the file is malformed
+            read.update((name, part[name]) for name in names
+                        if part.get(name, MISSING) is not MISSING
+                        or _MODEL_DEFAULTS.get(name, MISSING) is MISSING)
+        shape = {name: read.pop(name) for name in list(read) if name not in _MODEL_DEFAULTS}
+        model = ComponentModel(**read)
+        for name, value in shape.items():
+            if type(value) is not int or value != getattr(model, name):  # JSON true == 1
+                raise InvalidInputError(f"{name} is {value!r}, but components are "
                                         f"{model.n_features} x {model.n_components}")
     except KeyError as exc:
         raise InvalidInputError(f"{path}: model file is missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError, InvalidInputError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError, InvalidInputError) as exc:
         raise InvalidInputError(f"{path}: malformed model file: {exc}") from exc
     return ModelFile(model=model, provenance=doc.get("provenance") or {})
 

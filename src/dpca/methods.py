@@ -30,6 +30,7 @@ feature space (``eigencore._lift``) and build the model (``_model``).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -62,10 +63,12 @@ class ComponentModel:
     the (scaled) target. ``alpha`` is present exactly when ``method ==
     "cpca"``. The ridge/floor fields record the regularization that went
     into the fit. Each scalar is stored as a float that passes
-    :func:`~dpca.errors.check_range` (finite and nonnegative); ``alpha``,
-    ``ridge_background`` and ``floor_rel`` may also be None. The
-    means and the scale are finite vectors of one entry per feature, and the
-    scale is positive.
+    :func:`~dpca.errors.check_range` (finite and nonnegative) as it was
+    passed, and that a double holds; ``alpha``, ``ridge_background`` and
+    ``floor_rel`` may also be None. The means and the scale are finite
+    vectors of one entry per feature, and the scale is positive. The model
+    is the one place these values are converted, defaulted and checked: a
+    model file passes them on as it read them.
     """
 
     method: str
@@ -110,7 +113,11 @@ class ComponentModel:
         for name in ("alpha", "ridge_target", "ridge_background", "floor_rel"):
             value = getattr(self, name)
             if value is not None or name == "ridge_target":
-                object.__setattr__(self, name, float(check_range(name, value)))
+                try:
+                    object.__setattr__(self, name, float(check_range(name, value)))
+                except OverflowError:  # an integer past the largest double, rejected by name
+                    check_range(name, value, hi=sys.float_info.max)
+                    raise
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 

@@ -34,7 +34,9 @@ class FactorModelSpec:
     standard deviations are per-coordinate; ``background_coeff_std`` drives
     the background's shared coefficients, ``shared_coeff_std`` the target's.
     The means must be finite, and each std entry and ``noise_std`` must pass
-    :func:`~dpca.errors.check_range` (a finite number >= 0, not a bool).
+    :func:`~dpca.errors.check_range` (a finite number >= 0, not a bool) as
+    it was passed. The spec is the one place these values are converted: it
+    stores the means and stds as float64 vectors and ``noise_std`` as a float.
     """
 
     shared_basis: np.ndarray
@@ -62,11 +64,10 @@ class FactorModelSpec:
         if not gram_err <= 1e-10:  # NaN fails it too
             raise InvalidInputError(
                 f"stacked basis is not orthonormal (Gram error {gram_err:.2e})")
-        for name, vec, want in (("target_mean", self.target_mean, dim),
-                                ("background_mean", self.background_mean, dim),
-                                ("background_coeff_std", self.background_coeff_std, k),
-                                ("shared_coeff_std", self.shared_coeff_std, k),
-                                ("specific_coeff_std", self.specific_coeff_std, d_s)):
+        for name, want in (("target_mean", dim), ("background_mean", dim),
+                           ("background_coeff_std", k), ("shared_coeff_std", k),
+                           ("specific_coeff_std", d_s)):
+            vec = getattr(self, name)
             if "std" in name:  # each entry is checked as it was passed
                 for i, std in enumerate(np.asarray(vec, dtype=object).ravel()):
                     check_range(f"{name}[{i}]", std)
@@ -75,7 +76,8 @@ class FactorModelSpec:
                 raise DimensionError(f"{name} must have length {want}, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"{name} must be finite")
-        check_range("noise_std", self.noise_std)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "noise_std", float(check_range("noise_std", self.noise_std)))
 
     @property
     def n_features(self) -> int:
@@ -114,6 +116,9 @@ def random_spec(n_features: int, n_shared: int, n_specific: int,
 
     Bases come from the QR factorization of a seeded Gaussian matrix; scalar
     std arguments broadcast to the right lengths. Means default to zero.
+    The stds, ``noise_std`` and the means reach :class:`FactorModelSpec` as
+    passed, so its checks see the caller's values (a bool or a string std is
+    rejected by name).
     """
     if n_shared < 0 or n_specific < 1 or n_shared + n_specific > n_features:
         raise DimensionError(
@@ -123,19 +128,18 @@ def random_spec(n_features: int, n_shared: int, n_specific: int,
     q *= np.sign(np.diag(r))[None, :]
 
     def as_vec(x, length):
-        arr = np.asarray(x, dtype=np.float64)
-        return np.full(length, float(arr)) if arr.ndim == 0 else arr
+        return np.full(length, x) if np.ndim(x) == 0 else x  # keeps a bool a bool
 
     zeros = np.zeros(n_features)
     return FactorModelSpec(
         shared_basis=q[:, :n_shared],
         specific_basis=q[:, n_shared:],
-        target_mean=zeros if target_mean is None else np.asarray(target_mean, dtype=np.float64),
-        background_mean=zeros if background_mean is None else np.asarray(background_mean, dtype=np.float64),
+        target_mean=zeros if target_mean is None else target_mean,
+        background_mean=zeros if background_mean is None else background_mean,
         background_coeff_std=as_vec(background_coeff_std, n_shared),
         shared_coeff_std=as_vec(shared_coeff_std, n_shared),
         specific_coeff_std=as_vec(specific_coeff_std, n_specific),
-        noise_std=float(noise_std),
+        noise_std=noise_std,
         seed=int(seed),
     )
 

@@ -670,9 +670,13 @@ class TestExitCodes:
         (("--background-std", "inf"), "--background-std"),
         (("--specific-std", "-1"), "--specific-std"), (("--separation", "nan"), "--separation"),
         (("--seed", "-1"), "--seed"),
+        # beyond what numpy can index: features x (shared + specific), rows x features
+        (("--features", str(10**30)), "--features"), (("--features", str(2**62)), "--features"),
+        (("-m", str(10**30)), "-m"), (("-n", str(10**30)), "-n"),
     ], ids=["m-zero", "n-zero", "clusters-zero", "clusters-above-m", "noise-std-negative",
             "noise-std-nan", "shared-std-negative", "background-std-inf", "specific-std-negative",
-            "separation-nan", "seed-negative"])
+            "separation-nan", "seed-negative", "features-1e30", "features-2e62", "m-1e30",
+            "n-1e30"])
     def test_usage_synth_parameter(self, tmp_path, capsys, flags, named):
         assert run("synth", "--features", 10, *flags, "--out", tmp_path / "s") == 2
         assert f"{named} must be" in capsys.readouterr().err
@@ -695,7 +699,7 @@ class TestExitCodes:
             "synth-clusters", "synth-seed"])
     def test_integer_flag_beyond_int64(self, tmp_path, rng, capsys, argv, flag, code):
         # 10**30 passes no int64 conversion; it is checked like any other value. synth's
-        # --features, -m and -n size the generated tables and are left out.
+        # --features, -m and -n size the generated tables: test_usage_synth_parameter.
         write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0], labels=np.arange(30) % 2)
         write_gaussian_csv(tmp_path / "b.csv", rng, 30, [1.0, 1.0])
         argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
@@ -738,6 +742,30 @@ class TestExitCodes:
         assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
         err = capsys.readouterr().err
         assert f"{model}: malformed model file: {field}" in err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("method,field,message", [
+        ("dpca", "floor_rel", "floor_rel must be a finite number in 0..1.79"),
+        ("cpca", "alpha", "alpha must be a finite number in 0..1.79"),
+        ("cpca", "ridge_background", "ridge_background must be a finite number in 0..1.79"),
+        ("dpca", "components", "int too large to convert to float")])
+    def test_data_model_file_integer_beyond_the_doubles(self, tmp_path, rng, capsys, method,
+                                                        field, message):
+        # JSON holds a 401-digit integer, which float() cannot
+        target = write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0])
+        background = write_gaussian_csv(tmp_path / "b.csv", rng, 40, [1.0, 1.0])
+        model = tmp_path / "m.json"
+        flags = ("--alpha", 2.5, "--ridge", 0.5) if method == "cpca" else ()
+        assert run("fit", method, target, background, *flags, "--out", model) == 0
+        doc = json.loads(model.read_text())
+        if field == "components":
+            doc[field][0][0] = 10**400
+        else:
+            (doc if field == "alpha" else doc["regularization"])[field] = 10**400
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("transform", model, target, "--out", tmp_path / "e.csv") == 3
+        assert f"{model}: malformed model file: {message}" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("mean", [[0.0] * 7, [[0.0, 0.0]]], ids=["7_values", "2d"])

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1044,8 +1045,80 @@ class TestModelRoundTrip:
                                            "must have length 5")):
             fileio.load_model(path)
 
+    @pytest.mark.parametrize("section", ["abc", [1], None, 0])
+    def test_regularization_not_an_object_rejected(self, tmp_path, rng, section):
+        path = tmp_path / "model.json"
+        fileio.save_model(path, make_models(rng)[2])
+        fileio.write_json(path, {**json.loads(path.read_text()), "regularization": section})
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}: malformed model file: ")):
+            fileio.load_model(path)
+
+    @pytest.mark.parametrize("key", ["method", "n_features", "n_components", "alpha",
+                                     "target_mean", "background_mean", "feature_scale",
+                                     "components", "eigenvalues", "regularization",
+                                     "ridge_target", "ridge_background", "floor_rel"])
+    def test_key_required_exactly_without_a_default(self, tmp_path, rng, key):
+        # a key the file leaves out takes the model's default; one without a default
+        # (n_features and n_components are the shape of components) must be present
+        path = tmp_path / "model.json"
+        model = dataclasses.replace(make_models(rng)[2], feature_scale=np.full(5, 2.0))
+        fileio.save_model(path, model)
+        doc = json.loads(path.read_text())
+        del (doc["regularization"] if key in doc["regularization"] else doc)[key]
+        fileio.write_json(path, doc)
+        if key in ("method", "n_features", "n_components", "target_mean", "components",
+                   "eigenvalues"):
+            with pytest.raises(InvalidInputError, match=f"missing field '{key}'"):
+                fileio.load_model(path)
+            return
+        defaults = {"alpha": None, "background_mean": None, "feature_scale": None,
+                    "ridge_target": 0.0, "ridge_background": None, "floor_rel": None}
+        names = ("ridge_target", "ridge_background", "floor_rel") if key == "regularization" \
+            else (key,)
+        expected = dataclasses.replace(model, **{name: defaults[name] for name in names})
+        assert_same_model(fileio.load_model(path).model, expected)
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("definitely not json{")
         with pytest.raises(InvalidInputError):
             fileio.load_model(path)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["model_dpca.json", "model_pca_zscore.json",
+                                  "model_cpca_ridge.json"])
+class TestGoldenModelFiles:
+    """Format-1 model files as the CLI wrote them, kept under ``tests/data``.
+
+    Written from ``dpca synth --features 5 -m 20 -n 30 --seed 1`` by ``fit
+    dpca``, ``fit pca --zscore`` (sets ``feature_scale``) and ``fit cpca
+    --alpha 2.5 --ridge 0.5`` (sets ``alpha`` and both ridges).
+    """
+
+    def test_loads_to_the_stored_values(self, name):
+        # the expected model is read off the JSON here, key by key, not by the layout
+        doc = json.loads((GOLDEN / name).read_text())
+        stored = fileio.load_model(GOLDEN / name)
+        model = stored.model
+        assert model.method == doc["method"]
+        assert (model.n_features, model.n_components) == (doc["n_features"], doc["n_components"])
+        for field in ("target_mean", "background_mean", "feature_scale", "components",
+                      "eigenvalues"):
+            value = getattr(model, field)
+            if doc[field] is None:
+                assert value is None, field
+            else:
+                expected = np.array(doc[field], dtype=np.float64)
+                assert value.shape == expected.shape, field
+                assert value.tobytes() == expected.tobytes(), field
+        for field, value in (("alpha", doc["alpha"]), *doc["regularization"].items()):
+            assert getattr(model, field) == value and type(getattr(model, field)) is type(value)
+        assert stored.provenance == doc["provenance"]
+
+    def test_saves_back_byte_for_byte(self, tmp_path, name):
+        stored = fileio.load_model(GOLDEN / name)
+        fileio.save_model(tmp_path / name, stored.model, stored.provenance)
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

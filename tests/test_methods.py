@@ -6,6 +6,7 @@ the fits pick exactly those directions in that order.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -1121,6 +1122,16 @@ class TestComponentModelInvariants:
             methods.ComponentModel(method=method, components=np.eye(2),
                                    eigenvalues=np.array([2.0, 1.0]), target_mean=np.zeros(2),
                                    **{**fields, field: value})
+
+    @pytest.mark.parametrize("field", ["alpha", "ridge_target", "ridge_background", "floor_rel"])
+    def test_integer_beyond_the_doubles_rejected(self, field):
+        # float() cannot hold it, so the rule rejects it by name, bounded at the largest double
+        fields = {"alpha": 1.0} if field == "alpha" else {}
+        message = f"{field} must be a finite number in 0..1.7976931348623157e+308, got 1000"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            methods.ComponentModel(method="cpca" if field == "alpha" else "dpca",
+                                   components=np.eye(2), eigenvalues=np.array([2.0, 1.0]),
+                                   target_mean=np.zeros(2), **{**fields, field: 10**400})
 
     def test_scalars_stored_as_floats(self):
         model = methods.ComponentModel(method="cpca", components=np.eye(2),

@@ -55,6 +55,28 @@ class TestSpecValidation:
         with pytest.raises(error, match=message):
             dataclasses.replace(spec, **changes)
 
+    @pytest.mark.parametrize("changes,field", [
+        ({"specific_coeff_std": True}, r"specific_coeff_std\[0\]"),
+        ({"noise_std": True}, "noise_std"), ({"noise_std": "x"}, "noise_std"),
+        ({"shared_coeff_std": [1.0, "x"]}, r"shared_coeff_std\[1\]"),
+    ], ids=["bool-specific-std", "bool-noise", "string-noise", "string-in-list"])
+    def test_random_spec_checks_the_values_passed(self, changes, field):
+        # random_spec converts nothing, so True is not taken as 1.0
+        stds = {"background_coeff_std": 1.0, "shared_coeff_std": 1.0, "specific_coeff_std": 1.0,
+                "noise_std": 1.0}
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number >= 0, got"):
+            synthgen.random_spec(6, 2, 1, **{**stds, **changes})
+
+    def test_spec_stores_what_it_checked_as_floats(self):
+        spec = synthgen.FactorModelSpec(
+            shared_basis=np.eye(6)[:, :2], specific_basis=np.eye(6)[:, 2:3],
+            target_mean=[0] * 6, background_mean=np.zeros(6), background_coeff_std=[1, 2],
+            shared_coeff_std=np.ones(2), specific_coeff_std=(3,), noise_std=1)
+        for field in ("target_mean", "background_coeff_std", "specific_coeff_std"):
+            assert getattr(spec, field).dtype == np.float64, field
+        assert spec.background_coeff_std.tolist() == [1.0, 2.0]
+        assert type(spec.noise_std) is float and spec.noise_std == 1.0
+
 
 class TestNonFiniteSpec:
     """NaN fails every check of a spec, also those written as comparisons."""
