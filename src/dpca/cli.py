@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 import warnings
@@ -244,8 +245,12 @@ def cmd_synth(args) -> int:
         raise UsageError(
             f"shared+specific dims ({args.shared}+{args.specific}) exceed features ({args.features})")
     # numpy indexes no array of more cells than intp holds: the bases are
-    # features x (shared + specific), the tables rows x features
+    # features x (shared + specific), the tables rows x features. As features
+    # >= shared + specific, the basis fits only when shared + specific <= side
     cells = np.iinfo(np.intp).max
+    side = math.isqrt(cells)
+    _check_range("--shared", args.shared, 1, side - 1)
+    _check_range("--specific", args.specific, 1, side - args.shared)
     _check_range("--features", args.features, 1, cells // (args.shared + args.specific))
     for name, value in (("-m", args.target_samples), ("-n", args.background_samples)):
         _check_range(name, value, 1, cells // args.features)

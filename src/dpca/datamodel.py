@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import eigencore
-from .errors import DimensionError, InvalidInputError, check_range
+from .errors import DimensionError, InvalidInputError, check_float
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,15 @@ def sample_covariance(centered: CenteredDataset, ridge: float = 0.0) -> Covarian
     The divisor is the sample count ``m``, not ``m - 1``. A positive ridge
     makes rank-deficient covariances invertible before a pencil solve; the
     amount added is recorded on the estimate. ``ridge`` must pass
-    :func:`~dpca.errors.check_range` (a finite number >= 0, not a bool). The
+    :func:`~dpca.errors.check_float` (a finite number >= 0, not a bool, that a
+    double holds). The
     estimate keeps a reference to the centered values and forms the ``D x
     D`` matrix only when its ``matrix`` is first read (see
     :class:`CovarianceEstimate`).
     """
-    check_range("ridge", ridge)
+    ridge = check_float("ridge", ridge)
     x = centered.data.values
-    return CovarianceEstimate(sample_count=x.shape[0], ridge_applied=float(ridge), data=x)
+    return CovarianceEstimate(sample_count=x.shape[0], ridge_applied=ridge, data=x)
 
 
 def concat_rows(parts: Sequence[DataMatrix]) -> DataMatrix:

@@ -25,8 +25,10 @@ is built on four operations:
 
 Eigenpairs have one type, :class:`EigenDecomposition`, which
 ``sym_eigendecompose`` and ``power_topd`` return. The pencil solvers return
-its subclass :class:`GeneralizedEigenPairs`, which adds only
-``floor_applied``.
+its subclass :class:`GeneralizedEigenPairs`, which adds ``floor_applied``
+and ``route``: each leaf stamps its route name on the pairs it returns,
+``"floored_whitening"``, ``"cholesky"`` or ``"whitened_span"``. So a caller
+learns from the result which leaf ran, and from ``dim`` the order it solved.
 
 Fits on wide data solve at a smaller order in an orthonormal basis ``Q`` of
 their samples: ``_span_qr`` factors the samples, ``_span_grams`` forms the
@@ -72,7 +74,7 @@ from .errors import (
     NonConvergenceError,
     RankZeroError,
     SymmetryError,
-    check_range,
+    check_float,
 )
 
 SYMMETRY_RTOL = 1e-12
@@ -136,10 +138,13 @@ class GeneralizedEigenPairs(EigenDecomposition):
     nonnegative and whose ``eigenvectors`` columns have unit Euclidean norm
     and satisfy ``A u ~= lam B u``. ``floor_applied`` is True when the
     whitening floor raised eigenvalues of ``B``, in which case the floor,
-    not ``B``, determines the result.
+    not ``B``, determines the result. ``route`` names the leaf solver that
+    computed the pairs: ``"floored_whitening"``, ``"cholesky"`` or
+    ``"whitened_span"`` (None for pairs built by hand).
     """
 
     floor_applied: bool = False
+    route: str | None = None
 
     @property
     def count(self) -> int:
@@ -244,7 +249,7 @@ def whitening_factor(cov: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL) -> W
     RankZeroError
         If the largest eigenvalue is not positive (zero matrix).
     """
-    check_range("floor_rel", floor_rel)
+    floor_rel = check_float("floor_rel", floor_rel)
     arr = check_symmetric(cov, "matrix")
     return _whitening(arr, floor_rel, arr.shape[0] >= TOP_D_MIN_DIM)
 
@@ -280,7 +285,8 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     and in numpy below it. Either way each eigenvector ``u`` has unit
     Euclidean norm. For nonsingular ``B`` the eigenvalues equal the
     Rayleigh ratios ``u^T A u / u^T B u``; when the floor applied they are
-    those of the whitened matrix and ``floor_applied`` is set. (The third
+    those of the whitened matrix and ``floor_applied`` is set. ``route``
+    names the leaf, ``"cholesky"`` or ``"floored_whitening"``. (The third
     leaf, :func:`_whitened_span_eig`, serves reduced dPCA fits only; see
     :func:`_span_pencil_eig`.)
 
@@ -307,7 +313,7 @@ def generalized_eig(mat_a: np.ndarray, mat_b: np.ndarray, d: int,
     dim = a.shape[0]
     if not 1 <= d <= dim:
         raise DimensionError(f"requested {d} pairs from a dimension-{dim} pencil")
-    check_range("floor_rel", floor_rel)
+    floor_rel = check_float("floor_rel", floor_rel)
     in_scipy = dim >= TOP_D_MIN_DIM
     lower = _comfortable_cholesky(b, floor_rel) if in_scipy else None
     if lower is None:
@@ -329,7 +335,7 @@ def _floored_whitening_eig(a: np.ndarray, b: np.ndarray, d: int, floor_rel: floa
     transformed = 0.5 * (transformed + transformed.T)  # kill rounding asymmetry
     values, vectors = _top_pairs(transformed, d, in_scipy)
     return _pencil_pairs(values, _product(in_scipy, white.factor, vectors),
-                         white.floor_applied)
+                         white.floor_applied, "floored_whitening")
 
 
 def _product(in_scipy: bool, *factors: np.ndarray) -> np.ndarray:
@@ -355,16 +361,16 @@ def _cholesky_eig(a: np.ndarray, lower: np.ndarray, d: int) -> GeneralizedEigenP
     values, vectors = _top_pairs(reduced, d, True)
     vectors = scipy.linalg.solve_triangular(lower, vectors, lower=True, trans="T",
                                             check_finite=False)
-    return _pencil_pairs(values, vectors, False)
+    return _pencil_pairs(values, vectors, False, "cholesky")
 
 
-def _pencil_pairs(values: np.ndarray, vectors: np.ndarray,
-                  floor_applied: bool) -> GeneralizedEigenPairs:
-    """Pencil pairs, descending, as returned: values clipped at 0, unit columns, signs fixed."""
+def _pencil_pairs(values: np.ndarray, vectors: np.ndarray, floor_applied: bool,
+                  route: str) -> GeneralizedEigenPairs:
+    """A leaf's pairs, descending, as returned: values clipped at 0, unit columns, signs fixed."""
     return GeneralizedEigenPairs(
         eigenvalues=np.maximum(values, 0.0),
         eigenvectors=apply_sign_convention(vectors / np.linalg.norm(vectors, axis=0)),
-        floor_applied=floor_applied)
+        floor_applied=floor_applied, route=route)
 
 
 def _top_pairs(arr: np.ndarray, count: int, in_scipy: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -576,7 +582,8 @@ def _whitened_span_eig(triangle: np.ndarray, lower: np.ndarray,
     values, vectors = _top_pairs(whitened, d, True)
     head = scipy.linalg.solve_triangular(lower, vectors[:rows_b], lower=True, trans="T",
                                          check_finite=False)
-    return _pencil_pairs(values, np.vstack([head, vectors[rows_b:] / np.sqrt(ridge_b)]), False)
+    return _pencil_pairs(values, np.vstack([head, vectors[rows_b:] / np.sqrt(ridge_b)]), False,
+                         "whitened_span")
 
 
 def _data_covariance(x: np.ndarray, count: int, ridge: float) -> np.ndarray:

@@ -4,12 +4,14 @@ Library code raises these instead of bare ValueError so the CLI can map
 failures onto its documented exit codes (usage 2, data 3, numerical 4).
 :func:`check_range` is the one check of a scalar argument (a ridge, an
 alpha, a floor, a spread, a CLI flag) and the one place its message is
-formed.
+formed. :func:`check_float` is that check for a number the library turns
+into a double.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -34,6 +36,20 @@ def check_range(name: str, value, lo: float = 0, hi: float = np.inf):
         bound = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
         raise InvalidInputError(f"{name} must be a finite number {bound}, got {value!r}")
     return value
+
+
+def check_float(name: str, value, lo: float = 0, hi: float = np.inf) -> float:
+    """``value`` as a float, when it passes :func:`check_range` and a double holds it.
+
+    An integer past the largest double passes the rule but not ``float()``;
+    it is rejected by name, with the rule's message bounded at that double.
+    """
+    try:
+        return float(check_range(name, value, lo, hi))
+    except OverflowError:
+        big = sys.float_info.max
+        check_range(name, value, max(lo, -big), min(hi, big))
+        raise
 
 
 class SymmetryError(InvalidInputError):

@@ -16,7 +16,8 @@ directions and their associated eigenvalues:
 ``fit`` is the one entry point from the ``FitInputs`` of
 ``datamodel.fit_inputs`` to models: it runs the method's fit above on the
 inputs' covariances and means, and the models carry the inputs' z-score
-scale, so ``transform`` projects raw data as the fit saw it.
+scale, so ``transform`` projects raw data as the fit saw it. Every fitted
+model reports how it was solved in ``ComponentModel.diagnostics``.
 ``pencil_residual`` certifies that a dPCA model solves its pencil.
 
 On wide data (far fewer samples than features, from
@@ -30,17 +31,17 @@ feature space (``eigencore._lift``) and build the model (``_model``).
 
 from __future__ import annotations
 
-import sys
 import warnings
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import eigencore
 from .cluster import spectral_cluster
 from .datamodel import CovarianceEstimate, DataMatrix, FitInputs
-from .errors import DimensionError, FloorAppliedWarning, InvalidInputError, check_range
+from .errors import DimensionError, FloorAppliedWarning, InvalidInputError, check_float
 
 METHODS = ("pca", "cpca", "dpca")
 
@@ -62,13 +63,23 @@ class ComponentModel:
     z-scored inputs and None otherwise, and ``target_mean`` is the mean of
     the (scaled) target. ``alpha`` is present exactly when ``method ==
     "cpca"``. The ridge/floor fields record the regularization that went
-    into the fit. Each scalar is stored as a float that passes
-    :func:`~dpca.errors.check_range` (finite and nonnegative) as it was
-    passed, and that a double holds; ``alpha``, ``ridge_background`` and
+    into the fit. Each scalar is stored as the float that
+    :func:`~dpca.errors.check_float` makes of it (finite, nonnegative and
+    held by a double, as it was passed); ``alpha``, ``ridge_background`` and
     ``floor_rel`` may also be None. The means and the scale are finite
     vectors of one entry per feature, and the scale is positive. The model
     is the one place these values are converted, defaulted and checked: a
     model file passes them on as it read them.
+
+    ``diagnostics`` is a read-only mapping of how a fit solved the model,
+    and None on a model that no fit built (one read from a model file,
+    say). ``route`` names the solver: ``"symmetric"`` for PCA and cPCA, and
+    for dPCA the pencil leaf that ran (see
+    :class:`~dpca.eigencore.GeneralizedEigenPairs`). ``order`` is the order
+    of the matrix or pencil solved: the feature count ``D`` on a dense fit,
+    ``K`` on one reduced to the span of its samples. dPCA adds
+    ``floor_applied``. It takes no part in model equality and is not in the
+    model file.
     """
 
     method: str
@@ -81,6 +92,7 @@ class ComponentModel:
     ridge_background: float | None = None
     floor_rel: float | None = None
     feature_scale: np.ndarray | None = None
+    diagnostics: Mapping[str, object] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -113,13 +125,11 @@ class ComponentModel:
         for name in ("alpha", "ridge_target", "ridge_background", "floor_rel"):
             value = getattr(self, name)
             if value is not None or name == "ridge_target":
-                try:
-                    object.__setattr__(self, name, float(check_range(name, value)))
-                except OverflowError:  # an integer past the largest double, rejected by name
-                    check_range(name, value, hi=sys.float_info.max)
-                    raise
+                object.__setattr__(self, name, check_float(name, value))
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
+        if self.diagnostics is not None:
+            object.__setattr__(self, "diagnostics", MappingProxyType(dict(self.diagnostics)))
 
     @property
     def n_features(self) -> int:
@@ -144,7 +154,8 @@ class AlphaSelection:
     """Outcome of automatic alpha selection over a candidate grid.
 
     ``components[i]`` and ``eigenvalues[i]`` are the cPCA pairs at
-    ``selected[i]``, the same as :func:`cpca_fit` returns at that alpha.
+    ``selected[i]``, the same as :func:`cpca_fit` returns at that alpha, and
+    ``diagnostics`` is the ``diagnostics`` of each of those models.
     """
 
     grid: np.ndarray
@@ -153,6 +164,7 @@ class AlphaSelection:
     selected: np.ndarray
     components: tuple[np.ndarray, ...]
     eigenvalues: tuple[np.ndarray, ...]
+    diagnostics: Mapping[str, object]
 
 
 def _data_span(covs: Sequence[CovarianceEstimate], d: int) -> eigencore._Span | None:
@@ -213,24 +225,26 @@ def _reduce_to_data_span(covs: Sequence[CovarianceEstimate],
 
 
 def _top(span: eigencore._Span | None, mat: np.ndarray,
-         d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top-``d`` components and eigenvalues of a fit's symmetric matrix.
+         d: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The top-``d`` components and eigenvalues of a fit's symmetric matrix, and its diagnostics.
 
     ``mat`` is reduced to ``span`` when that is not None; it is then
     symmetric by construction, its top pairs are taken in scipy, the library
-    of every reduced fit, and lifting them fixes their signs.
+    of every reduced fit, and lifting them fixes their signs. The route is
+    ``"symmetric"`` and the order is ``mat``'s, dense or reduced.
     """
+    diagnostics = {"route": "symmetric", "order": mat.shape[0]}
     if span is None:
         eig = eigencore.sym_eigendecompose(mat, d)
-        return eig.eigenvectors, eig.eigenvalues
+        return eig.eigenvectors, eig.eigenvalues, diagnostics
     values, vectors = eigencore._top_pairs(mat, d, True)
-    return eigencore._lift(span, vectors), values
+    return eigencore._lift(span, vectors), values, diagnostics
 
 
 def _model(method: str, covs: Sequence[CovarianceEstimate], components: np.ndarray,
-           eigenvalues: np.ndarray, target_mean: np.ndarray | None,
+           eigenvalues: np.ndarray, diagnostics: dict, target_mean: np.ndarray | None,
            background_mean: np.ndarray | None = None, **fields) -> ComponentModel:
-    """The model of a fit: its pairs, its means, and the ridges of its covariances.
+    """The model of a fit: its pairs, its diagnostics, its means, and the ridges of its covariances.
 
     ``covs`` lists the target's covariance first; a missing ``target_mean``
     is zero.
@@ -243,6 +257,7 @@ def _model(method: str, covs: Sequence[CovarianceEstimate], components: np.ndarr
         background_mean=background_mean,
         ridge_target=covs[0].ridge_applied,
         ridge_background=covs[1].ridge_applied if len(covs) > 1 else None,
+        diagnostics=diagnostics,
         **fields,
     )
 
@@ -269,7 +284,7 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
     is solved in the span of the target and background samples (see the
     module docstring); the result is the same.
     """
-    check_range("alpha", alpha)
+    alpha = check_float("alpha", alpha)
     span, (a, b) = _reduce_to_data_span([cxx, cyy], d)
     return _model("cpca", [cxx, cyy], *_top(span, a - alpha * b, d), target_mean,
                   background_mean, alpha=alpha)
@@ -277,9 +292,9 @@ def cpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, alpha: float, d: 
 
 def _dpca(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int, floor_rel: float,
           target_mean: np.ndarray | None, background_mean: np.ndarray | None,
-          orthonormalize: bool = False) -> tuple[ComponentModel, bool]:
-    """:func:`dpca_fit`'s model, and whether the eigenvalue floor was applied."""
-    check_range("floor_rel", floor_rel)  # before the samples are factored
+          orthonormalize: bool = False) -> ComponentModel:
+    """:func:`dpca_fit`'s model, before any warning; its diagnostics say if the floor applied."""
+    floor_rel = check_float("floor_rel", floor_rel)  # before the samples are factored
     span = _data_span([cxx, cyy], d)
     if span is None:
         pairs = eigencore.generalized_eig(cxx.matrix, cyy.matrix, d, floor_rel)
@@ -290,17 +305,18 @@ def _dpca(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int, floor_rel: f
         q, r = np.linalg.qr(comps)
         q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]  # keep column orientation
         comps = eigencore.apply_sign_convention(q)
-    return _model("dpca", [cxx, cyy], comps, pairs.eigenvalues, target_mean, background_mean,
-                  floor_rel=floor_rel), pairs.floor_applied
+    diagnostics = {"route": pairs.route, "order": pairs.dim, "floor_applied": pairs.floor_applied}
+    return _model("dpca", [cxx, cyy], comps, pairs.eigenvalues, diagnostics, target_mean,
+                  background_mean, floor_rel=floor_rel)
 
 
-def _warn_floor(model: ComponentModel, floor_applied: bool) -> ComponentModel:
+def _warn_floor(model: ComponentModel) -> ComponentModel:
     """``model``, after a :class:`~dpca.errors.FloorAppliedWarning` if its floor was applied.
 
     Called straight from the public function, so the warning names that
     function's caller.
     """
-    if floor_applied:
+    if model.diagnostics["floor_applied"]:
         warnings.warn(
             f"the background covariance has eigenvalues below floor_rel={model.floor_rel:g} "
             "times its largest (rank-deficient, e.g. fewer background samples than features); "
@@ -331,8 +347,8 @@ def dpca_fit(cxx: CovarianceEstimate, cyy: CovarianceEstimate, d: int,
     was applied to the background covariance, because the floor then
     determines the result; a ridge on the background covariance avoids it.
     """
-    return _warn_floor(*_dpca(cxx, cyy, d, floor_rel, target_mean, background_mean,
-                              orthonormalize))
+    return _warn_floor(_dpca(cxx, cyy, d, floor_rel, target_mean, background_mean,
+                             orthonormalize))
 
 
 def subspace_affinity(u: np.ndarray, v: np.ndarray) -> float:
@@ -367,7 +383,7 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
             f"cannot select {n_select} alphas from a grid of {grid_arr.size}")
 
     for alpha in grid_arr:
-        check_range("alpha", alpha)
+        check_float("alpha", alpha)
     grid_arr = grid_arr.astype(np.float64)
     span, (a, b) = _reduce_to_data_span([cxx, cyy], d)
     pairs = [_top(span, a - alpha * b, d) for alpha in grid_arr]
@@ -393,7 +409,8 @@ def cpca_select_alphas(cxx: CovarianceEstimate, cyy: CovarianceEstimate,
     return AlphaSelection(grid=grid_arr, affinity=affinity, cluster_assignment=assignment,
                           selected=grid_arr[chosen],
                           components=tuple(pairs[i][0] for i in chosen),
-                          eigenvalues=tuple(pairs[i][1] for i in chosen))
+                          eigenvalues=tuple(pairs[i][1] for i in chosen),
+                          diagnostics=pairs[0][2])
 
 
 def fit(method: str, inputs: FitInputs, d: int, *, alpha: float | None = None,
@@ -412,7 +429,9 @@ def fit(method: str, inputs: FitInputs, d: int, *, alpha: float | None = None,
     Each model is the direct call's (:func:`pca_fit`, :func:`cpca_fit`,
     :func:`dpca_fit`) on ``inputs.covs`` and ``inputs.means``, with
     ``feature_scale`` set to ``inputs.scale``; so :func:`transform` of the
-    raw target gives ``inputs.target.values @ model.components``.
+    raw target gives ``inputs.target.values @ model.components``. Its
+    ``diagnostics`` are the direct call's too: the route and the order
+    solved, and for dPCA whether the floor applied.
 
     Raises
     ------
@@ -428,12 +447,13 @@ def fit(method: str, inputs: FitInputs, d: int, *, alpha: float | None = None,
     if method == "pca":
         models = [pca_fit(inputs.covs[0], d, target_mean=inputs.means[0])]
     elif method == "dpca":
-        models = [_warn_floor(*_dpca(*inputs.covs, d, floor_rel, *inputs.means))]
+        models = [_warn_floor(_dpca(*inputs.covs, d, floor_rel, *inputs.means))]
     elif alpha is not None:
         models = [cpca_fit(*inputs.covs, alpha, d, *inputs.means)]
     else:
         selection = cpca_select_alphas(*inputs.covs, grid, d, select, seed=seed)
-        models = [_model("cpca", inputs.covs, *pairs, *inputs.means, alpha=a) for a, *pairs
+        models = [_model("cpca", inputs.covs, *pairs, selection.diagnostics, *inputs.means,
+                         alpha=a) for a, *pairs
                   in zip(selection.selected, selection.components, selection.eigenvalues)]
     return [replace(model, feature_scale=inputs.scale) for model in models]
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import DataMatrix
-from .errors import DimensionError, InvalidInputError, check_range
+from .errors import DimensionError, InvalidInputError, check_float
 
 _BACKGROUND_STREAM = 0
 _TARGET_STREAM = 1
@@ -34,8 +34,8 @@ class FactorModelSpec:
     standard deviations are per-coordinate; ``background_coeff_std`` drives
     the background's shared coefficients, ``shared_coeff_std`` the target's.
     The means must be finite, and each std entry and ``noise_std`` must pass
-    :func:`~dpca.errors.check_range` (a finite number >= 0, not a bool) as
-    it was passed. The spec is the one place these values are converted: it
+    :func:`~dpca.errors.check_float` (a finite number >= 0, not a bool, that
+    a double holds) as it was passed. The spec is the one place these values are converted: it
     stores the means and stds as float64 vectors and ``noise_std`` as a float.
     """
 
@@ -70,14 +70,14 @@ class FactorModelSpec:
             vec = getattr(self, name)
             if "std" in name:  # each entry is checked as it was passed
                 for i, std in enumerate(np.asarray(vec, dtype=object).ravel()):
-                    check_range(f"{name}[{i}]", std)
+                    check_float(f"{name}[{i}]", std)
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (want,):
                 raise DimensionError(f"{name} must have length {want}, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "noise_std", float(check_range("noise_std", self.noise_std)))
+        object.__setattr__(self, "noise_std", check_float("noise_std", self.noise_std))
 
     @property
     def n_features(self) -> int:
@@ -228,7 +228,7 @@ def spread_offsets(n_clusters: int, n_specific: int, scale: float) -> np.ndarray
     """
     if n_clusters < 1:
         raise InvalidInputError("need at least one cluster")
-    check_range("scale", scale, -np.inf)
+    scale = check_float("scale", scale, -np.inf)
     offsets = np.zeros((n_clusters, n_specific))
     if n_clusters > 1:
         offsets[:, 0] = scale * (2.0 * np.arange(n_clusters) / (n_clusters - 1) - 1.0)

@@ -73,21 +73,26 @@ def rng():
     return np.random.default_rng(12345)
 
 
-# The leaf pencil solvers. generalized_eig and the reduced dPCA solve each
-# validate their inputs and call exactly one of them: floored whitening,
-# the dense Cholesky solve, or the reduced solve straight from the QR factor.
-PENCIL_SOLVERS = ("_floored_whitening_eig", "_cholesky_eig", "_whitened_span_eig")
+# The routes of the pencil solve: each names the leaf solver that stamps it
+# on its pairs. generalized_eig and the reduced dPCA solve each validate their
+# inputs and call exactly one leaf: floored whitening, the dense Cholesky
+# solve, or the reduced solve straight from the QR factor. A fitted model
+# reports its route in model.diagnostics; this fixture is for tests that
+# count the leaf calls themselves.
+_LEAVES = {"floored_whitening": "_floored_whitening_eig", "cholesky": "_cholesky_eig",
+           "whitened_span": "_whitened_span_eig"}
+PENCIL_SOLVERS = tuple(_LEAVES)
 
 
 @pytest.fixture
 def pencil_solves(monkeypatch):
-    """A list that gains the name of the leaf of every real ``PENCIL_SOLVERS`` call."""
+    """A list that gains the route name of every real leaf pencil solve."""
     calls = []
-    for name in PENCIL_SOLVERS:
+    for route, name in _LEAVES.items():
         real = getattr(eigencore, name)
 
-        def counted(*args, real=real, name=name, **kwargs):
-            calls.append(name)
+        def counted(*args, real=real, route=route, **kwargs):
+            calls.append(route)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(eigencore, name, counted)

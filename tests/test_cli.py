@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -673,13 +674,18 @@ class TestExitCodes:
         # beyond what numpy can index: features x (shared + specific), rows x features
         (("--features", str(10**30)), "--features"), (("--features", str(2**62)), "--features"),
         (("-m", str(10**30)), "-m"), (("-n", str(10**30)), "-n"),
+        # the --features bound would be empty: the flag too large is named
+        (("--shared", str(10**30), "--features", str(10**31)), "--shared"),
     ], ids=["m-zero", "n-zero", "clusters-zero", "clusters-above-m", "noise-std-negative",
             "noise-std-nan", "shared-std-negative", "background-std-inf", "specific-std-negative",
             "separation-nan", "seed-negative", "features-1e30", "features-2e62", "m-1e30",
-            "n-1e30"])
+            "n-1e30", "shared-1e30-features-1e31"])
     def test_usage_synth_parameter(self, tmp_path, capsys, flags, named):
         assert run("synth", "--features", 10, *flags, "--out", tmp_path / "s") == 2
-        assert f"{named} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{named} must be" in err
+        for lo, hi in re.findall(r" in (-?\d+)\.\.(-?\d+),", err):
+            assert int(lo) <= int(hi), err  # never an empty range
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,flag,code", [
@@ -706,6 +712,18 @@ class TestExitCodes:
         assert run(*argv, flag, 10**30, "--out", tmp_path / "o") == code
         err = capsys.readouterr().err
         assert err == "" if code == 0 else "1" + "0" * 30 in err
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "cpca", "t.csv", "b.csv", "--auto-alpha", "--select", "2"),
+        ("compare", "t.csv", "b.csv", "--select", "2"),
+        ("synth", "--features", "6", "-m", "20", "-n", "30")], ids=["fit", "compare", "synth"])
+    def test_seed_beyond_the_doubles(self, tmp_path, rng, capsys, argv):
+        # the seed is an integer and never turned into a double, so no bound applies
+        write_gaussian_csv(tmp_path / "t.csv", rng, 30, [1.0, 2.0], labels=np.arange(30) % 2)
+        write_gaussian_csv(tmp_path / "b.csv", rng, 30, [1.0, 1.0])
+        argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+        assert run(*argv, "--seed", 10**400, "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("doc", [[1, 2], None])
     def test_data_model_file_not_an_object(self, tmp_path, rng, capsys, doc):

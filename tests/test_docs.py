@@ -25,6 +25,10 @@ def test_library_quickstart_runs():
     namespace = {}
     exec(compile(code_block("Library quickstart", "python"), str(README), "exec"), namespace)
     model, embedding = namespace["model"], namespace["embedding"]
+    # 3000 background rows in 100 features: a dense fit, in numpy, unfloored
+    assert model.diagnostics == {"route": "floored_whitening", "order": 100,
+                                 "floor_applied": False}
+    assert namespace["route"] == "floored_whitening"
     assert model.target_mean is not None and model.background_mean is not None
     assert model.background_mean.shape == model.target_mean.shape == (100,)
     assert embedding.coordinates.shape == (2000, 2)

@@ -19,7 +19,7 @@ from dpca.datamodel import CovarianceEstimate
 from dpca.errors import (DimensionError, FloorAppliedWarning, InvalidInputError, RankZeroError,
                          SymmetryError)
 
-from conftest import PENCIL_SOLVERS, random_orthogonal, random_spd
+from conftest import random_orthogonal, random_spd
 
 
 class TestSymEigendecompose:
@@ -222,12 +222,13 @@ class TestWhiteningFactor:
 
 class TestGeneralizedEig:
     def test_pairs_extend_the_eigendecomposition(self):
-        # one eigenpair type: the pencil's adds its floor flag and nothing it restates
+        # one eigenpair type: the pencil's adds its floor flag and route, nothing it restates
         assert issubclass(ec.GeneralizedEigenPairs, ec.EigenDecomposition)
-        assert set(vars(ec.GeneralizedEigenPairs)["__annotations__"]) == {"floor_applied"}
+        assert set(vars(ec.GeneralizedEigenPairs)["__annotations__"]) == {"floor_applied",
+                                                                            "route"}
         assert "dim" not in vars(ec.GeneralizedEigenPairs)
         pairs = ec.GeneralizedEigenPairs(np.array([2.0]), np.eye(3)[:, :1])
-        assert (pairs.dim, pairs.count, pairs.floor_applied) == (3, 1, False)
+        assert (pairs.dim, pairs.count, pairs.floor_applied, pairs.route) == (3, 1, False, None)
 
     def test_diagonal_ratio_ordering(self):
         out = ec.generalized_eig(np.diag([2.0, 8.0]), np.diag([1.0, 16.0]), 2)
@@ -293,8 +294,8 @@ class TestGeneralizedEig:
         assert np.array_equal(one.eigenvalues, two.eigenvalues)
         assert np.array_equal(one.eigenvectors, two.eigenvectors)
 
-    @pytest.mark.parametrize("order,leaf", [(3, "_floored_whitening_eig"),
-                                            (ec.TOP_D_MIN_DIM + 4, "_cholesky_eig")])
+    @pytest.mark.parametrize("order,leaf", [(3, "floored_whitening"),
+                                            (ec.TOP_D_MIN_DIM + 4, "cholesky")])
     def test_overflow_in_the_solve_rejected(self, pencil_solves, order, leaf):
         # A and B are finite, but the whitened or reduced target is not
         a = np.diag(np.linspace(1e300, 2e300, order))
@@ -316,39 +317,29 @@ class TestLeadingBlockBackground:
     """Backgrounds ``blockdiag(B11, r I)``, the shape a reduced dPCA background has.
 
     A reduced dPCA fit with a background ridge forms and factors only
-    ``B11``, from the QR factor of its samples, and solves it with the leaf
-    ``_whitened_span_eig``; when that route does not apply, it hands both
-    reduced matrices to the floored-whitening leaf and factors nothing more.
-    Every reduced fit runs in scipy, whatever its order.
-    ``generalized_eig`` factors every ``B`` it is given whole. Every case is
-    checked against scipy's dense solve of the same pencil.
+    ``B11``, from the QR factor of its samples, and solves it on the route
+    ``"whitened_span"``; when that route does not apply, it hands both
+    reduced matrices to the floored-whitening leaf, which whitens the whole
+    reduced background, and factors nothing more. Every reduced fit runs in
+    scipy, whatever its order. ``generalized_eig`` factors every ``B`` it is
+    given whole. Every case is checked against scipy's dense solve of the
+    same pencil.
     """
 
     DIM = 300
 
     @staticmethod
-    def route_spies(monkeypatch):
-        """Record each Cholesky factorization's and whitening's order and each leaf solver."""
-        factored, whitened, solvers = [], [], []
-        real_cho, real_white = scipy.linalg.cho_factor, ec._whitening
+    def factorizations(monkeypatch):
+        """A list that gains the order of each Cholesky factorization."""
+        factored = []
+        real_cho = scipy.linalg.cho_factor
 
         def cho(mat, *args, **kwargs):
             factored.append(np.shape(mat)[0])
             return real_cho(mat, *args, **kwargs)
 
-        def white(mat, *args, **kwargs):
-            whitened.append(np.shape(mat)[0])
-            return real_white(mat, *args, **kwargs)
-
         monkeypatch.setattr(scipy.linalg, "cho_factor", cho)
-        monkeypatch.setattr(ec, "_whitening", white)
-        for name in PENCIL_SOLVERS:
-            def solver(*args, real=getattr(ec, name), name=name, **kwargs):
-                solvers.append(name)
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(ec, name, solver)
-        return factored, whitened, solvers
+        return factored
 
     @staticmethod
     def assert_matches_dense(pairs, a, b):
@@ -363,10 +354,10 @@ class TestLeadingBlockBackground:
 
     def check_dense_solve(self, rng, monkeypatch, b):
         a = random_spd(rng, self.DIM)
-        factored, whitened, solvers = self.route_spies(monkeypatch)
+        factored = self.factorizations(monkeypatch)
         pairs = ec.generalized_eig(a, b, 4)
         monkeypatch.undo()
-        assert (factored, whitened, solvers) == ([self.DIM], [], ["_cholesky_eig"])
+        assert (factored, pairs.route, pairs.dim) == ([self.DIM], "cholesky", self.DIM)
         self.assert_matches_dense(pairs, a, b)
 
     def block_background(self, rng, lead, ridge=2.5):
@@ -397,13 +388,16 @@ class TestLeadingBlockBackground:
         return CovarianceEstimate(sample_count=x.shape[0], ridge_applied=ridge, data=x)
 
     def check_reduced_fit(self, monkeypatch, cxx, cyy, route, d=3):
-        """Fit dPCA on wide data; check its route, that no floor applied, and the dense solve."""
-        factored, whitened, solvers = self.route_spies(monkeypatch)
+        """Fit dPCA on wide data; check ``route``, that no floor applied, and the dense solve.
+
+        ``route`` is ``(Cholesky factorization orders, route, order)``.
+        """
+        factored = self.factorizations(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             model = methods.dpca_fit(cxx, cyy, d)
         monkeypatch.undo()
-        assert (factored, whitened, solvers) == route
+        assert (factored, model.diagnostics["route"], model.diagnostics["order"]) == route
         assert not [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
         pairs = ec.GeneralizedEigenPairs(model.eigenvalues, model.components)
         self.assert_matches_dense(pairs, cxx.matrix, cyy.matrix)
@@ -415,13 +409,13 @@ class TestLeadingBlockBackground:
         target = rng.standard_normal((m, dim)) * np.linspace(3.0, 0.5, dim)
         background = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
         cxx, cyy = self.covariance(target, 1.0), self.covariance(background, 2.5)
-        self.check_reduced_fit(monkeypatch, cxx, cyy, ([n], [], ["_whitened_span_eig"]))
+        self.check_reduced_fit(monkeypatch, cxx, cyy, ([n], "whitened_span", m + n + 3))
 
     def test_scalar_background_factors_one_entry(self, rng, monkeypatch):
         # one background row: B11 is 1 x 1; K = 264
         cxx = self.covariance(rng.standard_normal((260, 600)), 1.0)
         cyy = self.covariance(rng.standard_normal((1, 600)), 2.5)
-        self.check_reduced_fit(monkeypatch, cxx, cyy, ([1], [], ["_whitened_span_eig"]))
+        self.check_reduced_fit(monkeypatch, cxx, cyy, ([1], "whitened_span", 264))
 
     @pytest.mark.parametrize("ridge", [1e-8, 1e8])
     def test_condition_combines_both_blocks(self, rng, monkeypatch, ridge):
@@ -436,21 +430,20 @@ class TestLeadingBlockBackground:
         background = np.sqrt(n * spectrum)[:, None] * rows
         cxx = self.covariance(rng.standard_normal((m, dim)), 1.0)
         cyy = self.covariance(background, ridge)
-        self.check_reduced_fit(monkeypatch, cxx, cyy,
-                               ([n], [m + n + 3], ["_floored_whitening_eig"]))
+        self.check_reduced_fit(monkeypatch, cxx, cyy, ([n], "floored_whitening", m + n + 3))
 
     def test_zero_tail_takes_the_whitening_route(self, rng, monkeypatch):
         # r_b = 0: B is singular, so nothing is factored; the whitening leaf's floor decides
         dim, m, n, d = 600, 60, 200, 3
         cxx = self.covariance(rng.standard_normal((m, dim)), 1.0)
         cyy = self.covariance(rng.standard_normal((n, dim)), 0.0)
-        factored, whitened, solvers = self.route_spies(monkeypatch)
+        factored = self.factorizations(monkeypatch)
         with pytest.warns(FloorAppliedWarning) as caught:
-            methods.dpca_fit(cxx, cyy, d)
+            model = methods.dpca_fit(cxx, cyy, d)
         monkeypatch.undo()
         assert len(caught) == 1
-        order = m + n + d
-        assert (factored, whitened, solvers) == ([], [order], ["_floored_whitening_eig"])
+        assert (factored, dict(model.diagnostics)) == (
+            [], {"route": "floored_whitening", "order": m + n + d, "floor_applied": True})
 
 
 class TestReduceToSpan:
@@ -543,12 +536,12 @@ class TestOneEigensolve:
         ec.generalized_eig(a, b, 2)
         assert calls == ["check_symmetric", "check_symmetric", "apply_sign_convention"]
 
-    def test_every_pair_on_the_cholesky_route(self, rng, pencil_solves):
+    def test_every_pair_on_the_cholesky_route(self, rng):
         # d equal to the order takes scipy's full solve of the reduced pencil
         order = ec.TOP_D_MIN_DIM + 4
         a, b = random_spd(rng, order), random_spd(rng, order)
         out = ec.generalized_eig(a, b, order)
-        assert pencil_solves == ["_cholesky_eig"]
+        assert out.route == "cholesky"
         ref = scipy.linalg.eigh(a, b, eigvals_only=True)[::-1]
         np.testing.assert_allclose(out.eigenvalues, ref, rtol=1e-12)
         resid = a @ out.eigenvectors - (b @ out.eigenvectors) * out.eigenvalues

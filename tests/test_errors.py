@@ -81,7 +81,9 @@ def solves(monkeypatch):
     return calls
 
 
-BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "-1": -1, "True": True, "x": "x"}
+# 10**400 passes the rule but no double holds it: each site turns its number into one
+BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "-1": -1, "True": True, "x": "x",
+       "10**400": 10**400}
 
 
 class TestCheckRange:

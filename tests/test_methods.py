@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpca import eigencore as ec
@@ -223,22 +223,13 @@ class TestConditionLadder:
 
     @pytest.mark.parametrize("dim", [5, 50, 300])
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
-    def test_routes_agree_with_references(self, rng, monkeypatch, dim, cond):
-        whitenings = []
-        real_whitening = ec._whitening
-
-        def counted(*args, **kwargs):
-            whitenings.append(args)
-            return real_whitening(*args, **kwargs)
-
+    def test_routes_agree_with_references(self, rng, dim, cond):
         a, b = random_spd(rng, dim), ladder_background(rng, dim, cond)
         d = min(3, dim)
-        monkeypatch.setattr(ec, "_whitening", counted)
         pairs = ec.generalized_eig(a, b, d)
-        monkeypatch.undo()
 
         cholesky_route = dim >= ec.TOP_D_MIN_DIM and cond < 1e8
-        assert len(whitenings) == (0 if cholesky_route else 1)
+        assert pairs.route == ("cholesky" if cholesky_route else "floored_whitening")
         assert pairs.floor_applied == (cond > 1 / ec.DEFAULT_FLOOR_REL)
         ref = whitened_reference(cov(a), cov(b), d)
         np.testing.assert_allclose(pairs.eigenvalues, ref.eigenvalues, rtol=1e-10)
@@ -514,45 +505,23 @@ class TestWideDataReduction:
         return cxx, cyy
 
     @staticmethod
-    def solve_orders(monkeypatch):
-        """Record ``(name, order)`` of every symmetric eigensolve and leaf pencil solve.
-
-        ``_top_pairs`` is the one eigensolve: a PCA/cPCA fit, dense (through
-        ``sym_eigendecompose``) or reduced, records it alone, and a dPCA fit
-        records its leaf and then the leaf's eigensolve.
-        """
-        orders = []
-        for name in ("_top_pairs",) + PENCIL_SOLVERS:
-            real = getattr(ec, name)
-
-            def spy(mat, *args, real=real, name=name, **kwargs):
-                orders.append((name, np.shape(mat)[0]))
-                return real(mat, *args, **kwargs)
-
-            monkeypatch.setattr(ec, name, spy)
-        return orders
-
-    @staticmethod
-    def leaves(orders):
-        return [name for name, _ in orders if name in PENCIL_SOLVERS]
+    def route(model):
+        """The ``(route, order)`` a fitted model reports."""
+        return model.diagnostics["route"], model.diagnostics["order"]
 
     @pytest.mark.parametrize("dim,m,n", SHAPES)
     @pytest.mark.parametrize("ridges", RIDGES)
-    def test_dpca_and_pca_match_dense(self, rng, monkeypatch, dim, m, n, ridges):
+    def test_dpca_and_pca_match_dense(self, rng, dim, m, n, ridges):
         cxx, cyy = self.wide_pair(rng, dim, m, n, ridges)
         d = 3
-        orders = self.solve_orders(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dpc = methods.dpca_fit(cxx, cyy, d)
         # at every reduced order, a background ridge lets the fit solve from R
-        assert self.leaves(orders) == ["_whitened_span_eig" if ridges[1] > 0
-                                       else "_floored_whitening_eig"]
-        assert {order for _, order in orders} == {m + n + d}  # solved at the reduced order
-        del orders[:]
+        assert self.route(dpc) == ("whitened_span" if ridges[1] > 0 else "floored_whitening",
+                                   m + n + d)
         pc = methods.pca_fit(cxx, d)
-        monkeypatch.undo()
-        assert orders == [("_top_pairs", m + d)]
+        assert self.route(pc) == ("symmetric", m + d)
 
         ref = ec.generalized_eig(cxx.matrix, cyy.matrix, d)
         floor_warnings = [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
@@ -569,14 +538,12 @@ class TestWideDataReduction:
 
     @pytest.mark.parametrize("dim,m,n", SHAPES)
     @pytest.mark.parametrize("ridges", RIDGES)
-    def test_cpca_matches_dense(self, rng, monkeypatch, dim, m, n, ridges):
+    def test_cpca_matches_dense(self, rng, dim, m, n, ridges):
         cxx, cyy = self.wide_pair(rng, dim, m, n, ridges)
         d = 3
         for alpha in (0.0, 1.0, 1000.0):
-            orders = self.solve_orders(monkeypatch)
             model = methods.cpca_fit(cxx, cyy, alpha, d)
-            monkeypatch.undo()
-            assert orders == [("_top_pairs", m + n + d)]
+            assert self.route(model) == ("symmetric", m + n + d)
             dense = ec.sym_eigendecompose(cxx.matrix - alpha * cyy.matrix, d)
             assert_top_d_matches(model, dense.eigenvalues, dense.eigenvectors)
 
@@ -585,16 +552,13 @@ class TestWideDataReduction:
 
     @pytest.mark.parametrize("dim,m,n", BLOCK_SHAPES)
     @pytest.mark.parametrize("ridge", [1e-6, 1e-3, 1.0, 100.0])
-    def test_dpca_block_route_matches_dense_eigh(self, rng, monkeypatch, dim, m, n, ridge):
+    def test_dpca_block_route_matches_dense_eigh(self, rng, dim, m, n, ridge):
         cxx, cyy = self.wide_pair(rng, dim, m, n, (1.0, ridge))
         d = 3
-        orders = self.solve_orders(monkeypatch)
         dpc = methods.dpca_fit(cxx, cyy, d)
-        monkeypatch.undo()
         # at r_b = 1e-6, rcond(B) ~ r_b / ||B11||_1 falls inside the margin 1e3 * floor_rel
-        assert self.leaves(orders) == ["_floored_whitening_eig" if ridge < 1e-3
-                                       else "_whitened_span_eig"]
-        assert {order for _, order in orders} == {m + n + d}
+        assert self.route(dpc) == ("floored_whitening" if ridge < 1e-3 else "whitened_span",
+                                   m + n + d)
         a, b = cxx.matrix, cyy.matrix
         dense = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[dim - d, dim - 1])
         rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(b))
@@ -618,28 +582,27 @@ class TestWideDataReduction:
         monkeypatch.undo()
         assert orders == [(factored, factored)]
 
-    def test_complement_eigenvalue_in_top_d(self, rng, monkeypatch):
+    def test_complement_eigenvalue_in_top_d(self, rng):
         # 20 background rows: dPCA and cPCA solve at order 28, in scipy
-        self.check_complement_eigenvalue_in_top_d(rng, monkeypatch, 300, 20)
+        self.check_complement_eigenvalue_in_top_d(rng, 300, 20)
 
-    def test_complement_eigenvalue_in_top_d_on_reflector_route(self, rng, monkeypatch):
+    def test_complement_eigenvalue_in_top_d_on_reflector_route(self, rng):
         # 260 background rows: dPCA and cPCA solve at order 268, in scipy
-        self.check_complement_eigenvalue_in_top_d(rng, monkeypatch, 600, 260)
+        self.check_complement_eigenvalue_in_top_d(rng, 600, 260)
 
-    def check_complement_eigenvalue_in_top_d(self, rng, monkeypatch, dim, n):
+    def check_complement_eigenvalue_in_top_d(self, rng, dim, n):
         # 3 target rows span 2 directions; every other direction, in the
         # sample span or not, has the complement eigenvalue, which fills the
         # rest of the top 5 (k = 3 < d for PCA)
         d = 5
         cxx = sample_covariance(center(DataMatrix(rng.standard_normal((3, dim)))), ridge=10.0)
         cyy = sample_covariance(center(DataMatrix(rng.standard_normal((n, dim)))), ridge=1.0)
-        orders = self.solve_orders(monkeypatch)
         pc = methods.pca_fit(cxx, d)
         dpc = methods.dpca_fit(cxx, cyy, d)
         cpc = methods.cpca_fit(cxx, cyy, 1000.0, d)
-        monkeypatch.undo()
-        assert {order for _, order in orders} == {3 + d, 3 + n + d}
-        assert self.leaves(orders) == ["_whitened_span_eig"]  # with the background ridge 1
+        assert [self.route(model) for model in (pc, dpc, cpc)] == [
+            ("symmetric", 3 + d), ("whitened_span", 3 + n + d),  # with the background ridge 1
+            ("symmetric", 3 + n + d)]
 
         a, b = cxx.matrix, cyy.matrix
         pca_ref = ec.sym_eigendecompose(a, d).eigenvalues
@@ -659,16 +622,17 @@ class TestWideDataReduction:
         cxx, cyy = self.wide_pair(rng, dim, m, n, (1.0, 1.0))
         grid = np.geomspace(0.001, 1000, 15)
         reductions = []
-        real_reduce = methods._reduce_to_data_span
+        real_qr = scipy.linalg.lapack.dgeqrt
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             reductions.append(args)
-            return real_reduce(*args)
+            return real_qr(*args, **kwargs)
 
-        monkeypatch.setattr(methods, "_reduce_to_data_span", counted)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", counted)
         sel = methods.cpca_select_alphas(cxx, cyy, grid, 2, 4, seed=0)
         monkeypatch.undo()
-        assert len(reductions) == 1  # once for the whole grid
+        assert len(reductions) == 1  # the samples are factored once for the whole grid
+        assert sel.diagnostics == {"route": "symmetric", "order": m + n + 2}
         dense = methods.cpca_select_alphas(cov(cxx.matrix, 1.0), cov(cyy.matrix, 1.0),
                                            grid, 2, 4, seed=0)
         np.testing.assert_allclose(sel.affinity, dense.affinity, atol=1e-10)
@@ -744,7 +708,7 @@ class TestWideDataReduction:
         methods.cpca_select_alphas(cxx, cyy, np.geomspace(0.001, 1000, 5), 3, 2)
 
     @pytest.mark.parametrize("ridge", [1.0, 1e-3])
-    def test_nearly_collinear_samples_on_reflector_route(self, rng, monkeypatch, ridge):
+    def test_nearly_collinear_samples_on_reflector_route(self, rng, ridge):
         # every row twice, the copy moved by 1e-8: R of the QR is nearly
         # rank-deficient, and K = 130 + 150 + 3 = 283 takes the reflector route
         dim, d = 700, 3
@@ -757,12 +721,11 @@ class TestWideDataReduction:
         background = doubled(75, rng.uniform(0.5, 2.0, dim))
         cxx = sample_covariance(center(DataMatrix(target)), ridge=ridge)
         cyy = sample_covariance(center(DataMatrix(background)), ridge=ridge)
-        orders = self.solve_orders(monkeypatch)
         pc = methods.pca_fit(cxx, d)
         cpc = methods.cpca_fit(cxx, cyy, 10.0, d)
         dpc = methods.dpca_fit(cxx, cyy, d)
-        monkeypatch.undo()
-        assert sorted({order for _, order in orders}) == [130 + d, 280 + d]
+        assert [model.diagnostics["order"] for model in (pc, cpc, dpc)] == [130 + d, 280 + d,
+                                                                              280 + d]
 
         a, b = cxx.matrix, cyy.matrix
         rtol = max(1e-12, 100 * np.finfo(float).eps * np.linalg.cond(b))
@@ -777,33 +740,29 @@ class TestWideDataReduction:
         spans = [np.linalg.qr(vecs)[0] for vecs in (dpc.components, ref.eigenvectors)]
         assert methods.subspace_affinity(*spans) >= 1 - 1e-10
 
-    def test_cut_over_at_half_the_features(self, rng, monkeypatch):
+    def test_cut_over_at_half_the_features(self, rng):
         # in 300 features, dPCA's 100 + 60 + 3 > 150 keeps the dense route;
         # PCA's 100 + 3 <= 150 on the same target is reduced
         cxx, cyy = self.wide_pair(rng, 300, 100, 60, (1.0, 1.0))
-        orders = self.solve_orders(monkeypatch)
-        methods.dpca_fit(cxx, cyy, 3)
-        assert {order for _, order in orders} == {300}
-        del orders[:]
-        methods.pca_fit(cxx, 3)
-        assert orders == [("_top_pairs", 103)]
+        assert methods.dpca_fit(cxx, cyy, 3).diagnostics["order"] == 300
+        assert self.route(methods.pca_fit(cxx, 3)) == ("symmetric", 103)
 
 
 class TestOneLeafPerFit:
-    """Each dPCA route validates its inputs once and calls exactly one leaf pencil solver.
+    """Each dPCA case takes its route: the model reports the one leaf pencil solver that ran.
 
     One case per route, with the Cholesky factorizations it makes: the
     reduced fallback factors only the background's own block, and only when
     the background has a ridge.
     """
 
-    # route: (D, m, n, background ridge, leaf, cho_factor orders)
+    # case: (D, m, n, background ridge, route, cho_factor orders)
     ROUTES = {
-        "dense_whitening": (100, 300, 400, 1.0, "_floored_whitening_eig", []),
-        "dense_cholesky": (300, 400, 500, 1.0, "_cholesky_eig", [300]),
-        "reduced_cholesky": (800, 100, 200, 1.0, "_whitened_span_eig", [200]),
-        "reduced_fallback_margin": (800, 100, 200, 1e-8, "_floored_whitening_eig", [200]),
-        "reduced_fallback_no_ridge": (800, 100, 200, 0.0, "_floored_whitening_eig", []),
+        "dense_whitening": (100, 300, 400, 1.0, "floored_whitening", []),
+        "dense_cholesky": (300, 400, 500, 1.0, "cholesky", [300]),
+        "reduced_cholesky": (800, 100, 200, 1.0, "whitened_span", [200]),
+        "reduced_fallback_margin": (800, 100, 200, 1e-8, "floored_whitening", [200]),
+        "reduced_fallback_no_ridge": (800, 100, 200, 0.0, "floored_whitening", []),
     }
 
     @staticmethod
@@ -814,7 +773,7 @@ class TestOneLeafPerFit:
         return cxx, cyy
 
     @pytest.mark.parametrize("route", ROUTES)
-    def test_one_leaf(self, rng, monkeypatch, pencil_solves, route):
+    def test_one_leaf(self, rng, monkeypatch, route):
         cxx, cyy = self.route_inputs(rng, route)
         _, _, _, ridge, leaf, factored = self.ROUTES[route]
         orders = []
@@ -827,11 +786,16 @@ class TestOneLeafPerFit:
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            methods.dpca_fit(cxx, cyy, 3)
-        assert pencil_solves == [leaf]
+            model = methods.dpca_fit(cxx, cyy, 3)
+        assert model.diagnostics["route"] == leaf
         assert orders == factored
         floored = [w for w in caught if issubclass(w.category, FloorAppliedWarning)]
         assert len(floored) == int(ridge == 0.0)  # the centered background has rank n - 1
+        assert model.diagnostics["floor_applied"] == (ridge == 0.0)
+
+    def test_every_route_has_a_case(self):
+        assert {case[4] for case in self.ROUTES.values()} == set(PENCIL_SOLVERS)
+        assert {case[5] for case in TestScalingOracles.ROUTES.values()} == set(PENCIL_SOLVERS)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_negative_floor_rejected(self, rng, pencil_solves, route):
@@ -859,16 +823,16 @@ class TestScalingOracles:
     # c in [1e-3, 10**-0.25] or [10**0.25, 1e3]: never near 1, where any solver passes
     SCALES = st.tuples(st.floats(0.25, 3.0), st.sampled_from([1.0, -1.0])).map(
         lambda pair: 10.0 ** (pair[1] * pair[0]))
-    # route: (D, m, n, target ridge, background ridge, leaf); m is None for
+    # case: (D, m, n, target ridge, background ridge, route); m is None for
     # covariances given as random SPD matrices of order D
     ROUTES = {
-        "dense_whitening": (40, None, None, 0.0, 0.0, "_floored_whitening_eig"),
-        "dense_cholesky": (ec.TOP_D_MIN_DIM + 4, None, None, 0.0, 0.0, "_cholesky_eig"),
+        "dense_whitening": (40, None, None, 0.0, 0.0, "floored_whitening"),
+        "dense_cholesky": (ec.TOP_D_MIN_DIM + 4, None, None, 0.0, 0.0, "cholesky"),
         # K = m + n + d + 1 = 263 and 103, both in scipy; a background ridge
         # of 1e-7 leaves rcond(B) near 2e-9, inside the Cholesky margin
         # 1e3 * floor_rel, and B's smallest eigenvalue 50 times above the floor
-        "reduced_whitening_from_r": (600, 60, 200, 0.5, 1.0, "_whitened_span_eig"),
-        "reduced_floored_whitening": (300, 40, 60, 0.5, 1e-7, "_floored_whitening_eig"),
+        "reduced_whitening_from_r": (600, 60, 200, 0.5, 1.0, "whitened_span"),
+        "reduced_floored_whitening": (300, 40, 60, 0.5, 1e-7, "floored_whitening"),
     }
 
     @classmethod
@@ -890,17 +854,16 @@ class TestScalingOracles:
                                      (background, ridge_b, scale_background)))
 
     @classmethod
-    def fit_both(cls, pencil_solves, route, seed, **changed):
+    def fit_both(cls, route, seed, **changed):
         """The base fit of ``route``, the fit of its ``changed`` estimates, and the error bound."""
         d = cls.D_COMPONENTS
         base_inputs = cls.estimates(route, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error", FloorAppliedWarning)
-            pencil_solves.clear()
             base = methods.dpca_fit(*base_inputs, d + 1)
             other = methods.dpca_fit(*cls.estimates(route, seed, **changed), d + 1)
         leaf = cls.ROUTES[route][5]
-        assert pencil_solves == [leaf, leaf]
+        assert [base.diagnostics["route"], other.diagnostics["route"]] == [leaf, leaf]
         background = np.linalg.eigvalsh(base_inputs[1].matrix)
         err = 100 * np.finfo(float).eps * background[-1] / background[0] * base.eigenvalues[0]
         return base, other, err
@@ -914,9 +877,9 @@ class TestScalingOracles:
         assert sine <= err / (lam[d - 1] - lam[d])
 
     @classmethod
-    def check_scaling(cls, pencil_solves, route, seed, c, side):
+    def check_scaling(cls, route, seed, c, side):
         d = cls.D_COMPONENTS
-        base, scaled, err = cls.fit_both(pencil_solves, route, seed, **{f"scale_{side}": c})
+        base, scaled, err = cls.fit_both(route, seed, **{f"scale_{side}": c})
         lam = base.eigenvalues
         expected = lam[:d] * (c if side == "target" else 1.0 / c)
         np.testing.assert_allclose(scaled.eigenvalues[:d], expected, rtol=0,
@@ -924,27 +887,24 @@ class TestScalingOracles:
         cls.assert_same_span(base.components, scaled.components, lam, err)
 
     @pytest.mark.parametrize("route", ROUTES)
-    @settings(max_examples=4, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
-    def test_target_scaling_scales_eigenvalues(self, pencil_solves, route, seed, scale):
-        self.check_scaling(pencil_solves, route, seed, scale, "target")
+    def test_target_scaling_scales_eigenvalues(self, route, seed, scale):
+        self.check_scaling(route, seed, scale, "target")
 
     @pytest.mark.parametrize("route", ROUTES)
-    @settings(max_examples=4, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
-    def test_background_scaling_divides_eigenvalues(self, pencil_solves, route, seed, scale):
-        self.check_scaling(pencil_solves, route, seed, scale, "background")
+    def test_background_scaling_divides_eigenvalues(self, route, seed, scale):
+        self.check_scaling(route, seed, scale, "background")
 
     @pytest.mark.parametrize("route", ROUTES)
-    @settings(max_examples=4, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shuffle=st.integers(0, 2**32 - 1))
-    def test_feature_permutation_permutes_components(self, pencil_solves, route, seed, shuffle):
+    def test_feature_permutation_permutes_components(self, route, seed, shuffle):
         d = self.D_COMPONENTS
         features = np.random.default_rng(shuffle).permutation(self.ROUTES[route][0])
-        base, permuted, err = self.fit_both(pencil_solves, route, seed, features=features)
+        base, permuted, err = self.fit_both(route, seed, features=features)
         np.testing.assert_allclose(permuted.eigenvalues[:d], base.eigenvalues[:d], rtol=0,
                                    atol=err)
         self.assert_same_span(base.components[features], permuted.components,
